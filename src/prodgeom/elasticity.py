@@ -13,15 +13,18 @@ bordered determinant:
     A_ij = (sum_k x_k f_k) / (x_i x_j) * C_ij / det(H^B)
 
 where H^B has a zero corner, the gradient as border row/column and the
-Hessian as inner block. For two variables the two measures coincide; both
-are invariant under smooth monotone outer transforms with nonzero slope
-(for A_ij this is claimed here only for n = 2, where it follows from the
-coincidence). Indices are 1-based. All elasticity operations restrict to the
+Hessian as inner block. The n^2 inner cofactors come from one stacked
+partial-pivot elimination over all minors (``plu_dets``), which matches a
+per-minor ``plu_det`` bit for bit. For two variables the two measures
+coincide; both are invariant under smooth monotone outer transforms with
+nonzero slope (for A_ij this is claimed here only for n = 2, where it
+follows from the coincidence). Indices are 1-based. All elasticity operations restrict to the
 strictly positive orthant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import AllenUndefined, DomainError, HicksUndefined, ValidationError, ZeroGradientError
 from .funcspec import FunctionSpec
-from .geometry import det_scale, plu_det
+from .geometry import det_scale, plu_det, plu_dets
 from .jets import Jet2N, jet_multivariate
 from .sampling import points_loguniform
 
@@ -90,14 +93,7 @@ def hicks(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     return _hicks_from_jet(jet_multivariate(spec, pt), pt, a, b)
 
 
-def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
-    """Bordered Hessian and its determinant: ((n+1)x(n+1) matrix, det).
-
-    Row and column 0 hold (0, f_1, ..., f_n); the inner block is the Hessian.
-    The determinant uses partial-pivot elimination.
-    """
-    pt = _positive_point(spec, point)
-    jet = jet_multivariate(spec, pt)
+def _bordered_from_jet(jet: Jet2N):
     n = jet.n
     border = np.zeros((n + 1, n + 1))
     border[0, 1:] = jet.gradient
@@ -106,10 +102,34 @@ def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
     return border, plu_det(border)
 
 
-def _signed_cofactor(matrix: np.ndarray, row: int, col: int) -> float:
-    minor = np.delete(np.delete(matrix, row, axis=0), col, axis=1)
-    sign = -1.0 if (row + col) % 2 else 1.0
-    return sign * plu_det(minor)
+def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
+    """Bordered Hessian and its determinant: ((n+1)x(n+1) matrix, det).
+
+    Row and column 0 hold (0, f_1, ..., f_n); the inner block is the Hessian.
+    The determinant uses partial-pivot elimination.
+    """
+    pt = _positive_point(spec, point)
+    return _bordered_from_jet(jet_multivariate(spec, pt))
+
+
+@functools.lru_cache(maxsize=16)
+def _minor_index(n: int):
+    # keep[a] lists the rows (equally columns) of the (n+1)x(n+1) bordered
+    # matrix that remain once row a + 1 is deleted; the arrays are shared by
+    # every caller, so they are read-only
+    keep = np.array([[r for r in range(n + 1) if r != a + 1] for a in range(n)])
+    signs = np.array([[-1.0 if (a + b) % 2 else 1.0 for b in range(n)] for a in range(n)])
+    keep.setflags(write=False)
+    signs.setflags(write=False)
+    return keep[:, None, :, None], keep[None, :, None, :], signs
+
+
+def _inner_cofactors(border: np.ndarray) -> np.ndarray:
+    # all n^2 minors in one gather, one stacked elimination, then the sign
+    # (-1)^((a+1)+(b+1)); bit for bit the per-minor plu_det route
+    n = border.shape[0] - 1
+    rows, cols, signs = _minor_index(n)
+    return signs * plu_dets(border[rows, cols].reshape(n * n, n, n)).reshape(n, n)
 
 
 def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
@@ -121,12 +141,13 @@ def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     a, b = _pair(spec, i, j)
     pt = _positive_point(spec, point)
     jet = jet_multivariate(spec, pt)
-    border, det = bordered_hessian(spec, pt)
+    border, det = _bordered_from_jet(jet)
     if abs(det) <= SINGULARITY_REL * det_scale(border):
         raise AllenUndefined(f"bordered Hessian is singular at {tuple(pt)!r}")
     weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
     # entry f_{x_a x_b} sits at matrix position (a+1, b+1); cofactor is signed
-    cof = _signed_cofactor(border, a + 1, b + 1)
+    minor = np.delete(np.delete(border, a + 1, axis=0), b + 1, axis=1)
+    cof = (-1.0 if (a + b) % 2 else 1.0) * plu_det(minor)
     return weight / (pt[a] * pt[b]) * cof / det
 
 
@@ -151,7 +172,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
     pt = _positive_point(spec, point)
     jet = jet_multivariate(spec, pt)
     n = jet.n
-    border, det = bordered_hessian(spec, pt)
+    border, det = _bordered_from_jet(jet)
     hicks_m = np.full((n, n), math.nan)
     for a in range(n):
         for b in range(a + 1, n):
@@ -161,10 +182,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                 continue
             hicks_m[a, b] = h
             hicks_m[b, a] = h
-    cof = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            cof[a, b] = _signed_cofactor(border, a + 1, b + 1)
+    cof = _inner_cofactors(border)
     singular = abs(det) <= SINGULARITY_REL * det_scale(border)
     allen_m = None
     if not singular:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SpecError, ValidationError
+from .errors import DomainError, NumericalError, SpecError, ValidationError
 from .funcspec import FunctionSpec, Homothetical
 from .jets import jet1d, jet_multivariate
 from .sampling import points_loguniform
@@ -46,6 +46,44 @@ def plu_det(matrix: np.ndarray) -> float:
         if k + 1 < n:
             m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
     return float(det)
+
+
+def plu_dets(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a (k, m, m) stack of matrices, bit for bit as ``plu_det``.
+
+    Each matrix goes through the same first-max pivots, full-row swaps and
+    floating-point operations, in the same order, as a ``plu_det`` call on it
+    alone, so ``plu_dets(stack)[i]`` has the bits of ``plu_det(stack[i])``
+    (0.0 for a matrix that meets a zero pivot). The Python loop runs over
+    elimination steps rather than matrices, which pays off for many minors
+    of one matrix; for a single matrix ``plu_det`` is faster.
+    """
+    m = np.array(stack, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValidationError(f"stacked determinant needs a (k, m, m) array, got {m.shape}")
+    n = m.shape[1]
+    rows = np.arange(m.shape[0])
+    det = np.ones(m.shape[0])
+    live = np.ones(m.shape[0], dtype=bool)
+    for k in range(n):
+        p = k + np.argmax(np.abs(m[:, k:, k]), axis=1)
+        dead = m[rows, p, k] == 0.0
+        if dead.any():
+            # zeroing a finished matrix keeps its later steps free of inf/nan
+            m[dead] = 0.0
+            live &= ~dead
+        swap = p != k
+        top = m[:, k].copy()
+        m[:, k] = m[rows, p]
+        m[rows, p] = top
+        det[swap] = -det[swap]
+        det *= m[:, k, k]
+        if k + 1 < n:
+            pivot = np.where(live, m[:, k, k], 1.0)
+            m[:, k + 1:, k + 1:] -= (m[:, k + 1:, k] / pivot[:, None])[:, :, None] \
+                * m[:, k, None, k + 1:]
+    det[~live] = 0.0
+    return det
 
 
 def det_scale(matrix: np.ndarray) -> float:
@@ -108,7 +146,10 @@ def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
             if k != i:
                 partial *= r[k]
         acc += q[i] * partial
-    return f ** n * (term1 + r[0] * acc)
+    try:
+        return f ** n * (term1 + r[0] * acc)
+    except OverflowError:
+        raise NumericalError(f"closed-form determinant overflowed at {tuple(pt)!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Criteria 1-10 run the named verification checks at their pinned seeds and
-tolerances; criterion 11 exercises the installed CLI end to end against the
+tolerances; criterion 11 exercises this checkout's CLI end to end against the
 committed golden files. Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -84,8 +85,12 @@ def test_criterion_10_differentiation_cross_check():
 
 
 def _cli(*argv):
+    # the child runs this checkout's package whether or not one is installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "prodgeom", *argv],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT, env=env)
     return proc.returncode, proc.stdout
 
 

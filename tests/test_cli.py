@@ -121,6 +121,16 @@ def test_singular_rows_do_not_fail_run(capsys):
     assert rows[0].split(",")[3] == ""
 
 
+def test_curvature_overflow_exits_3(capsys, tmp_path):
+    points = tmp_path / "huge.csv"
+    points.write_text("1e200,1e200\n")
+    code, out, err = _run(capsys, "curvature", "--spec", DATA / "cobb_douglas_crs.json",
+                          "--points", points)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "overflowed" in err
+
+
 def test_csv_jsonl_numeric_equivalence(capsys):
     _, csv_out, _ = _run(capsys, "curvature", "--spec", DATA / "acms_rho_half.json",
                          "--points", DATA / "pts.csv")

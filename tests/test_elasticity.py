@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodgeom import (
     AllenUndefined,
@@ -25,7 +28,13 @@ from prodgeom import (
     make_acms,
     make_cobb_douglas,
 )
-from prodgeom.sampling import points_loguniform, random_composite, random_homothetical
+from prodgeom.geometry import plu_det
+from prodgeom.sampling import (
+    points_loguniform,
+    random_composite,
+    random_homothetical,
+    random_outer,
+)
 
 EXP_TIMES_LINEAR = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
 PRODUCT = Homothetical((PowFn(1.0, 0.0, 1.0), PowFn(1.0, 0.0, 1.0)))
@@ -231,3 +240,43 @@ def test_elasticity_report_singular_bordered():
     # this family is singular for BOTH measures: the Hicks denominator
     # cancels exactly as well, so the pair is reported as nan
     assert math.isnan(report.hicks[0, 1])
+
+
+def _cofactors_by_minor(border):
+    # the per-minor route: delete row and column, plu_det, apply the sign
+    n = border.shape[0] - 1
+    cof = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            minor = np.delete(np.delete(border, a + 1, axis=0), b + 1, axis=1)
+            sign = -1.0 if (a + b) % 2 else 1.0
+            cof[a, b] = sign * plu_det(minor)
+    return cof
+
+
+def _random_spec(rng, kind, n):
+    if kind == "homothetical":
+        return random_homothetical(rng, n=n)
+    if kind == "composite":
+        return random_composite(rng, n=n)
+    return make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                     rng.choice([-2.0, -0.5, 0.25, 0.5, 0.9]), rng.uniform(0.3, 2.0),
+                     random_outer(rng))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["homothetical", "composite", "acms"]),
+       n=st.sampled_from([2, 3, 5, 10]))
+def test_report_cofactors_bitwise_equal_per_minor_route(seed, kind, n):
+    rng = random.Random(seed)
+    spec = _random_spec(rng, kind, n)
+    point = points_loguniform(n, 1, rng)[0]
+    report = elasticity_report(spec, point)
+    border, det = bordered_hessian(spec, point)
+    expected = _cofactors_by_minor(border)
+    assert report.cofactors.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert np.float64(report.bordered_det).view(np.int64) == np.float64(det).view(np.int64)
+    if report.allen is not None:
+        value = allen(spec, point, 1, n)
+        assert np.float64(value).view(np.int64) == report.allen[0, n - 1].view(np.int64)

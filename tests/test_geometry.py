@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodgeom import (
     Composite,
@@ -12,8 +14,10 @@ from prodgeom import (
     ExpFn,
     Homothetical,
     Identity,
+    NumericalError,
     PowFn,
     SpecError,
+    ValidationError,
     gauss_kronecker,
     hessian,
     hessian_det_closed,
@@ -21,7 +25,7 @@ from prodgeom import (
     is_developable,
     make_cobb_douglas,
 )
-from prodgeom.geometry import det_scale, plu_det
+from prodgeom.geometry import det_scale, plu_det, plu_dets
 from prodgeom.sampling import points_loguniform, random_homothetical
 
 
@@ -70,6 +74,12 @@ def test_det_closed_requires_homothetical():
     spec = Composite(Identity(), (PowFn(1.0, 0.0, 1.0), PowFn(1.0, 0.0, 1.0)))
     with pytest.raises(SpecError):
         hessian_det_closed(spec, (1.0, 1.0))
+
+
+def test_det_closed_overflow_is_numerical_error():
+    spec = make_cobb_douglas(1.0, (0.3, 0.7))
+    with pytest.raises(NumericalError, match="overflowed"):
+        hessian_det_closed(spec, (1e200, 1e200))
 
 
 def test_det_closed_zero_component_raises_but_curvature_falls_back():
@@ -184,3 +194,70 @@ def test_plu_det_singular():
     m = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert plu_det(m) == pytest.approx(0.0, abs=1e-15)
     assert det_scale(m) == 8.0
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_stack_matches_plu_det(stack) -> None:
+    stack = np.asarray(stack, dtype=float)
+    expected = [plu_det(m) for m in stack]
+    assert _bits(plu_dets(stack)) == _bits(expected)
+
+
+# few distinct magnitudes make |pivot| ties and exact cancellations common
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0]),
+                   st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def _matrix_stacks(draw):
+    size = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 5))
+    entries = draw(st.lists(_ENTRY, min_size=count * size * size,
+                            max_size=count * size * size))
+    stack = np.array(entries).reshape(count, size, size)
+    if draw(st.booleans()):
+        stack = np.triu(stack) + np.swapaxes(np.triu(stack, 1), 1, 2)
+    return stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=_matrix_stacks())
+def test_plu_dets_bitwise_equals_plu_det(stack):
+    _assert_stack_matches_plu_det(stack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10))
+def test_plu_dets_bitwise_on_gaussian_matrices(seed, size):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(12, size, size))
+    _assert_stack_matches_plu_det(stack)
+    _assert_stack_matches_plu_det(stack + np.swapaxes(stack, 1, 2))
+
+
+def test_plu_dets_special_cases_bitwise():
+    stack = np.array([
+        [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],    # zero pivot at step 0
+        [[2.0, 4.0, 1.0], [1.0, 2.0, 5.0], [4.0, 8.0, 3.0]],    # zero pivot at step 1
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]],    # rank one
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],    # one swap
+        [[1.0, 2.0, 0.0], [-1.0, 5.0, 1.0], [1.0, 0.0, 3.0]],   # |pivot| tie
+        [[1e-200, 0.0, 0.0], [0.0, -1e-200, 0.0], [0.0, 0.0, 1.0]],  # det underflows to -0.0
+        [[-0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],   # signed zero pivot
+        [[4.0, 1.0, 2.0], [1.0, 3.0, 0.5], [2.0, 0.5, 5.0]],    # regular symmetric
+    ])
+    _assert_stack_matches_plu_det(stack)
+    dets = plu_dets(stack)
+    assert _bits(dets[[0, 1, 2, 6]]) == _bits([0.0] * 4)
+    assert _bits(dets[5]) == _bits(-0.0)
+    assert dets[3] == -1.0
+
+
+def test_plu_dets_rejects_non_square_stack():
+    with pytest.raises(ValidationError):
+        plu_dets(np.zeros((2, 3, 4)))
+    with pytest.raises(ValidationError):
+        plu_dets(np.zeros((3, 3)))
