@@ -67,6 +67,27 @@ def _all_pow(components) -> bool:
     return all(isinstance(c, PowFn) for c in components)
 
 
+def _classify_exp_or_pow(components, target: float, tag: str, none_tag: str,
+                         inner: str) -> ClassificationVerdict:
+    # Thm 3.1 and Thm 4.1 share one shape: case a is two or more exponential
+    # components, case b all shifted powers with exponent sum ``target``.
+    exp_idx = _exp_indices(components)
+    if len(exp_idx) >= 2:
+        return ClassificationVerdict(f"{tag}_a", {"exp_indices": exp_idx})
+    if _all_pow(components):
+        alphas = [c.alpha for c in components]
+        total = math.fsum(alphas)
+        cert = {"alphas": alphas, "alpha_sum": total}
+        if abs(total - target) <= PARAM_TOL:
+            return ClassificationVerdict(f"{tag}_b", cert)
+        return ClassificationVerdict(none_tag, cert,
+                                     notes=f"power exponents sum to {total!r}, not {target:g}")
+    return ClassificationVerdict(
+        none_tag, {"exp_indices": exp_idx},
+        notes=f"fewer than two exponential {inner}components and not all {inner}"
+              f"components are shifted powers")
+
+
 def classify_developable(spec: FunctionSpec) -> ClassificationVerdict:
     """Decide symbolically whether a product spec's graph is developable.
 
@@ -77,22 +98,7 @@ def classify_developable(spec: FunctionSpec) -> ClassificationVerdict:
     if not isinstance(spec, Homothetical):
         raise SpecError(f"developability classification needs a homothetical spec, "
                         f"got {spec.kind}")
-    exp_idx = _exp_indices(spec.components)
-    if len(exp_idx) >= 2:
-        return ClassificationVerdict("thm31_a", {"exp_indices": exp_idx})
-    if _all_pow(spec.components):
-        alphas = [c.alpha for c in spec.components]
-        total = math.fsum(alphas)
-        if abs(total - 1.0) <= PARAM_TOL:
-            return ClassificationVerdict("thm31_b",
-                                         {"alphas": alphas, "alpha_sum": total})
-        return ClassificationVerdict(
-            "none_developable", {"alphas": alphas, "alpha_sum": total},
-            notes=f"power exponents sum to {total!r}, not 1")
-    return ClassificationVerdict(
-        "none_developable", {"exp_indices": exp_idx},
-        notes="fewer than two exponential components and not all components "
-              "are shifted powers")
+    return _classify_exp_or_pow(spec.components, 1.0, "thm31", "none_developable", "")
 
 
 def classify_allen_singular(spec: FunctionSpec) -> ClassificationVerdict:
@@ -105,22 +111,8 @@ def classify_allen_singular(spec: FunctionSpec) -> ClassificationVerdict:
     if not isinstance(spec, Composite):
         raise SpecError(f"Allen-singularity classification needs a composite spec, "
                         f"got {spec.kind}")
-    exp_idx = _exp_indices(spec.components)
-    if len(exp_idx) >= 2:
-        return ClassificationVerdict("thm41_a", {"exp_indices": exp_idx})
-    if _all_pow(spec.components):
-        alphas = [c.alpha for c in spec.components]
-        total = math.fsum(alphas)
-        if abs(total) <= PARAM_TOL:
-            return ClassificationVerdict("thm41_b",
-                                         {"alphas": alphas, "alpha_sum": total})
-        return ClassificationVerdict(
-            "none_allen_singular", {"alphas": alphas, "alpha_sum": total},
-            notes=f"power exponents sum to {total!r}, not 0")
-    return ClassificationVerdict(
-        "none_allen_singular", {"exp_indices": exp_idx},
-        notes="fewer than two exponential inner components and not all inner "
-              "components are shifted powers")
+    return _classify_exp_or_pow(spec.components, 0.0, "thm41", "none_allen_singular",
+                                "inner ")
 
 
 def _is_cobb_douglas(components) -> bool:
@@ -165,6 +157,38 @@ def classify_ces(spec: FunctionSpec) -> ClassificationVerdict:
     raise SpecError(f"constant-elasticity classification got unknown kind {spec!r}")
 
 
+def _make_exp_or_pow_family(case: str, build, target: float, components, alphas, betas,
+                            gamma: float):
+    # case a and b constructors shared by Thm 3.1 and Thm 4.1; ``build``
+    # wraps the component tuple into the family's spec kind
+    if case == "a":
+        if components is None:
+            raise ValidationError("case a needs an explicit component list")
+        spec = build(tuple(components))
+        if len(_exp_indices(spec.components)) < 2:
+            raise ValidationError("case a needs at least two exponential components")
+        return spec
+    if case == "b":
+        if alphas is None:
+            raise ValidationError("case b needs the exponent list")
+        alphas = [float(a) for a in alphas]
+        if any(a == 0.0 for a in alphas):
+            raise ValidationError("case b exponents must all be nonzero")
+        total = math.fsum(alphas)
+        if abs(total - target) > PARAM_TOL:
+            raise ValidationError(f"case b exponents must sum to {target:g}, got {total!r}")
+        if gamma == 0.0:
+            raise ValidationError("gamma must be nonzero")
+        betas = [0.0] * len(alphas) if betas is None else [float(b) for b in betas]
+        if len(betas) != len(alphas):
+            raise ValidationError("betas and alphas must have the same length")
+        comps = [PowFn(gamma=float(gamma), beta=betas[0], alpha=alphas[0])]
+        comps.extend(PowFn(gamma=1.0, beta=b, alpha=a)
+                     for a, b in zip(alphas[1:], betas[1:]))
+        return build(tuple(comps))
+    raise ValidationError(f"unknown case {case!r}, expected 'a' or 'b'")
+
+
 def make_thm31_family(case: str, components: Sequence | None = None,
                       alphas: Sequence[float] | None = None,
                       betas: Sequence[float] | None = None,
@@ -176,32 +200,7 @@ def make_thm31_family(case: str, components: Sequence | None = None,
     optional shifts (default 0) and a nonzero overall gamma on the first
     component.
     """
-    if case == "a":
-        if components is None:
-            raise ValidationError("case a needs an explicit component list")
-        spec = Homothetical(tuple(components))
-        if len(_exp_indices(spec.components)) < 2:
-            raise ValidationError("case a needs at least two exponential components")
-        return spec
-    if case == "b":
-        if alphas is None:
-            raise ValidationError("case b needs the exponent list")
-        alphas = [float(a) for a in alphas]
-        if any(a == 0.0 for a in alphas):
-            raise ValidationError("case b exponents must all be nonzero")
-        total = math.fsum(alphas)
-        if abs(total - 1.0) > PARAM_TOL:
-            raise ValidationError(f"case b exponents must sum to 1, got {total!r}")
-        if gamma == 0.0:
-            raise ValidationError("gamma must be nonzero")
-        betas = [0.0] * len(alphas) if betas is None else [float(b) for b in betas]
-        if len(betas) != len(alphas):
-            raise ValidationError("betas and alphas must have the same length")
-        comps = [PowFn(gamma=float(gamma), beta=betas[0], alpha=alphas[0])]
-        comps.extend(PowFn(gamma=1.0, beta=b, alpha=a)
-                     for a, b in zip(alphas[1:], betas[1:]))
-        return Homothetical(tuple(comps))
-    raise ValidationError(f"unknown case {case!r}, expected 'a' or 'b'")
+    return _make_exp_or_pow_family(case, Homothetical, 1.0, components, alphas, betas, gamma)
 
 
 def make_thm41_family(case: str, components: Sequence | None = None,
@@ -215,32 +214,8 @@ def make_thm41_family(case: str, components: Sequence | None = None,
     components; case "b" builds shifted-power inner components with exponent
     sum 0 (to 1e-12).
     """
-    if case == "a":
-        if components is None:
-            raise ValidationError("case a needs an explicit component list")
-        spec = Composite(outer, tuple(components))
-        if len(_exp_indices(spec.components)) < 2:
-            raise ValidationError("case a needs at least two exponential components")
-        return spec
-    if case == "b":
-        if alphas is None:
-            raise ValidationError("case b needs the exponent list")
-        alphas = [float(a) for a in alphas]
-        if any(a == 0.0 for a in alphas):
-            raise ValidationError("case b exponents must all be nonzero")
-        total = math.fsum(alphas)
-        if abs(total) > PARAM_TOL:
-            raise ValidationError(f"case b exponents must sum to 0, got {total!r}")
-        if gamma == 0.0:
-            raise ValidationError("gamma must be nonzero")
-        betas = [0.0] * len(alphas) if betas is None else [float(b) for b in betas]
-        if len(betas) != len(alphas):
-            raise ValidationError("betas and alphas must have the same length")
-        comps = [PowFn(gamma=float(gamma), beta=betas[0], alpha=alphas[0])]
-        comps.extend(PowFn(gamma=1.0, beta=b, alpha=a)
-                     for a, b in zip(alphas[1:], betas[1:]))
-        return Composite(outer, tuple(comps))
-    raise ValidationError(f"unknown case {case!r}, expected 'a' or 'b'")
+    return _make_exp_or_pow_family(case, lambda comps: Composite(outer, comps), 0.0,
+                                   components, alphas, betas, gamma)
 
 
 def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,

@@ -17,25 +17,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from .classify import classify_allen_singular, classify_ces, classify_developable
-from .elasticity import AllenUndefined, elasticity_report
-from .errors import (
-    DomainError,
-    HicksUndefined,
-    NumericalError,
-    ParseError,
-    ProdgeomError,
-    SpecError,
-    ValidationError,
-)
-from .funcspec import Acms, Composite, FunctionSpec, Homothetical, evaluate, parse_spec
+from .elasticity import elasticity_report
+from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
+from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
 from .geometry import gauss_kronecker
-from .jets import fd_jet, jet_multivariate
+from .jets import fd_jet, jet_multivariate, norm_rel_gaps
 from .verify import run_checks
 
 
@@ -59,7 +52,12 @@ def _parse_grid(desc: str) -> list:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise ValidationError(f"grid axis {axis!r} has non-numeric bounds") from None
-        axes.append([lo] if k == 1 else [float(v) for v in np.linspace(lo, hi, k)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [lo] if k == 1 else [float(v) for v in np.linspace(lo, hi, k)]
+        # finite bounds far apart can still step to inf or nan
+        if not all(map(math.isfinite, [lo, hi, *values])):
+            raise ValidationError(f"grid axis {axis!r} gives non-finite coordinates")
+        axes.append(values)
     points = [()]
     for axis in axes:
         points = [p + (v,) for p in points for v in axis]
@@ -79,11 +77,15 @@ def _load_points(source: str, n: int) -> list:
                         continue
                     cells = line.split(",")
                     try:
-                        points.append(tuple(float(c) for c in cells))
+                        point = tuple(float(c) for c in cells)
                     except ValueError:
                         raise ValidationError(
                             f"{source}:{lineno}: non-numeric coordinate in {line!r}"
                         ) from None
+                    if not all(map(math.isfinite, point)):
+                        raise ValidationError(
+                            f"{source}:{lineno}: non-finite coordinate in {line!r}")
+                    points.append(point)
         except OSError as e:
             raise ValidationError(f"cannot read points file {source}: {e}") from None
     if not points:
@@ -120,16 +122,6 @@ def _parse_pairs(text: str, n: int) -> list:
     return pairs
 
 
-def _fd_gap(spec: FunctionSpec, point) -> float:
-    exact = jet_multivariate(spec, point)
-    approx = fd_jet(lambda p: evaluate(spec, p), point)
-    g_gap = float(np.max(np.abs(approx.gradient - exact.gradient)))
-    g_gap /= max(1.0, float(np.max(np.abs(exact.gradient))))
-    h_gap = float(np.max(np.abs(approx.hessian - exact.hessian)))
-    h_gap /= max(1.0, float(np.max(np.abs(exact.hessian))))
-    return max(g_gap, h_gap)
-
-
 def _emit(header: list, rows: list, fmt: str, out) -> None:
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -145,93 +137,59 @@ def _emit(header: list, rows: list, fmt: str, out) -> None:
             out.write("\n")
 
 
-def _coord_header(n: int) -> list:
-    return [f"x{k + 1}" for k in range(n)]
+def _run_points(args, spec: FunctionSpec, points, out) -> int:
+    """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
+    The subcommand's ``measure(p)`` returns the row's exact jet (None where
+    the row needs none), its cells from ``value`` on and its status; the
+    fd_gap column compares the finite-difference oracle with that jet. A
+    DomainError empties the row and marks it ``domain_error``; any other
+    error ends the run.
+    """
+    columns = []
+    if args.command == "eval":
+        def measure(p):
+            jet = jet_multivariate(spec, p) if args.fd_check else None
+            return jet, [evaluate(spec, p) if jet is None else jet.value], "ok"
+    elif args.command == "curvature":
+        columns = ["omega", "det_hessian", "gk"]
 
-def _run_eval(spec: FunctionSpec, points, fd_check: bool, fmt: str, out) -> int:
-    header = _coord_header(spec.n) + ["value"]
-    if fd_check:
-        header.append("fd_gap")
-    header.append("status")
-    rows = []
-    for p in points:
-        cells = list(p)
-        try:
-            cells.append(evaluate(spec, p))
-            if fd_check:
-                cells.append(_fd_gap(spec, p))
-            cells.append("ok")
-        except DomainError:
-            cells = list(p) + [None] * (len(header) - spec.n - 1) + ["domain_error"]
-        rows.append(cells)
-    _emit(header, rows, fmt, out)
-    return 0
-
-
-def _run_curvature(spec: FunctionSpec, points, fd_check: bool, fmt: str, out) -> int:
-    header = _coord_header(spec.n) + ["value", "omega", "det_hessian", "gk"]
-    if fd_check:
-        header.append("fd_gap")
-    header.append("status")
-    rows = []
-    for p in points:
-        cells = list(p)
-        try:
+        def measure(p):
             rec = gauss_kronecker(spec, p)
-            cells.extend([evaluate(spec, p), rec.omega, rec.hessian_det, rec.gk_curvature])
-            if fd_check:
-                cells.append(_fd_gap(spec, p))
-            cells.append("ok")
-        except DomainError:
-            cells = list(p) + [None] * (len(header) - spec.n - 1) + ["domain_error"]
-        rows.append(cells)
-    _emit(header, rows, fmt, out)
-    return 0
+            return rec.jet, [rec.value, rec.omega, rec.hessian_det, rec.gk_curvature], "ok"
+    else:
+        pairs = _parse_pairs(args.pairs, spec.n) if args.pairs else None
+        if spec.n < 2:
+            raise ValidationError("the elasticity subcommand needs a spec with >= 2 variables")
+        if pairs is None:
+            pairs = [(i, j) for i in range(1, spec.n + 1) for j in range(i + 1, spec.n + 1)]
+        columns = ([f"hicks_{i}_{j}" for i, j in pairs] + [f"allen_{i}_{j}" for i, j in pairs]
+                   + ["bordered_det"])
 
-
-def _run_elasticity(spec: FunctionSpec, points, pairs, fd_check: bool, fmt: str,
-                    out) -> int:
-    if spec.n < 2:
-        raise ValidationError("the elasticity subcommand needs a spec with >= 2 variables")
-    if pairs is None:
-        pairs = [(i, j) for i in range(1, spec.n + 1) for j in range(i + 1, spec.n + 1)]
-    header = _coord_header(spec.n) + ["value"]
-    header += [f"hicks_{i}_{j}" for i, j in pairs]
-    header += [f"allen_{i}_{j}" for i, j in pairs]
-    header.append("bordered_det")
-    if fd_check:
+        def measure(p):
+            report = elasticity_report(spec, p)
+            hicks = [float(report.hicks[i - 1, j - 1]) for i, j in pairs]
+            # nan marks an undefined pair
+            status = ("hicks_undefined" if any(h != h for h in hicks)
+                      else "allen_undefined" if report.allen is None else "ok")
+            allen = ([None] * len(pairs) if report.allen is None
+                     else [float(report.allen[i - 1, j - 1]) for i, j in pairs])
+            return report.jet, [report.value, *(None if h != h else h for h in hicks),
+                                *allen, report.bordered_det], status
+    header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
+    if args.fd_check:
         header.append("fd_gap")
     header.append("status")
     rows = []
     for p in points:
-        cells = list(p)
-        status = "ok"
         try:
-            report = elasticity_report(spec, p)
-            cells.append(evaluate(spec, p))
-            for i, j in pairs:
-                h = float(report.hicks[i - 1, j - 1])
-                if h != h:  # nan marks an undefined pair
-                    cells.append(None)
-                    status = "hicks_undefined"
-                else:
-                    cells.append(h)
-            for i, j in pairs:
-                if report.allen is None:
-                    cells.append(None)
-                    if status == "ok":
-                        status = "allen_undefined"
-                else:
-                    cells.append(float(report.allen[i - 1, j - 1]))
-            cells.append(report.bordered_det)
-            if fd_check:
-                cells.append(_fd_gap(spec, p))
-            cells.append(status)
+            jet, cells, status = measure(p)
+            if args.fd_check:
+                cells.append(max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), jet)))
         except DomainError:
-            cells = list(p) + [None] * (len(header) - spec.n - 1) + ["domain_error"]
-        rows.append(cells)
-    _emit(header, rows, fmt, out)
+            cells, status = [None] * (len(header) - spec.n - 1), "domain_error"
+        rows.append([*p, *cells, status])
+    _emit(header, rows, args.format, out)
     return 0
 
 
@@ -239,14 +197,11 @@ def _run_classify(spec: FunctionSpec, fmt: str, out) -> int:
     verdicts = []
     if isinstance(spec, Homothetical):
         verdicts.append(("developable", classify_developable(spec)))
-        verdicts.append(("ces", classify_ces(spec)))
     elif isinstance(spec, Composite):
         verdicts.append(("allen_singular", classify_allen_singular(spec)))
-        verdicts.append(("ces", classify_ces(spec)))
-    elif isinstance(spec, Acms):
-        # the CES form is an outer-composed product only after rewriting, so
-        # only the constant-elasticity family applies symbolically
-        verdicts.append(("ces", classify_ces(spec)))
+    # the CES form is an outer-composed product only after rewriting, so for
+    # acms specs only the constant-elasticity family applies symbolically
+    verdicts.append(("ces", classify_ces(spec)))
     header = ["classifier", "family", "certificate", "notes"]
     rows = [[name, v.family, json.dumps(v.certificate, separators=(",", ":")), v.notes]
             for name, v in verdicts]
@@ -283,8 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--fd-check", action="store_true",
                             help="add a finite-difference cross-check column")
         sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--relax-rho", action="store_true",
                         help="permit CES specs with rho >= 1")
 
@@ -323,24 +276,12 @@ def run(argv: Sequence[str]) -> int:
         if args.command == "classify":
             return _run_classify(spec, args.format, out)
         points = _load_points(args.points, spec.n)
-        if args.command == "eval":
-            return _run_eval(spec, points, args.fd_check, args.format, out)
-        if args.command == "curvature":
-            return _run_curvature(spec, points, args.fd_check, args.format, out)
-        pairs = _parse_pairs(args.pairs, spec.n) if args.pairs else None
-        return _run_elasticity(spec, points, pairs, args.fd_check, args.format, out)
-    except (ParseError, ValidationError, SpecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (NumericalError, HicksUndefined, AllenUndefined) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return _run_points(args, spec, points, out)
     except ProdgeomError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
+        if isinstance(e, (ParseError, ValidationError, SpecError)):
+            return 2
+        return 1 if isinstance(e, DomainError) else 3
 
 
 def main() -> None:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllenUndefined, DomainError, HicksUndefined, ValidationError, ZeroGradientError
-from .funcspec import FunctionSpec
+from .funcspec import FunctionSpec, _point
 from .geometry import det_scale, plu_det, plu_dets
 from .jets import Jet2N, jet_multivariate
 from .sampling import points_loguniform
@@ -43,10 +43,7 @@ SINGULARITY_REL = 1e-12
 
 
 def _positive_point(spec: FunctionSpec, point: Sequence[float]) -> list:
-    pt = [float(x) for x in point]
-    if len(pt) != spec.n:
-        raise ValidationError(
-            f"point has {len(pt)} coordinates but the spec has {spec.n} variables")
+    pt = _point(spec, point)
     for k, x in enumerate(pt):
         if x <= 0.0:
             raise DomainError(
@@ -71,10 +68,14 @@ def _hicks_from_jet(jet: Jet2N, pt, a: int, b: int) -> float:
         raise ZeroGradientError(f"partial derivative {a + 1} vanishes at {tuple(pt)!r}")
     if fb == 0.0:
         raise ZeroGradientError(f"partial derivative {b + 1} vanishes at {tuple(pt)!r}")
-    num = 1.0 / (pt[a] * fa) + 1.0 / (pt[b] * fb)
-    t1 = float(jet.hessian[a, a]) / (fa * fa)
-    t2 = 2.0 * float(jet.hessian[a, b]) / (fa * fb)
-    t3 = float(jet.hessian[b, b]) / (fb * fb)
+    try:
+        num = 1.0 / (pt[a] * fa) + 1.0 / (pt[b] * fb)
+        t1 = float(jet.hessian[a, a]) / (fa * fa)
+        t2 = 2.0 * float(jet.hessian[a, b]) / (fa * fb)
+        t3 = float(jet.hessian[b, b]) / (fb * fb)
+    except ZeroDivisionError:  # the partials are nonzero but their products underflow
+        raise ZeroGradientError(
+            f"partial derivatives {a + 1} and {b + 1} underflow at {tuple(pt)!r}") from None
     den = t1 - t2 + t3
     if abs(den) <= SINGULARITY_REL * (abs(t1) + abs(t2) + abs(t3)):
         raise HicksUndefined(
@@ -155,16 +156,23 @@ def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
 class ElasticityReport:
     """All substitution quantities of a spec at one point.
 
-    ``hicks`` has nan on the diagonal (and at pairs whose denominator
-    vanishes); ``allen`` is None exactly when the bordered determinant is
-    below the singularity threshold. ``cofactors`` holds the signed cofactors
-    of the inner (Hessian) entries of the bordered matrix.
+    ``hicks`` has nan on the diagonal and at pairs where it is undefined (a
+    vanishing denominator or a vanishing partial of the pair); ``allen`` is
+    None exactly when the bordered determinant is below the singularity
+    threshold. ``cofactors`` holds the signed cofactors of the inner
+    (Hessian) entries of the bordered matrix. ``jet`` is the one jet the
+    report was read from; ``value`` is its value slot.
     """
 
     hicks: np.ndarray
     allen: np.ndarray | None
     bordered_det: float
     cofactors: np.ndarray
+    jet: Jet2N
+
+    @property
+    def value(self) -> float:
+        return self.jet.value
 
 
 def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityReport:
@@ -178,7 +186,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
         for b in range(a + 1, n):
             try:
                 h = _hicks_from_jet(jet, pt, a, b)
-            except HicksUndefined:
+            except (HicksUndefined, ZeroGradientError):
                 continue
             hicks_m[a, b] = h
             hicks_m[b, a] = h
@@ -194,7 +202,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                 allen_m[a, b] = v
                 allen_m[b, a] = v
     return ElasticityReport(hicks=hicks_m, allen=allen_m, bordered_det=det,
-                            cofactors=cof)
+                            cofactors=cof, jet=jet)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -158,7 +157,7 @@ OuterFn = Union[Identity, Power, Scale, Log]
 
 
 def outer_value(outer: OuterFn, u: float) -> float:
-    """Apply an outer map, enforcing its domain guard."""
+    """Apply an outer map, enforcing its domain guard (the outer jet's value slot)."""
     if isinstance(outer, Identity):
         return u
     if isinstance(outer, Scale):
@@ -309,6 +308,7 @@ def make_acms(gamma: float, betas: Sequence[float], rho: float, d: float,
 
 
 def _point(spec: FunctionSpec, point: Sequence[float]) -> list:
+    # the package's one point-arity check
     pt = [float(x) for x in point]
     if len(pt) != spec.n:
         raise ValidationError(
@@ -334,18 +334,23 @@ def _acms_inner_value(spec: Acms, pt) -> float:
 
 
 def evaluate(spec: FunctionSpec, point: Sequence[float]) -> float:
-    """Function value at a point; raises DomainError outside the domain."""
+    """Function value at a point; raises DomainError outside the domain and
+    NumericalError where the value overflows or is not finite."""
     pt = _point(spec, point)
     try:
         if isinstance(spec, Homothetical):
-            return _product_value(spec.components, pt)
-        if isinstance(spec, Composite):
-            return outer_value(spec.outer, _product_value(spec.components, pt))
-        if isinstance(spec, Acms):
-            return outer_value(spec.outer, _acms_inner_value(spec, pt))
+            value = _product_value(spec.components, pt)
+        elif isinstance(spec, Composite):
+            value = outer_value(spec.outer, _product_value(spec.components, pt))
+        elif isinstance(spec, Acms):
+            value = outer_value(spec.outer, _acms_inner_value(spec, pt))
+        else:
+            raise ValidationError(f"unknown spec kind {spec!r}")
     except OverflowError:
         raise NumericalError(f"function value overflowed at {tuple(pt)!r}") from None
-    raise ValidationError(f"unknown spec kind {spec!r}")
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite function value at {tuple(pt)!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +381,9 @@ def homogeneity_degree(spec: FunctionSpec, probe_points=None,
     DomainError when scaling pushes a probe out of the spec's domain.
     """
     if probe_points is None:
-        rng = random.Random(seed)
-        lo, hi = math.log(0.5), math.log(2.0)
-        probe_points = [tuple(math.exp(rng.uniform(lo, hi)) for _ in range(spec.n))
-                        for _ in range(5)]
+        from .sampling import points_loguniform  # sampling imports this module
+
+        probe_points = points_loguniform(spec.n, 5, seed)
     estimates = []
     for x in probe_points:
         pt = _point(spec, x)

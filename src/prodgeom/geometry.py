@@ -13,14 +13,14 @@ determinant stays available as an independent oracle against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError, ValidationError
-from .funcspec import FunctionSpec, Homothetical
-from .jets import jet1d, jet_multivariate
+from .funcspec import FunctionSpec, Homothetical, _point
+from .jets import Jet2N, jet1d, jet_multivariate
 from .sampling import points_loguniform
 
 
@@ -106,23 +106,9 @@ def hessian_det_direct(spec: FunctionSpec, point: Sequence[float]) -> float:
     return plu_det(hessian(spec, point))
 
 
-def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
-    """Closed-form Hessian determinant for product specs.
-
-    det H = f^n * [ (f1''/f1) * prod_{i>=2} r_i
-                    + r_1 * sum_{i>=2} (f_i'/f_i)^2 * prod_{k>=2, k!=i} r_k ]
-
-    where r_i = (f_i'/f_i)' is evaluated as (f_i'' f_i - f_i'^2) / f_i^2 to
-    avoid cancellation when f_i'/f_i is large. Needs every component value
-    nonzero at the point (DomainError otherwise); n = 1 reduces to f1''.
-    """
-    if not isinstance(spec, Homothetical):
-        raise SpecError(f"closed-form determinant needs a homothetical spec, got {spec.kind}")
-    pt = [float(x) for x in point]
-    if len(pt) != spec.n:
-        raise ValidationError(
-            f"point has {len(pt)} coordinates but the spec has {spec.n} variables")
-    jets = [jet1d(c, x) for c, x in zip(spec.components, pt)]
+def _closed_det(jets, point) -> float:
+    """The closed form of ``hessian_det_closed`` on the factors' 1-D jets;
+    ``point`` only names the point in an overflow message."""
     n = len(jets)
     if n == 1:
         return jets[0].d2
@@ -149,7 +135,25 @@ def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
     try:
         return f ** n * (term1 + r[0] * acc)
     except OverflowError:
-        raise NumericalError(f"closed-form determinant overflowed at {tuple(pt)!r}") from None
+        raise NumericalError(
+            f"closed-form determinant overflowed at {tuple(map(float, point))!r}") from None
+
+
+def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
+    """Closed-form Hessian determinant for product specs.
+
+    det H = f^n * [ (f1''/f1) * prod_{i>=2} r_i
+                    + r_1 * sum_{i>=2} (f_i'/f_i)^2 * prod_{k>=2, k!=i} r_k ]
+
+    where r_i = (f_i'/f_i)' is evaluated as (f_i'' f_i - f_i'^2) / f_i^2 to
+    avoid cancellation when f_i'/f_i is large. Needs every component value
+    nonzero at the point (DomainError otherwise); n = 1 reduces to f1''.
+    ``gauss_kronecker`` applies the same closed form to its jet's factors.
+    """
+    if not isinstance(spec, Homothetical):
+        raise SpecError(f"closed-form determinant needs a homothetical spec, got {spec.kind}")
+    pt = _point(spec, point)
+    return _closed_det([jet1d(c, x) for c, x in zip(spec.components, pt)], pt)
 
 
 @dataclass(frozen=True)
@@ -157,34 +161,41 @@ class CurvatureRecord:
     """Curvature quantities of the graph of a spec at one point.
 
     ``gk_curvature`` equals ``hessian_det / omega ** (n + 2)`` by
-    construction, with omega >= 1 always.
+    construction, with omega >= 1 always. ``jet`` is the one jet every
+    field was read from; ``value`` is its value slot.
     """
 
     omega: float
     hessian_det: float
     gk_curvature: float
     n: int
+    jet: Jet2N = field(compare=False, repr=False)
+
+    @property
+    def value(self) -> float:
+        return self.jet.value
 
 
 def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureRecord:
     """Gauss-Kronecker curvature of the graph of the spec at the point.
 
-    For homothetical specs the determinant uses the closed form, falling back
-    to the LU route at points where a component value is exactly zero (the
-    closed form divides by component values); other kinds use the LU route.
+    For homothetical specs the determinant uses the closed form on the jet's
+    own factor jets, falling back to the LU route at points where a factor
+    value is exactly zero (the closed form divides by factor values); other
+    kinds use the LU route.
     """
     jet = jet_multivariate(spec, point)
     n = jet.n
     omega = math.sqrt(1.0 + float(np.dot(jet.gradient, jet.gradient)))
-    if isinstance(spec, Homothetical):
+    if jet.factors is not None:
         try:
-            det = hessian_det_closed(spec, point)
+            det = _closed_det(jet.factors, point)
         except DomainError:
             det = plu_det(jet.hessian)
     else:
         det = plu_det(jet.hessian)
     return CurvatureRecord(omega=omega, hessian_det=det,
-                           gk_curvature=det / omega ** (n + 2), n=n)
+                           gk_curvature=det / omega ** (n + 2), n=n, jet=jet)
 
 
 def is_developable(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,

@@ -28,9 +28,10 @@ from .funcspec import (
     LogPowFn,
     OuterFn,
     PowFn,
-    Power,
     Scale,
+    _point,
     evaluate,
+    outer_value,
 )
 
 
@@ -45,11 +46,15 @@ class Jet1:
 
 @dataclass(frozen=True, eq=False)
 class Jet2N:
-    """Value, gradient and (exactly symmetric) Hessian at a point."""
+    """Value, gradient and (exactly symmetric) Hessian at a point.
+
+    ``factors``: the 1-D jets a homothetical jet was built from (None otherwise).
+    """
 
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
+    factors: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -79,7 +84,7 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
     c.guard(x)
     try:
         return _jet1d_guarded(c, x)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a denominator that underflowed to 0
         raise NumericalError(f"1-D jet overflowed at x = {x!r}") from None
 
 
@@ -106,8 +111,8 @@ def _jet1d_guarded(c: ComponentFn, x: float) -> Jet1:
 
 
 def _product_parts(components, pt):
-    """Jet of the product u = prod_i f_i(x_i): (u, grad u, hessian of u)."""
-    jets = [jet1d(c, x) for c, x in zip(components, pt)]
+    """Factor jets and the jet of their product u: (1-D jets, u, grad u, hessian of u)."""
+    jets = tuple(jet1d(c, x) for c, x in zip(components, pt))
     n = len(jets)
     vals = [j.value for j in jets]
 
@@ -127,30 +132,21 @@ def _product_parts(components, pt):
             mixed = jets[i].d1 * jets[j].d1 * prod_except((i, j))
             d2u[i, j] = mixed
             d2u[j, i] = mixed
-    return u, du, d2u
+    return jets, u, du, d2u
 
 
 def _outer_jet(outer: OuterFn, u: float):
-    """(F(u), F'(u), F''(u)) with the same domain guards as evaluation."""
+    """(F(u), F'(u), F''(u)); the value and its domain guard come from ``outer_value``."""
+    value = outer_value(outer, u)
     if isinstance(outer, Identity):
-        return u, 1.0, 0.0
+        return value, 1.0, 0.0
     if isinstance(outer, Scale):
-        return outer.gamma * u, outer.gamma, 0.0
+        return value, outer.gamma, 0.0
     if isinstance(outer, Log):
-        if u <= 0.0:
-            raise DomainError(f"log outer needs u > 0; got u = {u!r}")
-        return math.log(u), 1.0 / u, -1.0 / (u * u)
-    if isinstance(outer, Power):
-        d = outer.d
-        if not float(d).is_integer() and u <= 0.0:
-            raise DomainError(f"power outer needs u > 0 for non-integer d; got u = {u!r}")
-        if d < 0.0 and u == 0.0:
-            raise DomainError("power outer with negative d needs u != 0")
-        coeff = d * (d - 1.0)
-        return (u ** d,
-                d * u ** (d - 1.0),
-                coeff * u ** (d - 2.0) if coeff != 0.0 else 0.0)
-    raise ValidationError(f"unknown outer map {outer!r}")
+        return value, 1.0 / u, -1.0 / (u * u)
+    d = outer.d  # Power: outer_value has rejected every other kind
+    coeff = d * (d - 1.0)
+    return value, d * u ** (d - 1.0), coeff * u ** (d - 2.0) if coeff != 0.0 else 0.0
 
 
 def _acms_parts(spec: Acms, pt):
@@ -184,8 +180,8 @@ def _acms_parts(spec: Acms, pt):
 
 
 def _chain(outer: OuterFn, u, du, d2u):
-    """Gradient/Hessian of F(u(x)) from the jet of u and the outer jet."""
-    _, f1, f2 = _outer_jet(outer, u)
+    """Value, gradient and Hessian of F(u(x)) from the jet of u and the outer jet."""
+    value, f1, f2 = _outer_jet(outer, u)
     n = len(du)
     grad = [f1 * du[i] for i in range(n)]
     hess = np.zeros((n, n))
@@ -195,39 +191,49 @@ def _chain(outer: OuterFn, u, du, d2u):
             mixed = f2 * du[i] * du[j] + f1 * d2u[i, j]
             hess[i, j] = mixed
             hess[j, i] = mixed
-    return grad, hess
+    return value, grad, hess
 
 
-def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
-    """Exact gradient and Hessian of a spec at a point.
-
-    The Hessian is filled once per unordered index pair, so symmetry holds
-    exactly; the value slot reuses the scalar evaluation path bit for bit.
-    Raises DomainError outside the domain and ValidationError for a point of
-    the wrong arity.
-    """
-    pt = [float(x) for x in point]
-    if len(pt) != spec.n:
-        raise ValidationError(
-            f"point has {len(pt)} coordinates but the spec has {spec.n} variables")
-    value = evaluate(spec, pt)
+def _assemble(spec: FunctionSpec, pt: list) -> Jet2N:
+    factors = None
     try:
         if isinstance(spec, Homothetical):
-            _, grad, hess = _product_parts(spec.components, pt)
+            factors, value, grad, hess = _product_parts(spec.components, pt)
         elif isinstance(spec, Composite):
-            u, du, d2u = _product_parts(spec.components, pt)
-            grad, hess = _chain(spec.outer, u, du, d2u)
+            _, u, du, d2u = _product_parts(spec.components, pt)
+            value, grad, hess = _chain(spec.outer, u, du, d2u)
         elif isinstance(spec, Acms):
-            g, dg, d2g = _acms_parts(spec, pt)
-            grad, hess = _chain(spec.outer, g, dg, d2g)
+            value, grad, hess = _chain(spec.outer, *_acms_parts(spec, pt))
         else:
             raise ValidationError(f"unknown spec kind {spec!r}")
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise NumericalError(f"jet assembly overflowed at {tuple(pt)!r}") from None
     gradient = np.array(grad, dtype=float)
     if not (math.isfinite(value) and np.isfinite(gradient).all() and np.isfinite(hess).all()):
         raise NumericalError(f"non-finite jet at point {tuple(pt)!r}")
-    return Jet2N(value, gradient, hess)
+    return Jet2N(value, gradient, hess, factors)
+
+
+def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
+    """Exact value, gradient and Hessian of a spec at a point, in one pass.
+
+    The value slot repeats the scalar evaluation's operations, so it equals
+    ``evaluate`` bit for bit; the Hessian is filled once per unordered index
+    pair, so symmetry holds exactly. Raises DomainError outside the domain,
+    ValidationError for a point of the wrong arity and NumericalError where
+    the assembly overflows.
+    """
+    pt = _point(spec, point)
+    try:
+        return _assemble(spec, pt)
+    except NumericalError:
+        # The assembly meets a factor's derivatives before the guards of
+        # later factors and of the outer map, so an overflow may hide that
+        # the point is outside the domain. Evaluation reaches every guard
+        # without forming a derivative; a DomainError from it outranks the
+        # overflow.
+        evaluate(spec, pt)
+        raise
 
 
 @dataclass(frozen=True)
@@ -297,3 +303,15 @@ def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]
             hess[i, j] = mixed
             hess[j, i] = mixed
     return Jet2N(f0, grad, hess)
+
+
+def norm_rel_gaps(approx: Jet2N, exact: Jet2N) -> tuple:
+    """(gradient gap, Hessian gap) of an approximate jet against an exact one.
+
+    Each gap is the largest entrywise |approx - exact|, divided by
+    max(1, largest |exact| entry) of the same block.
+    """
+    def gap(a, e):
+        return float(np.max(np.abs(a - e))) / max(1.0, float(np.max(np.abs(e))))
+
+    return gap(approx.gradient, exact.gradient), gap(approx.hessian, exact.hessian)

@@ -1,10 +1,12 @@
 """Tests for the command line front end."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import prodgeom
 from prodgeom.cli import _parse_grid, run
 from prodgeom.verify import run_checks
 
@@ -209,3 +211,101 @@ def test_verify_seed_changes_samples_not_outcomes():
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "curvature", "elasticity", "classify"])
+@pytest.mark.parametrize("flag", ["--seed", "--tol"])
+def test_dead_flags_rejected(capsys, command, flag):
+    # only verify reads --seed and --tol
+    args = ["--points", DATA / "pts.csv"] if command != "classify" else []
+    code, out, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json", *args,
+                          flag, "7")
+    assert code == 2
+    assert out == "" and flag in err
+
+
+@pytest.mark.parametrize("command", ["eval", "curvature"])
+def test_non_finite_coordinates_exit_2(capsys, tmp_path, command):
+    points = tmp_path / "pts.csv"
+    points.write_text("1.0,1.0\nnan,1.0\n")
+    code, out, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json",
+                          "--points", points)
+    assert code == 2 and out == ""
+    assert f"{points}:2: non-finite coordinate" in err
+    points.write_text("1.0,1e400\n")
+    code, _, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json",
+                        "--points", points)
+    assert code == 2 and f"{points}:1:" in err
+    # a non-finite bound, and finite bounds whose step overflows
+    for grid in ("grid:0.5..infx0.5..2.0:3", "grid:-1e308..1e308x0.5..2.0:3"):
+        code, out, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json",
+                              "--points", grid)
+        assert code == 2 and out == "" and "non-finite" in err
+
+
+def test_eval_non_finite_value_exits_3(capsys, tmp_path):
+    spec = tmp_path / "exp2.json"
+    spec.write_text('{"kind":"homothetical","components":[{"type":"exp","gamma":1,"lambda":400},'
+                    '{"type":"exp","gamma":1,"lambda":400}]}')
+    for fmt in ("csv", "jsonl"):
+        code, out, err = _run(capsys, "eval", "--spec", spec, "--points", "grid:1..1x1..1:1",
+                              "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "non-finite" in err
+
+
+def test_zero_gradient_interior_point_keeps_value(capsys, tmp_path):
+    # (x1 - 1)^2 * x2 at (1, 1): in the domain, f = 0 and both partials vanish
+    spec = tmp_path / "square.json"
+    spec.write_text('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":-1,'
+                    '"alpha":2},{"type":"pow","gamma":1,"beta":0,"alpha":1}]}')
+    code, out, _ = _run(capsys, "elasticity", "--spec", spec, "--points", "grid:1..1x1..1:1")
+    assert code == 0
+    assert out.splitlines()[1] == "1.0,1.0,0.0,,,0.0,hicks_undefined"
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--fd-check"], ["curvature"],
+                                  ["curvature", "--fd-check"], ["elasticity"]])
+def test_domain_error_outranks_overflow(capsys, tmp_path, argv):
+    # component 1's f'' overflows at x1 = 0.0965; component 2 is out of domain
+    spec = tmp_path / "overflow.json"
+    spec.write_text('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":0,'
+                    '"alpha":-300},{"type":"logpow","a":1,"b":1,"m":1}]}')
+    points = tmp_path / "pts.csv"
+    points.write_text("0.0965,-1.0\n")
+    code, out, err = _run(capsys, *argv, "--spec", spec, "--points", points)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].endswith(",domain_error")
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record each call of a package function through every module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prodgeom") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, jets, jet1ds, evaluates", [
+    # n = 2 product spec: the closed-form determinant reads the jet's own
+    # 1-D jets, and the value slot is the jet's
+    (["curvature", "--spec", DATA / "cobb_douglas_crs.json"], 1, 2, 0),
+    (["elasticity", "--spec", DATA / "acms_rho_half.json"], 1, 0, 0),
+    # the FD stencil evaluates the spec; the exact side is the row's own jet
+    (["curvature", "--fd-check", "--spec", DATA / "acms_rho_half.json"], 1, 0, None),
+])
+def test_one_jet_per_row(capsys, monkeypatch, argv, jets, jet1ds, evaluates):
+    counts = [_count_calls(monkeypatch, fn) for fn in
+              (prodgeom.jet_multivariate, prodgeom.jet1d, prodgeom.evaluate)]
+    code, out, _ = _run(capsys, *argv, "--points", "grid:1.5..1.5x0.5..0.5:1")
+    assert code == 0 and out.splitlines()[1].endswith(",ok")
+    assert len(counts[0]) == jets and len(counts[1]) == jet1ds
+    if evaluates is not None:
+        assert len(counts[2]) == evaluates

@@ -88,6 +88,15 @@ def test_hicks_zero_gradient():
     spec = Homothetical((PowFn(1.0, -1.0, 2.0), PowFn(1.0, 0.0, 1.0)))
     with pytest.raises(ZeroGradientError):
         hicks(spec, (1.0, 1.0), 1, 2)
+    # (1, 1) is inside the domain: the report keeps its value and marks the
+    # pair undefined instead of failing
+    report = elasticity_report(spec, (1.0, 1.0))
+    assert report.value == 0.0
+    assert math.isnan(report.hicks[0, 1])
+    # partials of 1e-200 are nonzero, but their products underflow to 0
+    with pytest.raises(ZeroGradientError):
+        hicks(PRODUCT, (1e-200, 1e-200), 1, 2)
+    assert math.isnan(elasticity_report(PRODUCT, (1e-200, 1e-200)).hicks[0, 1])
 
 
 def test_hicks_undefined_for_perfect_substitutes():

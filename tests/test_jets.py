@@ -12,6 +12,8 @@ from prodgeom import (
     Composite,
     DomainError,
     ExpFn,
+    Homothetical,
+    Log,
     LogPowFn,
     NumericalError,
     PowFn,
@@ -21,9 +23,15 @@ from prodgeom import (
     fd_jet,
     jet1d,
     jet_multivariate,
+    make_acms,
     make_cobb_douglas,
 )
-from prodgeom.sampling import points_loguniform, random_composite, random_homothetical
+from prodgeom.sampling import (
+    points_loguniform,
+    random_composite,
+    random_homothetical,
+    random_outer,
+)
 
 E = math.e
 
@@ -65,6 +73,9 @@ def test_jet1d_domain_guards():
 def test_jet1d_overflow_is_numerical_error():
     with pytest.raises(NumericalError):
         jet1d(ExpFn(gamma=1.0, lam=2.0), 1000.0)
+    # x * x underflows to 0 in f'' = ... - m u^(m-1) b / x^2
+    with pytest.raises(NumericalError):
+        jet1d(LogPowFn(a=1.0, b=1.0, m=1.0), 1e-300)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,12 +123,45 @@ def test_jet_multivariate_composite_square():
     assert jet.hessian.tolist() == [[2.0, 4.0], [4.0, 2.0]]
 
 
-def test_jet_value_bitwise_equals_evaluate():
-    rng = random.Random(11)
-    for _ in range(20):
-        spec = random_homothetical(rng)
-        point = points_loguniform(spec.n, 1, rng)[0]
-        assert jet_multivariate(spec, point).value == evaluate(spec, point)
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       n=st.integers(1, 10))
+def test_jet_value_bitwise_equals_evaluate(seed, kind, n):
+    # the jet's value slot repeats the scalar evaluation's operations in its
+    # order, so the two agree to the bit (sign of zero included)
+    rng = random.Random(seed)
+    if kind == "homothetical":
+        spec = random_homothetical(rng, n=n)
+    elif kind == "composite":
+        spec = random_composite(rng, n=n)
+    else:
+        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75)), rng.uniform(0.5, 2.0),
+                         random_outer(rng))
+    point = points_loguniform(n, 1, rng, lo=0.25, hi=4.0)[0]
+    try:
+        expected = evaluate(spec, point)
+    except DomainError:
+        with pytest.raises(DomainError):
+            jet_multivariate(spec, point)
+        return
+    assert jet_multivariate(spec, point).value.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("spec, point", [
+    # factor 1's f'' overflows at x1 = 0.0965 before factor 2's guard (x2 > 0)
+    (Homothetical((PowFn(1.0, 0.0, -300.0), LogPowFn(1.0, 1.0, 1.0))), (0.0965, -1.0)),
+    # ... and before the log outer's guard (u > 0; here u < 0)
+    (Composite(Log(), (PowFn(-1.0, 0.0, -300.0), PowFn(1.0, 0.0, 1.0))), (0.0965, 1.0)),
+    # x1 * x1 underflows to 0 in factor 1's f'' before factor 2's guard
+    (Homothetical((LogPowFn(1.0, 1.0, 1.0), LogPowFn(0.0, 1.0, 0.5))), (1e-300, 0.5)),
+])
+def test_domain_error_outranks_derivative_overflow(spec, point):
+    with pytest.raises(NumericalError):
+        jet1d(spec.components[0], point[0])
+    with pytest.raises(DomainError):
+        jet_multivariate(spec, point)
 
 
 def test_hessian_symmetry_exact():
