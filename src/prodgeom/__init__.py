@@ -40,7 +40,7 @@ from .funcspec import (
     parse_spec,
     serialize_spec,
 )
-from .jets import FdSteps, Jet1, Jet2N, fd_jet, jet1d, jet_multivariate
+from .jets import Jet1, Jet2N, fd_jet, jet1d, jet_multivariate
 from .geometry import (
     CurvatureRecord,
     gauss_kronecker,

@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllenUndefined, DomainError, HicksUndefined, ValidationError, ZeroGradientError
+from .errors import (AllenUndefined, DomainError, HicksUndefined, NumericalError,
+                     ValidationError, ZeroGradientError)
 from .funcspec import FunctionSpec, _point
 from .geometry import det_scale, plu_det, plu_dets
 from .jets import Jet2N, jet_multivariate
@@ -134,22 +135,17 @@ def _inner_cofactors(border: np.ndarray) -> np.ndarray:
 
 
 def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
-    """Allen-Uzawa elasticity A_ij at a point (i != j, 1-based).
+    """Allen-Uzawa elasticity A_ij at a point (i != j, 1-based): the
+    ``elasticity_report`` entry, so A_ij == A_ji exactly.
 
     Raises AllenUndefined when the bordered determinant is zero relative to
     the matrix scale.
     """
     a, b = _pair(spec, i, j)
-    pt = _positive_point(spec, point)
-    jet = jet_multivariate(spec, pt)
-    border, det = _bordered_from_jet(jet)
-    if abs(det) <= SINGULARITY_REL * det_scale(border):
-        raise AllenUndefined(f"bordered Hessian is singular at {tuple(pt)!r}")
-    weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
-    # entry f_{x_a x_b} sits at matrix position (a+1, b+1); cofactor is signed
-    minor = np.delete(np.delete(border, a + 1, axis=0), b + 1, axis=1)
-    cof = (-1.0 if (a + b) % 2 else 1.0) * plu_det(minor)
-    return weight / (pt[a] * pt[b]) * cof / det
+    report = elasticity_report(spec, point)
+    if report.allen is None:
+        raise AllenUndefined(f"bordered Hessian is singular at {tuple(map(float, point))!r}")
+    return float(report.allen[a, b])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +194,11 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
         allen_m = np.full((n, n), math.nan)
         for a in range(n):
             for b in range(a + 1, n):
-                v = weight / (pt[a] * pt[b]) * cof[a, b] / det
+                try:
+                    v = weight / (pt[a] * pt[b]) * cof[a, b] / det
+                except ZeroDivisionError:
+                    raise NumericalError(
+                        f"x{a + 1} * x{b + 1} underflows to 0 at {tuple(pt)!r}") from None
                 allen_m[a, b] = v
                 allen_m[b, a] = v
     return ElasticityReport(hicks=hicks_m, allen=allen_m, bordered_det=det,

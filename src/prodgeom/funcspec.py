@@ -16,13 +16,19 @@ Component families:
 
 Specs are immutable after construction and compare structurally (kind plus
 bit-equal parameters); no "up to constants" normalisation is applied.
+
+Each component class defines its kind once: a guarded ``value(x)``, its
+derivatives ``derivs(x, value)``, and its wire-format ``TAG`` and ``WIRE``
+field names (in dataclass field order). Each outer map likewise has a guarded
+``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``. ``evaluate`` and the jets
+share one value pass, so every domain guard runs before any derivative.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 from .errors import DomainError, NumericalError, ParseError, ValidationError
@@ -40,6 +46,9 @@ def _is_nonneg_int(a: float) -> bool:
 class PowFn:
     """Shifted power component gamma * (x + beta)^alpha."""
 
+    TAG = "pow"
+    WIRE = ("gamma", "beta", "alpha")
+
     gamma: float
     beta: float
     alpha: float
@@ -50,16 +59,22 @@ class PowFn:
         if self.alpha == 0.0:
             raise ValidationError("pow component: alpha must be nonzero")
 
-    def guard(self, x: float) -> None:
+    def value(self, x: float) -> float:
+        b = x + self.beta
         # x + beta > 0 unless alpha is a non-negative integer.
-        if not _is_nonneg_int(self.alpha) and x + self.beta <= 0.0:
+        if not _is_nonneg_int(self.alpha) and b <= 0.0:
             raise DomainError(
                 f"pow component needs x + beta > 0 (alpha={self.alpha!r} is not a "
-                f"non-negative integer); got x + beta = {x + self.beta!r}")
+                f"non-negative integer); got x + beta = {b!r}")
+        return self.gamma * b ** self.alpha
 
-    def value(self, x: float) -> float:
-        self.guard(x)
-        return self.gamma * (x + self.beta) ** self.alpha
+    def derivs(self, x: float, v: float) -> tuple:
+        """(f', f'') = (g a (x+b)^(a-1), g a (a-1) (x+b)^(a-2)); a zero
+        coefficient skips its power, so alpha = 1 at x + beta = 0 stays exact."""
+        b = x + self.beta
+        coeff = self.alpha * (self.alpha - 1.0)
+        return (self.gamma * self.alpha * b ** (self.alpha - 1.0),
+                self.gamma * coeff * b ** (self.alpha - 2.0) if coeff != 0.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -70,6 +85,9 @@ class ExpFn:
     wire format.
     """
 
+    TAG = "exp"
+    WIRE = ("gamma", "lambda")
+
     gamma: float
     lam: float
 
@@ -79,16 +97,20 @@ class ExpFn:
         if self.lam == 0.0:
             raise ValidationError("exp component: lambda must be nonzero")
 
-    def guard(self, x: float) -> None:
-        return None
-
     def value(self, x: float) -> float:
         return self.gamma * math.exp(self.lam * x)
+
+    def derivs(self, x: float, v: float) -> tuple:
+        """(f', f'') = (L f, L^2 f)."""
+        return self.lam * v, self.lam * self.lam * v
 
 
 @dataclass(frozen=True)
 class LogPowFn:
     """Log-power component (a + b * ln x)^m."""
+
+    TAG = "logpow"
+    WIRE = ("a", "b", "m")
 
     a: float
     b: float
@@ -100,7 +122,7 @@ class LogPowFn:
         if self.m == 0.0:
             raise ValidationError("logpow component: m must be nonzero")
 
-    def guard(self, x: float) -> None:
+    def value(self, x: float) -> float:
         if x <= 0.0:
             raise DomainError(f"logpow component needs x > 0; got x = {x!r}")
         u = self.a + self.b * math.log(x)
@@ -108,10 +130,18 @@ class LogPowFn:
             raise DomainError(
                 f"logpow component needs a + b ln x > 0 (m={self.m!r} is not a "
                 f"non-negative integer); got {u!r}")
+        return u ** self.m
 
-    def value(self, x: float) -> float:
-        self.guard(x)
-        return (self.a + self.b * math.log(x)) ** self.m
+    def derivs(self, x: float, v: float) -> tuple:
+        """With u = a + b ln x: f' = m u^(m-1) b/x and
+        f'' = m (m-1) u^(m-2) (b/x)^2 - m u^(m-1) b/x^2 (a zero m (m-1)
+        skips its power)."""
+        u = self.a + self.b * math.log(x)
+        w = self.b / x
+        t1 = self.m * u ** (self.m - 1.0)
+        coeff = self.m * (self.m - 1.0)
+        return t1 * w, ((coeff * u ** (self.m - 2.0) * w * w if coeff != 0.0 else 0.0)
+                        - t1 * self.b / (x * x))
 
 
 ComponentFn = Union[PowFn, ExpFn, LogPowFn]
@@ -125,10 +155,22 @@ ComponentFn = Union[PowFn, ExpFn, LogPowFn]
 class Identity:
     """F(u) = u."""
 
+    TAG = "identity"
+    WIRE = ()
+
+    def value(self, u: float) -> float:
+        return u
+
+    def derivs(self, u: float) -> tuple:
+        return 1.0, 0.0
+
 
 @dataclass(frozen=True)
 class Power:
     """F(u) = u^d with d != 0."""
+
+    TAG = "power"
+    WIRE = ("d",)
 
     d: float
 
@@ -136,10 +178,25 @@ class Power:
         if self.d == 0.0:
             raise ValidationError("power outer: d must be nonzero")
 
+    def value(self, u: float) -> float:
+        if not float(self.d).is_integer() and u <= 0.0:
+            raise DomainError(f"power outer needs u > 0 for non-integer d; got u = {u!r}")
+        if self.d < 0.0 and u == 0.0:
+            raise DomainError("power outer with negative d needs u != 0")
+        return u ** self.d
+
+    def derivs(self, u: float) -> tuple:
+        d = self.d
+        coeff = d * (d - 1.0)
+        return d * u ** (d - 1.0), coeff * u ** (d - 2.0) if coeff != 0.0 else 0.0
+
 
 @dataclass(frozen=True)
 class Scale:
     """F(u) = gamma * u with gamma > 0."""
+
+    TAG = "scale"
+    WIRE = ("gamma",)
 
     gamma: float
 
@@ -147,32 +204,30 @@ class Scale:
         if self.gamma <= 0.0:
             raise ValidationError("scale outer: gamma must be positive")
 
+    def value(self, u: float) -> float:
+        return self.gamma * u
+
+    def derivs(self, u: float) -> tuple:
+        return self.gamma, 0.0
+
 
 @dataclass(frozen=True)
 class Log:
     """F(u) = ln u, defined for u > 0."""
 
+    TAG = "log"
+    WIRE = ()
 
-OuterFn = Union[Identity, Power, Scale, Log]
-
-
-def outer_value(outer: OuterFn, u: float) -> float:
-    """Apply an outer map, enforcing its domain guard (the outer jet's value slot)."""
-    if isinstance(outer, Identity):
-        return u
-    if isinstance(outer, Scale):
-        return outer.gamma * u
-    if isinstance(outer, Power):
-        if not float(outer.d).is_integer() and u <= 0.0:
-            raise DomainError(f"power outer needs u > 0 for non-integer d; got u = {u!r}")
-        if outer.d < 0.0 and u == 0.0:
-            raise DomainError("power outer with negative d needs u != 0")
-        return u ** outer.d
-    if isinstance(outer, Log):
+    def value(self, u: float) -> float:
         if u <= 0.0:
             raise DomainError(f"log outer needs u > 0; got u = {u!r}")
         return math.log(u)
-    raise ValidationError(f"unknown outer map {outer!r}")
+
+    def derivs(self, u: float) -> tuple:
+        return 1.0 / u, -1.0 / (u * u)
+
+
+OuterFn = Union[Identity, Power, Scale, Log]
 
 
 # ---------------------------------------------------------------------------
@@ -316,41 +371,44 @@ def _point(spec: FunctionSpec, point: Sequence[float]) -> list:
     return pt
 
 
-def _product_value(components, pt) -> float:
-    u = 1.0
-    for c, x in zip(components, pt):
-        u *= c.value(x)
-    return u
+def _values(spec: FunctionSpec, pt: list):
+    """The value pass shared by ``evaluate`` and the jets: (parts, u, value).
 
-
-def _acms_inner_value(spec: Acms, pt) -> float:
-    for k, x in enumerate(pt):
-        if x <= 0.0:
-            raise DomainError(f"acms needs strictly positive inputs; x{k + 1} = {x!r}")
-    s = 0.0
-    for b, x in zip(spec.betas, pt):
-        s += (b * x) ** spec.rho
-    return spec.gamma * s ** (spec.d / spec.rho)
+    ``parts`` are the component values of a product kind, or the CES sum
+    s = sum_i (beta_i x_i)^rho; u is their product, or the CES core
+    gamma * s^(d/rho); ``value`` is F(u) (u itself for homothetical specs).
+    Every domain guard runs here, in that order. Raises DomainError outside
+    the domain and NumericalError where a value overflows, divides by an
+    underflowed zero or is not finite.
+    """
+    try:
+        if isinstance(spec, Acms):
+            for k, x in enumerate(pt):
+                if x <= 0.0:
+                    raise DomainError(f"acms needs strictly positive inputs; x{k + 1} = {x!r}")
+            parts = 0.0
+            for b, x in zip(spec.betas, pt):
+                parts += (b * x) ** spec.rho
+            u = spec.gamma * parts ** (spec.d / spec.rho)
+        elif isinstance(spec, (Homothetical, Composite)):
+            parts = [c.value(x) for c, x in zip(spec.components, pt)]
+            u = 1.0
+            for v in parts:
+                u *= v
+        else:
+            raise ValidationError(f"unknown spec kind {spec!r}")
+        value = u if isinstance(spec, Homothetical) else spec.outer.value(u)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(f"function value overflowed at {tuple(pt)!r}") from None
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite function value at {tuple(pt)!r}")
+    return parts, u, value
 
 
 def evaluate(spec: FunctionSpec, point: Sequence[float]) -> float:
     """Function value at a point; raises DomainError outside the domain and
     NumericalError where the value overflows or is not finite."""
-    pt = _point(spec, point)
-    try:
-        if isinstance(spec, Homothetical):
-            value = _product_value(spec.components, pt)
-        elif isinstance(spec, Composite):
-            value = outer_value(spec.outer, _product_value(spec.components, pt))
-        elif isinstance(spec, Acms):
-            value = outer_value(spec.outer, _acms_inner_value(spec, pt))
-        else:
-            raise ValidationError(f"unknown spec kind {spec!r}")
-    except OverflowError:
-        raise NumericalError(f"function value overflowed at {tuple(pt)!r}") from None
-    if not math.isfinite(value):
-        raise NumericalError(f"non-finite function value at {tuple(pt)!r}")
-    return value
+    return _values(spec, _point(spec, point))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +463,8 @@ def homogeneity_degree(spec: FunctionSpec, probe_points=None,
 # JSON wire format
 
 
-_COMPONENT_FIELDS = {
-    "pow": ("gamma", "beta", "alpha"),
-    "exp": ("gamma", "lambda"),
-    "logpow": ("a", "b", "m"),
-}
-_OUTER_FIELDS = {
-    "identity": (),
-    "power": ("d",),
-    "scale": ("gamma",),
-    "log": (),
-}
+_COMPONENTS = {c.TAG: c for c in (PowFn, ExpFn, LogPowFn)}
+_OUTERS = {o.TAG: o for o in (Identity, Power, Scale, Log)}
 
 
 def _num(value, path: str) -> float:
@@ -433,44 +482,18 @@ def _check_fields(obj: dict, allowed, path: str) -> None:
         raise ParseError(f"{path}: missing field(s) {', '.join(missing)}")
 
 
-def _parse_component(obj, path: str) -> ComponentFn:
+def _parse_kind(obj, path: str, table: dict):
+    """A component or outer map: the class ``table`` names under ``obj["type"]``,
+    built from its ``WIRE`` fields in order."""
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected an object, got {obj!r}")
     kind = obj.get("type")
-    if kind not in _COMPONENT_FIELDS:
-        raise ParseError(f"{path}.type: expected one of pow, exp, logpow; got {kind!r}")
-    _check_fields(obj, ("type",) + _COMPONENT_FIELDS[kind], path)
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"{path}.type: expected one of {', '.join(table)}; got {kind!r}")
+    _check_fields(obj, ("type",) + cls.WIRE, path)
     try:
-        if kind == "pow":
-            return PowFn(gamma=_num(obj["gamma"], f"{path}.gamma"),
-                         beta=_num(obj["beta"], f"{path}.beta"),
-                         alpha=_num(obj["alpha"], f"{path}.alpha"))
-        if kind == "exp":
-            return ExpFn(gamma=_num(obj["gamma"], f"{path}.gamma"),
-                         lam=_num(obj["lambda"], f"{path}.lambda"))
-        return LogPowFn(a=_num(obj["a"], f"{path}.a"),
-                        b=_num(obj["b"], f"{path}.b"),
-                        m=_num(obj["m"], f"{path}.m"))
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
-
-
-def _parse_outer(obj, path: str) -> OuterFn:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected an object, got {obj!r}")
-    kind = obj.get("type")
-    if kind not in _OUTER_FIELDS:
-        raise ParseError(
-            f"{path}.type: expected one of identity, power, scale, log; got {kind!r}")
-    _check_fields(obj, ("type",) + _OUTER_FIELDS[kind], path)
-    try:
-        if kind == "identity":
-            return Identity()
-        if kind == "power":
-            return Power(d=_num(obj["d"], f"{path}.d"))
-        if kind == "scale":
-            return Scale(gamma=_num(obj["gamma"], f"{path}.gamma"))
-        return Log()
+        return cls(*[_num(obj[w], f"{path}.{w}") for w in cls.WIRE])
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
@@ -480,7 +503,7 @@ def _parse_components(obj, path: str) -> tuple:
         raise ParseError(f"{path}: expected a list of components")
     if not obj:
         raise ValidationError(f"{path}: needs at least one component")
-    return tuple(_parse_component(c, f"{path}[{k}]") for k, c in enumerate(obj))
+    return tuple(_parse_kind(c, f"{path}[{k}]", _COMPONENTS) for k, c in enumerate(obj))
 
 
 def parse_spec(text: str, *, relax_rho: bool = False) -> FunctionSpec:
@@ -501,7 +524,7 @@ def parse_spec(text: str, *, relax_rho: bool = False) -> FunctionSpec:
         return Homothetical(_parse_components(obj["components"], "components"))
     if kind == "composite":
         _check_fields(obj, ("kind", "outer", "components"), "top level")
-        return Composite(_parse_outer(obj["outer"], "outer"),
+        return Composite(_parse_kind(obj["outer"], "outer", _OUTERS),
                          _parse_components(obj["components"], "components"))
     if kind == "acms":
         _check_fields(obj, ("kind", "gamma", "betas", "rho", "d", "outer"), "top level")
@@ -512,27 +535,14 @@ def parse_spec(text: str, *, relax_rho: bool = False) -> FunctionSpec:
                          betas=[_num(b, f"betas[{k}]") for k, b in enumerate(betas)],
                          rho=_num(obj["rho"], "rho"),
                          d=_num(obj["d"], "d"),
-                         outer=_parse_outer(obj["outer"], "outer"),
+                         outer=_parse_kind(obj["outer"], "outer", _OUTERS),
                          relax_rho=relax_rho)
     raise ParseError(f"kind: expected one of homothetical, composite, acms; got {kind!r}")
 
 
-def _component_obj(c: ComponentFn) -> dict:
-    if isinstance(c, PowFn):
-        return {"type": "pow", "gamma": c.gamma, "beta": c.beta, "alpha": c.alpha}
-    if isinstance(c, ExpFn):
-        return {"type": "exp", "gamma": c.gamma, "lambda": c.lam}
-    return {"type": "logpow", "a": c.a, "b": c.b, "m": c.m}
-
-
-def _outer_obj(o: OuterFn) -> dict:
-    if isinstance(o, Identity):
-        return {"type": "identity"}
-    if isinstance(o, Power):
-        return {"type": "power", "d": o.d}
-    if isinstance(o, Scale):
-        return {"type": "scale", "gamma": o.gamma}
-    return {"type": "log"}
+def _kind_obj(c) -> dict:
+    # WIRE names the dataclass fields in order
+    return {"type": c.TAG, **{w: getattr(c, f.name) for w, f in zip(c.WIRE, fields(c))}}
 
 
 def serialize_spec(spec: FunctionSpec) -> str:
@@ -543,13 +553,13 @@ def serialize_spec(spec: FunctionSpec) -> str:
     """
     if isinstance(spec, Homothetical):
         obj = {"kind": "homothetical",
-               "components": [_component_obj(c) for c in spec.components]}
+               "components": [_kind_obj(c) for c in spec.components]}
     elif isinstance(spec, Composite):
-        obj = {"kind": "composite", "outer": _outer_obj(spec.outer),
-               "components": [_component_obj(c) for c in spec.components]}
+        obj = {"kind": "composite", "outer": _kind_obj(spec.outer),
+               "components": [_kind_obj(c) for c in spec.components]}
     elif isinstance(spec, Acms):
         obj = {"kind": "acms", "gamma": spec.gamma, "betas": list(spec.betas),
-               "rho": spec.rho, "d": spec.d, "outer": _outer_obj(spec.outer)}
+               "rho": spec.rho, "d": spec.d, "outer": _kind_obj(spec.outer)}
     else:
         raise ValidationError(f"unknown spec kind {spec!r}")
     return json.dumps(obj, separators=(",", ":"))

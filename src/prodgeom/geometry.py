@@ -194,8 +194,12 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
             det = plu_det(jet.hessian)
     else:
         det = plu_det(jet.hessian)
-    return CurvatureRecord(omega=omega, hessian_det=det,
-                           gk_curvature=det / omega ** (n + 2), n=n, jet=jet)
+    try:
+        gk = det / omega ** (n + 2)
+    except OverflowError:
+        raise NumericalError(
+            f"omega^{n + 2} overflowed at {tuple(map(float, point))!r}") from None
+    return CurvatureRecord(omega=omega, hessian_det=det, gk_curvature=gk, n=n, jet=jet)
 
 
 def is_developable(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,

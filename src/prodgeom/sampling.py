@@ -84,14 +84,13 @@ def random_homothetical(rng: random.Random, n: int | None = None,
                               for k in picks))
 
 
-def random_outer(rng: random.Random, monotone_only: bool = False) -> OuterFn:
+def random_outer(rng: random.Random) -> OuterFn:
     """Random outer map with nonzero slope on positive arguments."""
     roll = rng.randrange(4)
     if roll == 0:
         return Identity()
     if roll == 1:
-        d = _signed(rng, 0.4, 2.0, positive=monotone_only)
-        return Power(d=d)
+        return Power(d=_signed(rng, 0.4, 2.0, positive=False))
     if roll == 2:
         return Scale(gamma=rng.uniform(0.5, 2.0))
     return Log()

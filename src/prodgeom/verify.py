@@ -63,12 +63,11 @@ def _random_acms(rng: random.Random, n: int = 2) -> Acms:
                 rho=rho, d=rng.uniform(0.5, 2.0), outer=random_outer(rng))
 
 
-def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8,
-                           cases: int = 200) -> CheckResult:
+def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     """Closed-form product-Hessian determinant against the LU oracle."""
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(200):
         spec = random_homothetical(rng, n_range=(2, 5))
         point = points_loguniform(spec.n, 1, rng)[0]
         direct = hessian_det_direct(spec, point)
@@ -76,7 +75,7 @@ def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8,
         gap = abs(closed - direct) / max(1.0, abs(direct))
         worst = max(worst, gap)
     return _result("det_closed_vs_lu", worst <= tol,
-                   f"max scaled gap {worst:.3e} over {cases} specs (limit {tol:.1e})")
+                   f"max scaled gap {worst:.3e} over 200 specs (limit {tol:.1e})")
 
 
 def _random_case_a_components(rng: random.Random, positive: bool = False):
@@ -188,9 +187,9 @@ def check_ces_constant_sigma(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     return _result("ces_constant_sigma", passed, "; ".join(details))
 
 
-def check_hicks_outer_invariance(seed: int = 42, tol: float = 1e-8,
-                                 cases: int = 50) -> CheckResult:
+def check_hicks_outer_invariance(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     """H_ij is unchanged by smooth monotone outer transforms."""
+    cases = 50
     rng = random.Random(seed)
     outers = (Power(3.0), Power(0.5), Log())
     worst = 0.0
@@ -227,9 +226,9 @@ def _random_two_var_spec(rng: random.Random, kind_roll: int):
     return _random_acms(rng, n=2)
 
 
-def check_hicks_allen_two_var(seed: int = 42, tol: float = 1e-8,
-                              cases: int = 100) -> CheckResult:
+def check_hicks_allen_two_var(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     """Two-variable Hicks and Allen elasticities coincide wherever defined."""
+    cases = 100
     rng = random.Random(seed)
     worst = 0.0
     compared = 0
@@ -275,14 +274,13 @@ def check_allen_singular_certificates(seed: int = 42, tol: float = 1e-8) -> Chec
                    f"(limit {tol:.1e}); control det {det!r}")
 
 
-def check_curvature_allen_equivalence(seed: int = 42, tol: float = 1e-8,
-                                      cases: int = 100) -> CheckResult:
+def check_curvature_allen_equivalence(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     """With an exponential component, zero curvature and singular bordered
     matrix occur for exactly the same specs."""
     rng = random.Random(seed)
     disagreements = 0
     margin = math.inf
-    for _ in range(cases):
+    for _ in range(100):
         spec = random_homothetical(rng, n_range=(2, 3), min_exp=rng.choice((1, 1, 2)))
         report = check_corollary42(spec, points_loguniform(spec.n, 20, rng), tol=tol)
         if not report.equivalent:
@@ -292,7 +290,7 @@ def check_curvature_allen_equivalence(seed: int = 42, tol: float = 1e-8,
         else:
             margin = min(margin, report.max_abs_gk / tol)
     return _result("curvature_allen_equivalence", disagreements == 0,
-                   f"{disagreements} disagreements over {cases} specs; "
+                   f"{disagreements} disagreements over 100 specs; "
                    f"min threshold margin {margin:.1e}x")
 
 
@@ -319,14 +317,13 @@ def check_log_component_ces(seed: int = 42, tol: float = 1e-8) -> CheckResult:
                    f"{bad_verdict.spread:.3f}, witnesses {w1!r}, {w2!r}")
 
 
-def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8,
-                                    cases: int = 200) -> CheckResult:
+def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     """Structured jets against the central-difference oracle."""
     del tol  # accuracy floors are intrinsic to the stencils, not zero tests
     rng = random.Random(seed)
     worst_g = 0.0
     worst_h = 0.0
-    for k in range(cases):
+    for k in range(200):
         roll = k % 3
         if roll == 0:
             spec = random_homothetical(rng, n_range=(2, 5))
@@ -342,7 +339,7 @@ def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8,
     passed = worst_g <= 1e-6 and worst_h <= 1e-4
     return _result("jets_vs_finite_difference", passed,
                    f"max gradient gap {worst_g:.3e} (limit 1e-06), "
-                   f"max Hessian gap {worst_h:.3e} (limit 1e-04) over {cases} cases")
+                   f"max Hessian gap {worst_h:.3e} (limit 1e-04) over 200 cases")
 
 
 ALL_CHECKS = (

@@ -39,7 +39,7 @@ def _report(criterion, result):
 
 def test_criterion_1_determinant_oracle_equivalence():
     start = time.monotonic()
-    result = check_det_closed_vs_lu(seed=SEED, tol=TOL, cases=200)
+    result = check_det_closed_vs_lu(seed=SEED, tol=TOL)
     elapsed = time.monotonic() - start
     _report(1, result)
     print(f"PASS criterion 1 runtime: {elapsed:.2f}s (< 5s)")
@@ -61,11 +61,11 @@ def test_criterion_4_constant_elasticities():
 
 
 def test_criterion_5_outer_invariance():
-    _report(5, check_hicks_outer_invariance(seed=SEED, tol=TOL, cases=50))
+    _report(5, check_hicks_outer_invariance(seed=SEED, tol=TOL))
 
 
 def test_criterion_6_two_variable_coincidence():
-    _report(6, check_hicks_allen_two_var(seed=SEED, tol=TOL, cases=100))
+    _report(6, check_hicks_allen_two_var(seed=SEED, tol=TOL))
 
 
 def test_criterion_7_allen_singular_certificates():
@@ -73,7 +73,7 @@ def test_criterion_7_allen_singular_certificates():
 
 
 def test_criterion_8_curvature_allen_equivalence():
-    _report(8, check_curvature_allen_equivalence(seed=SEED, tol=TOL, cases=100))
+    _report(8, check_curvature_allen_equivalence(seed=SEED, tol=TOL))
 
 
 def test_criterion_9_log_component_family():
@@ -81,7 +81,7 @@ def test_criterion_9_log_component_family():
 
 
 def test_criterion_10_differentiation_cross_check():
-    _report(10, check_jets_vs_finite_difference(seed=SEED, cases=200))
+    _report(10, check_jets_vs_finite_difference(seed=SEED))
 
 
 def _cli(*argv):

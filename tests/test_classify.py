@@ -8,6 +8,7 @@ import pytest
 from prodgeom import (
     Acms,
     Composite,
+    DomainError,
     ExpFn,
     Homothetical,
     Identity,
@@ -205,6 +206,13 @@ def test_check_corollary42_single_exponential():
     report = check_corollary42(spec, seed=42)
     assert not report.gk_all_zero and not report.allen_all_singular
     assert report.equivalent
+
+
+def test_check_corollary42_rejects_non_positive_sample():
+    # curvature is defined at x1 = -1, the bordered matrix only on the positive orthant
+    spec = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 2.0)))
+    with pytest.raises(DomainError, match="positive orthant"):
+        check_corollary42(spec, [(-1.0, 1.0)])
 
 
 def test_check_corollary42_requires_exponential():

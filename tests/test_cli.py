@@ -254,6 +254,34 @@ def test_eval_non_finite_value_exits_3(capsys, tmp_path):
         assert err.startswith("error: ") and "non-finite" in err
 
 
+_XY = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":0,"alpha":1},'
+       '{"type":"pow","gamma":1,"beta":0,"alpha":1}]}')
+_CES_RHO_MINUS_1 = ('{"kind":"acms","gamma":1,"betas":[0.4,1],"rho":-1,"d":1,'
+                    '"outer":{"type":"identity"}}')
+_SHIFTED_SQRT = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":1,'
+                 '"alpha":0.5},{"type":"pow","gamma":1,"beta":1,"alpha":0.5}]}')
+
+
+@pytest.mark.parametrize("command, spec_text, point", [
+    # x1 * x2: the jet and the determinant are finite, omega^4 is not
+    ("curvature", _XY, "1e77,1e77"),
+    # 0.4 * 5e-324 underflows to 0, and rho = -1 divides by it
+    ("eval", _CES_RHO_MINUS_1, "5e-324,1"),
+    ("curvature", _CES_RHO_MINUS_1, "5e-324,1"),
+    ("elasticity", _CES_RHO_MINUS_1, "5e-324,1"),
+    # x1 * x2 underflows to 0 in the Allen weight sum_k x_k f_k / (x1 x2)
+    ("elasticity", _SHIFTED_SQRT, "5e-324,0.4"),
+], ids=["curvature-omega", "eval-ces", "curvature-ces", "elasticity-ces", "elasticity-weight"])
+def test_extreme_point_exits_3(capsys, tmp_path, command, spec_text, point):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    points = tmp_path / "pts.csv"
+    points.write_text(point + "\n")
+    code, out, err = _run(capsys, command, "--spec", spec, "--points", points)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_zero_gradient_interior_point_keeps_value(capsys, tmp_path):
     # (x1 - 1)^2 * x2 at (1, 1): in the domain, f = 0 and both partials vanish
     spec = tmp_path / "square.json"
@@ -293,10 +321,22 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def _count_method_calls(monkeypatch, classes, name) -> list:
+    """Record the instance of each call of a method defined on these classes."""
+    calls = []
+    for cls in classes:
+        def counted(self, *args, _fn=getattr(cls, name)):
+            calls.append(self)
+            return _fn(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("argv, jets, jet1ds, evaluates", [
     # n = 2 product spec: the closed-form determinant reads the jet's own
-    # 1-D jets, and the value slot is the jet's
-    (["curvature", "--spec", DATA / "cobb_douglas_crs.json"], 1, 2, 0),
+    # factor jets, and the value slot is the jet's
+    (["curvature", "--spec", DATA / "cobb_douglas_crs.json"], 1, 0, 0),
     (["elasticity", "--spec", DATA / "acms_rho_half.json"], 1, 0, 0),
     # the FD stencil evaluates the spec; the exact side is the row's own jet
     (["curvature", "--fd-check", "--spec", DATA / "acms_rho_half.json"], 1, 0, None),
@@ -304,8 +344,15 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_one_jet_per_row(capsys, monkeypatch, argv, jets, jet1ds, evaluates):
     counts = [_count_calls(monkeypatch, fn) for fn in
               (prodgeom.jet_multivariate, prodgeom.jet1d, prodgeom.evaluate)]
+    kinds = (prodgeom.PowFn, prodgeom.ExpFn, prodgeom.LogPowFn)
+    values = _count_method_calls(monkeypatch, kinds, "value")
+    derivs = _count_method_calls(monkeypatch, kinds, "derivs")
     code, out, _ = _run(capsys, *argv, "--points", "grid:1.5..1.5x0.5..0.5:1")
     assert code == 0 and out.splitlines()[1].endswith(",ok")
     assert len(counts[0]) == jets and len(counts[1]) == jet1ds
     if evaluates is not None:
         assert len(counts[2]) == evaluates
+        # each component's value and derivatives run once per row
+        spec = prodgeom.parse_spec(Path(argv[argv.index("--spec") + 1]).read_text())
+        components = list(getattr(spec, "components", ()))
+        assert values == components and derivs == components

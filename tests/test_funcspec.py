@@ -70,6 +70,26 @@ def test_parse_missing_field():
         parse_spec('{"kind":"homothetical","components":[{"type":"pow","gamma":1}]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"kind":"homothetical","components":[{"type":"sqrt","gamma":1}]}',
+     "components[0].type: expected one of pow, exp, logpow; got 'sqrt'"),
+    ('{"kind":"composite","outer":{"type":"exp"},'
+     '"components":[{"type":"exp","gamma":1,"lambda":1}]}',
+     "outer.type: expected one of identity, power, scale, log; got 'exp'"),
+    ('{"kind":"homothetical","components":[{"type":"pow","gamma":1}]}',
+     "components[0]: missing field(s) alpha, beta"),
+    ('{"kind":"acms","gamma":1,"betas":[1],"rho":0.5,"d":1,"outer":{"type":"power"}}',
+     "outer: missing field(s) d"),
+    # a type that is not a string (here unhashable) is an unknown type too
+    ('{"kind":"homothetical","components":[{"type":["pow"]}]}',
+     "components[0].type: expected one of pow, exp, logpow; got ['pow']"),
+], ids=["component-type", "outer-type", "component-field", "outer-field", "unhashable-type"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_bool_as_number():
     text = ('{"kind":"homothetical","components":['
             '{"type":"exp","gamma":true,"lambda":1}]}')
@@ -87,6 +107,12 @@ def test_serialize_field_order():
     assert serialize_spec(spec) == (
         '{"kind":"acms","gamma":1.0,"betas":[1.0,2.0],"rho":0.5,"d":1.0,'
         '"outer":{"type":"power","d":2.0}}')
+    spec = Composite(Scale(2.0), (PowFn(1.0, 0.5, 2.0), ExpFn(3.0, -1.0), LogPowFn(1.0, 2.0, 0.5)))
+    assert serialize_spec(spec) == (
+        '{"kind":"composite","outer":{"type":"scale","gamma":2.0},"components":['
+        '{"type":"pow","gamma":1.0,"beta":0.5,"alpha":2.0},'
+        '{"type":"exp","gamma":3.0,"lambda":-1.0},'
+        '{"type":"logpow","a":1.0,"b":2.0,"m":0.5}]}')
 
 
 _components = st.one_of(
