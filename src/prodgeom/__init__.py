@@ -42,8 +42,10 @@ from .funcspec import (
 )
 from .jets import Jet1, Jet2N, fd_jet, jet1d, jet_multivariate
 from .geometry import (
+    CurvatureBlock,
     CurvatureRecord,
     gauss_kronecker,
+    gauss_kronecker_batch,
     hessian,
     hessian_det_closed,
     hessian_det_direct,

@@ -4,7 +4,8 @@ Subcommands: ``eval``, ``curvature``, ``elasticity``, ``classify``,
 ``verify``. Point batches come from a headerless CSV file or an inline grid
 descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
 per axis, inclusive endpoints, row-major order). Rows are emitted in input
-order, CSV or JSONL, with identical numeric values in both encodings.
+order, CSV or JSONL, with identical numeric values in both encodings; stdout
+is written once, after the last row.
 
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
 failure. Singular points in a batch never fail the run; they are reported in
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -27,8 +29,8 @@ from .classify import classify_allen_singular, classify_ces, classify_developabl
 from .elasticity import elasticity_report
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
 from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
-from .geometry import gauss_kronecker
-from .jets import fd_jet, jet_multivariate, norm_rel_gaps
+from .geometry import gauss_kronecker_batch
+from .jets import Jet2N, fd_jet, jet_multivariate, norm_rel_gaps
 from .verify import run_checks
 
 
@@ -122,41 +124,70 @@ def _parse_pairs(text: str, n: int) -> list:
     return pairs
 
 
-def _emit(header: list, rows: list, fmt: str, out) -> None:
+def _writer(header: list, fmt: str, out):
+    """A function writing rows to ``out`` as CSV (after a header line, written
+    now) or JSONL. Floats print as their repr in both (``str`` is ``repr`` for
+    a float) and None as an empty CSV cell or JSON null."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if cell is None
-                             else repr(cell) if isinstance(cell, float)
-                             else cell
-                             for cell in row])
-    else:
-        for row in rows:
-            out.write(json.dumps(dict(zip(header, row)), separators=(",", ":")))
-            out.write("\n")
+        return writer.writerows
+    return lambda rows: out.writelines(
+        json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows)
+
+
+#: Rows per block of ``curvature``: the block kernel's columns stay small,
+#: and each block is encoded to text before the next one is computed.
+BLOCK_ROWS = 2048
+
+
+def _per_row(measure):
+    """Block measure from a one-point ``measure(p)`` (see ``_run_points``)."""
+    def measure_block(block):
+        for p in block:
+            try:
+                yield measure(p)
+            except DomainError:
+                yield None, None, "domain_error"
+
+    return measure_block
 
 
 def _run_points(args, spec: FunctionSpec, points, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
-    The subcommand's ``measure(p)`` returns the row's exact jet (None where
-    the row needs none), its cells from ``value`` on and its status; the
-    fd_gap column compares the finite-difference oracle with that jet. A
-    DomainError empties the row and marks it ``domain_error``; any other
-    error ends the run.
+    Points go in blocks of ``BLOCK_ROWS`` to the subcommand's
+    ``measure_block(block)``, which yields per point the row's exact jet
+    (None where the row needs none), its cells from ``value`` on and its
+    status; a DomainError row has no cells and status ``domain_error``, and
+    any other error ends the run. ``curvature`` computes a block at once
+    with ``gauss_kronecker_batch``; ``eval`` and ``elasticity`` go point by
+    point. The fd_gap column compares the finite-difference oracle with the
+    row's jet. Stdout is written once, after the last block.
     """
     columns = []
     if args.command == "eval":
         def measure(p):
             jet = jet_multivariate(spec, p) if args.fd_check else None
             return jet, [evaluate(spec, p) if jet is None else jet.value], "ok"
+
+        measure_block = _per_row(measure)
     elif args.command == "curvature":
         columns = ["omega", "det_hessian", "gk"]
 
-        def measure(p):
-            rec = gauss_kronecker(spec, p)
-            return rec.jet, [rec.value, rec.omega, rec.hessian_det, rec.gk_curvature], "ok"
+        def measure_block(block):
+            blk = gauss_kronecker_batch(spec, block)
+            cells = np.stack([blk.value, blk.omega, blk.hessian_det, blk.gk_curvature],
+                             axis=1).tolist()
+            for i, error in enumerate(blk.errors):
+                if isinstance(error, DomainError):
+                    yield None, None, "domain_error"
+                elif error is not None:
+                    raise error
+                else:
+                    jet = (Jet2N(cells[i][0], blk.gradient[i], blk.hessian[i])
+                           if args.fd_check else None)
+                    yield jet, cells[i], "ok"
     else:
         pairs = _parse_pairs(args.pairs, spec.n) if args.pairs else None
         if spec.n < 2:
@@ -176,20 +207,26 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
                      else [float(report.allen[i - 1, j - 1]) for i, j in pairs])
             return report.jet, [report.value, *(None if h != h else h for h in hicks),
                                 *allen, report.bordered_det], status
+
+        measure_block = _per_row(measure)
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")
     header.append("status")
-    rows = []
-    for p in points:
-        try:
-            jet, cells, status = measure(p)
-            if args.fd_check:
-                cells.append(max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), jet)))
-        except DomainError:
-            cells, status = [None] * (len(header) - spec.n - 1), "domain_error"
-        rows.append([*p, *cells, status])
-    _emit(header, rows, args.format, out)
+    text = io.StringIO()
+    write = _writer(header, args.format, text)
+    with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
+        for start in range(0, len(points), BLOCK_ROWS):
+            block = points[start:start + BLOCK_ROWS]
+            rows = []
+            for p, (jet, cells, status) in zip(block, measure_block(block)):
+                if cells is None:
+                    cells = [None] * (len(header) - spec.n - 1)
+                elif args.fd_check:
+                    cells.append(max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), jet)))
+                rows.append([*p, *cells, status])
+            write(rows)
+    out.write(text.getvalue())
     return 0
 
 
@@ -205,7 +242,7 @@ def _run_classify(spec: FunctionSpec, fmt: str, out) -> int:
     header = ["classifier", "family", "certificate", "notes"]
     rows = [[name, v.family, json.dumps(v.certificate, separators=(",", ":")), v.notes]
             for name, v in verdicts]
-    _emit(header, rows, fmt, out)
+    _writer(header, fmt, out)(rows)
     return 0
 
 

@@ -172,11 +172,17 @@ class ElasticityReport:
 
 
 def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityReport:
-    """Assemble the full Hicks/Allen report at a point."""
+    """Assemble the full Hicks/Allen report at a point.
+
+    Raises NumericalError where the bordered determinant or an Allen entry
+    is not finite or a Hicks entry is infinite (nan marks an undefined pair).
+    """
     pt = _positive_point(spec, point)
     jet = jet_multivariate(spec, pt)
     n = jet.n
     border, det = _bordered_from_jet(jet)
+    if not math.isfinite(det):
+        raise NumericalError(f"non-finite bordered determinant at {tuple(pt)!r}")
     hicks_m = np.full((n, n), math.nan)
     for a in range(n):
         for b in range(a + 1, n):
@@ -184,6 +190,9 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                 h = _hicks_from_jet(jet, pt, a, b)
             except (HicksUndefined, ZeroGradientError):
                 continue
+            if math.isinf(h):
+                raise NumericalError(
+                    f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
             hicks_m[a, b] = h
             hicks_m[b, a] = h
     cof = _inner_cofactors(border)
@@ -199,6 +208,9 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                 except ZeroDivisionError:
                     raise NumericalError(
                         f"x{a + 1} * x{b + 1} underflows to 0 at {tuple(pt)!r}") from None
+                if not math.isfinite(v):
+                    raise NumericalError(
+                        f"non-finite Allen elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
                 allen_m[a, b] = v
                 allen_m[b, a] = v
     return ElasticityReport(hicks=hicks_m, allen=allen_m, bordered_det=det,

@@ -8,19 +8,21 @@ so omega >= 1 always and a developable graph is one with G identically zero.
 For product-form (homothetical) specs the Hessian determinant additionally
 has a closed form in the component log-derivatives; the partial-pivot LU
 determinant stays available as an independent oracle against it.
+``gauss_kronecker_batch`` computes many points at once, bit for bit as
+``gauss_kronecker`` point by point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SpecError, ValidationError
+from .errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
 from .funcspec import FunctionSpec, Homothetical, _point
-from .jets import Jet2N, jet1d, jet_multivariate
+from .jets import Jet2N, _column_pow, _jet_columns, jet1d, jet_multivariate
 from .sampling import points_loguniform
 
 
@@ -106,18 +108,15 @@ def hessian_det_direct(spec: FunctionSpec, point: Sequence[float]) -> float:
     return plu_det(hessian(spec, point))
 
 
-def _closed_det(jets, point) -> float:
-    """The closed form of ``hessian_det_closed`` on the factors' 1-D jets;
-    ``point`` only names the point in an overflow message."""
+def _closed_form(jets, pw=pow):
+    """The closed form of ``hessian_det_closed`` on the factors' 1-D jets,
+    whose values must be nonzero when n > 1. The slots are floats, or
+    columns with ``pw`` applying ``**`` row by row."""
     n = len(jets)
     if n == 1:
         return jets[0].d2
-    for k, j in enumerate(jets):
-        if j.value == 0.0:
-            raise DomainError(
-                f"closed-form determinant undefined where component {k + 1} vanishes")
+    # r_i = (f_i'/f_i)'
     r = [(j.d2 * j.value - j.d1 * j.d1) / (j.value * j.value) for j in jets]
-    q = [(j.d1 / j.value) ** 2 for j in jets]
     f = 1.0
     for j in jets:
         f *= j.value
@@ -131,12 +130,25 @@ def _closed_det(jets, point) -> float:
         for k in range(1, n):
             if k != i:
                 partial *= r[k]
-        acc += q[i] * partial
+        acc += pw(jets[i].d1 / jets[i].value, 2) * partial
+    return pw(f, n) * (term1 + r[0] * acc)
+
+
+def _closed_det(jets, point) -> float:
+    """``_closed_form`` at one point; ``point`` only names it in a message."""
+    if len(jets) > 1:
+        for k, j in enumerate(jets):
+            if j.value == 0.0:
+                raise DomainError(
+                    f"closed-form determinant undefined where component {k + 1} vanishes")
     try:
-        return f ** n * (term1 + r[0] * acc)
+        return _closed_form(jets)
     except OverflowError:
         raise NumericalError(
             f"closed-form determinant overflowed at {tuple(map(float, point))!r}") from None
+    except ZeroDivisionError:  # a factor's square underflowed to 0
+        raise NumericalError(
+            f"closed-form determinant underflowed at {tuple(map(float, point))!r}") from None
 
 
 def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
@@ -182,7 +194,8 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
     For homothetical specs the determinant uses the closed form on the jet's
     own factor jets, falling back to the LU route at points where a factor
     value is exactly zero (the closed form divides by factor values); other
-    kinds use the LU route.
+    kinds use the LU route. Raises NumericalError where omega, the
+    determinant or the curvature overflows or is not finite.
     """
     jet = jet_multivariate(spec, point)
     n = jet.n
@@ -199,7 +212,80 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
     except OverflowError:
         raise NumericalError(
             f"omega^{n + 2} overflowed at {tuple(map(float, point))!r}") from None
+    if not (math.isfinite(omega) and math.isfinite(det) and math.isfinite(gk)):
+        raise NumericalError(f"non-finite omega, determinant or curvature at "
+                             f"{tuple(map(float, point))!r}")
     return CurvatureRecord(omega=omega, hessian_det=det, gk_curvature=gk, n=n, jet=jet)
+
+
+class CurvatureBlock(NamedTuple):
+    """Curvature quantities of a spec at m points, one row per point.
+
+    Row i of each column has the bits of ``gauss_kronecker(spec, points[i])``:
+    ``value`` (m,), ``gradient`` (m, n), ``hessian`` (m, n, n), ``omega``,
+    ``hessian_det`` and ``gk_curvature`` (m,). ``errors[i]`` is the error
+    that call raises (None where it returns); that row's numbers are nan.
+    """
+
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+    omega: np.ndarray
+    hessian_det: np.ndarray
+    gk_curvature: np.ndarray
+    errors: tuple
+
+
+def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
+    """``gauss_kronecker`` at every row of an (m, n) point array, bit for bit.
+
+    The jets are formed column by column (``jets._jet_columns``); omega, the
+    closed-form determinant and the curvature follow on whole columns, and
+    the LU route (other kinds, zero factors) runs once on the stacked
+    Hessians (``plu_dets``). Transcendentals stay on Python floats, row by
+    row. A row the columns cannot reproduce exactly (a guard fails, a power
+    overflows, a result is not finite) goes back through ``gauss_kronecker``
+    itself, in input order, which gives its result or its error.
+    """
+    x = np.array(points, dtype=float)
+    n = spec.n
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValidationError(
+            f"points must form an (m, {n}) array for a spec with {n} variables, "
+            f"got shape {x.shape}")
+    m = len(x)
+    value, omega, det, gk = (np.full(m, math.nan) for _ in range(4))
+    gradient = np.full((m, n), math.nan)
+    hessian = np.full((m, n, n), math.nan)
+    errors = [None] * m
+    with np.errstate(all="ignore"):  # rows that go non-finite are redone one by one
+        rows, v, g, h, factors, ok = _jet_columns(spec, x)
+        if len(rows):
+            om = np.sqrt(1.0 + np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+            if factors is None:
+                d = plu_dets(h)
+            else:
+                d = _closed_form(factors, _column_pow)
+                if n > 1:
+                    lu = np.logical_or.reduce([j.value == 0.0 for j in factors])
+                    if lu.any():
+                        d[lu] = plu_dets(h[lu])
+            curv = d / _column_pow(om, n + 2)
+            ok &= np.isfinite(om) & np.isfinite(d) & np.isfinite(curv)
+            done = rows[ok]
+            value[done], gradient[done], hessian[done] = v[ok], g[ok], h[ok]
+            omega[done], det[done], gk[done] = om[ok], d[ok], curv[ok]
+        redo = np.ones(m, dtype=bool)
+        redo[rows[ok]] = False
+        for i in np.flatnonzero(redo).tolist():
+            try:
+                rec = gauss_kronecker(spec, x[i])
+            except ProdgeomError as e:
+                errors[i] = e
+                continue
+            value[i], gradient[i], hessian[i] = rec.value, rec.jet.gradient, rec.jet.hessian
+            omega[i], det[i], gk[i] = rec.omega, rec.hessian_det, rec.gk_curvature
+    return CurvatureBlock(value, gradient, hessian, omega, det, gk, tuple(errors))
 
 
 def is_developable(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,

@@ -4,24 +4,28 @@ A 1-D jet is the triple (value, first derivative, second derivative) of a
 component at a point. Multivariate jets are assembled exactly from 1-D jets
 through the product and chain rules, never from finite differences;
 ``fd_jet`` is the independent central-difference route used to cross-check
-that assembly. All arithmetic is 64-bit floating point.
+that assembly. All arithmetic is 64-bit floating point. The assembly takes
+floats for one point or, in ``_jet_columns``, numpy columns with one entry
+per point, and performs the same operations in the same order on both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ProdgeomError
 from .funcspec import Acms, ComponentFn, FunctionSpec, Homothetical, _point, _values
 
 
 @dataclass(frozen=True)
 class Jet1:
-    """Value and first two derivatives of a 1-D component at a point."""
+    """Value and first two derivatives of a 1-D component at a point (in
+    ``_jet_columns``, columns of them over many points)."""
 
     value: float
     d1: float
@@ -67,9 +71,10 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
         raise NumericalError(f"1-D jet overflowed at x = {x!r}") from None
 
 
-def _product_parts(components, pt, vals):
-    """Factor jets and the derivatives of their product: (1-D jets, grad, hessian)."""
-    jets = tuple(_factor_jet(c, x, v) for c, x, v in zip(components, pt, vals))
+def _product_parts(jets, vals, shape=()):
+    """Gradient (a list) and Hessian of the product of the factor jets, whose
+    values are ``vals``; ``shape`` is () for float slots and (k,) for columns
+    of k points, whose Hessian is then (n, n, k)."""
     n = len(jets)
 
     def prod_except(skip):
@@ -80,52 +85,47 @@ def _product_parts(components, pt, vals):
         return p
 
     du = [jets[i].d1 * prod_except((i,)) for i in range(n)]
-    d2u = np.zeros((n, n))
+    d2u = np.zeros((n, n) + shape)
     for i in range(n):
         d2u[i, i] = jets[i].d2 * prod_except((i,))
         for j in range(i + 1, n):
-            mixed = jets[i].d1 * jets[j].d1 * prod_except((i, j))
-            d2u[i, j] = mixed
-            d2u[j, i] = mixed
-    return jets, du, d2u
+            d2u[i, j] = d2u[j, i] = jets[i].d1 * jets[j].d1 * prod_except((i, j))
+    return du, d2u
 
 
-def _acms_parts(spec: Acms, pt, s: float):
-    """Gradient and Hessian of the CES core g = gamma * s^(d/rho), from the sum s."""
+def _acms_parts(spec: Acms, pt, s, pw=pow, shape=()):
+    """Gradient and Hessian of the CES core g = gamma * s^(d/rho), from the
+    sum s (``shape`` as in ``_product_parts``; ``pw`` computes ``**``)."""
     rho, q = spec.rho, spec.d / spec.rho
     n = spec.n
     ds = []
     d2s = []
     for b, x in zip(spec.betas, pt):
         base = b * x
-        ds.append(rho * b * base ** (rho - 1.0))
-        d2s.append(rho * (rho - 1.0) * b * b * base ** (rho - 2.0))
-    c1 = spec.gamma * q * s ** (q - 1.0)
+        ds.append(rho * b * pw(base, rho - 1.0))
+        d2s.append(rho * (rho - 1.0) * b * b * pw(base, rho - 2.0))
+    c1 = spec.gamma * q * pw(s, q - 1.0)
     coeff = q * (q - 1.0)
-    c2 = spec.gamma * coeff * s ** (q - 2.0) if coeff != 0.0 else 0.0
+    c2 = spec.gamma * coeff * pw(s, q - 2.0) if coeff != 0.0 else 0.0
     dg = [c1 * ds[i] for i in range(n)]
-    d2g = np.zeros((n, n))
+    d2g = np.zeros((n, n) + shape)
     for i in range(n):
         d2g[i, i] = c2 * ds[i] * ds[i] + c1 * d2s[i]
         for j in range(i + 1, n):
-            mixed = c2 * ds[i] * ds[j]
-            d2g[i, j] = mixed
-            d2g[j, i] = mixed
+            d2g[i, j] = d2g[j, i] = c2 * ds[i] * ds[j]
     return dg, d2g
 
 
-def _chain(outer, u, du, d2u):
-    """Gradient and Hessian of F(u(x)) from the derivatives of u and of F."""
-    f1, f2 = outer.derivs(u)
+def _chain(f1, f2, du, d2u, shape=()):
+    """Gradient and Hessian of F(u(x)) from the derivatives of u and
+    F'(u) = f1, F''(u) = f2 (``shape`` as in ``_product_parts``)."""
     n = len(du)
     grad = [f1 * du[i] for i in range(n)]
-    hess = np.zeros((n, n))
+    hess = np.zeros((n, n) + shape)
     for i in range(n):
         hess[i, i] = f2 * du[i] * du[i] + f1 * d2u[i, i]
         for j in range(i + 1, n):
-            mixed = f2 * du[i] * du[j] + f1 * d2u[i, j]
-            hess[i, j] = mixed
-            hess[j, i] = mixed
+            hess[i, j] = hess[j, i] = f2 * du[i] * du[j] + f1 * d2u[i, j]
     return grad, hess
 
 
@@ -143,19 +143,105 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
     factors = None
     try:
         if isinstance(spec, Acms):
-            grad, hess = _chain(spec.outer, u, *_acms_parts(spec, pt, parts))
+            dg, d2g = _acms_parts(spec, pt, parts)
+            grad, hess = _chain(*spec.outer.derivs(u), dg, d2g)
         else:
-            jets, grad, hess = _product_parts(spec.components, pt, parts)
-            if isinstance(spec, Homothetical):
-                factors = jets
-            else:
-                grad, hess = _chain(spec.outer, u, grad, hess)
+            factors = tuple(_factor_jet(c, x, v) for c, x, v in zip(spec.components, pt, parts))
+            grad, hess = _product_parts(factors, parts)
+            if not isinstance(spec, Homothetical):
+                factors = None
+                grad, hess = _chain(*spec.outer.derivs(u), grad, hess)
     except (OverflowError, ZeroDivisionError):
         raise NumericalError(f"jet assembly overflowed at {tuple(pt)!r}") from None
     gradient = np.array(grad, dtype=float)
     if not (np.isfinite(gradient).all() and np.isfinite(hess).all()):
         raise NumericalError(f"non-finite jet at point {tuple(pt)!r}")
     return Jet2N(value, gradient, hess, factors)
+
+
+def _map_rows(fn, *args, failed=math.nan) -> np.ndarray:
+    """``fn`` applied row by row to columns of Python floats (an array argument
+    gives one element per row, any other argument is passed to every row).
+
+    Rows where ``fn`` raises OverflowError or ZeroDivisionError get
+    ``failed`` (nan, or a tuple of nans for a tuple-valued ``fn``), so they
+    fail the caller's finite check and go back through the scalar path, which
+    reports the error.
+    """
+    def columns():
+        return [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+
+    try:
+        out = list(map(fn, *columns()))
+    except (OverflowError, ZeroDivisionError):
+        out = []
+        for row in zip(*columns()):
+            try:
+                out.append(fn(*row))
+            except (OverflowError, ZeroDivisionError):
+                out.append(failed)
+    return np.array(out, dtype=float)
+
+
+def _column_pow(base: np.ndarray, e) -> np.ndarray:
+    # ``**`` on each row's Python float: numpy's power is not libm's pow bit for bit
+    return _map_rows(pow, base, e)
+
+
+def _jet_columns(spec: FunctionSpec, points: np.ndarray):
+    """The jets of a spec at the rows of an (m, n) point array, as columns.
+
+    Returns ``(rows, value, gradient, hessian, factors, ok)``. ``rows`` indexes
+    the points whose value pass succeeded; the other fields hold one entry
+    per such row: value (k,), gradient (k, n), Hessian (k, n, n), for
+    homothetical specs the factors' 1-D jets with (k,) columns as slots
+    (None otherwise), and ``ok`` (k,). Where ``ok`` holds, a row has the bits
+    of ``jet_multivariate`` at its point; elsewhere that call raises.
+
+    The value pass is ``funcspec._values`` row by row, so every guard runs
+    first, and derivatives run only on the rows it accepted, through each
+    component's and outer map's own scalar ``derivs``. Only + - * / run on
+    whole columns, in the order of the scalar assembly, which is shared.
+    """
+    rows, parts, us, values = [], [], [], []
+    for i, pt in enumerate(points.tolist()):
+        try:
+            part, u, value = _values(spec, pt)
+        except ProdgeomError:
+            continue
+        rows.append(i)
+        parts.append(part)
+        us.append(u)
+        values.append(value)
+    rows = np.array(rows, dtype=np.intp)
+    k = len(rows)
+    if k == 0:
+        return rows, None, None, None, None, np.zeros(0, dtype=bool)
+    pt = list(points[rows].T)
+    u = np.array(us)
+    nan2 = (math.nan, math.nan)
+    shape = (k,)
+    factors = None
+    ok = np.ones(k, dtype=bool)
+    if isinstance(spec, Acms):
+        dg, d2g = _acms_parts(spec, pt, np.array(parts), _column_pow, shape)
+        grad, hess = _chain(*_map_rows(spec.outer.derivs, u, failed=nan2).T, dg, d2g, shape)
+    else:
+        vals = list(np.array(parts).T)
+        factors = []
+        for c, x, v in zip(spec.components, pt, vals):
+            d1, d2 = _map_rows(c.derivs, x, v, failed=nan2).T
+            factors.append(Jet1(v, d1, d2))
+            ok &= np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2)
+        grad, hess = _product_parts(factors, vals, shape)
+        if not isinstance(spec, Homothetical):
+            factors = None
+            grad, hess = _chain(*_map_rows(spec.outer.derivs, u, failed=nan2).T, grad, hess,
+                                shape)
+    gradient = np.stack(grad, axis=1)
+    hessian = hess.transpose(2, 0, 1)
+    ok &= np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))
+    return rows, np.array(values), gradient, hessian, factors, ok
 
 
 #: Relative central-difference steps: h = FD_REL_FIRST * max(1, |x_i|) for

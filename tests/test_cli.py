@@ -1,13 +1,19 @@
 """Tests for the command line front end."""
 
+import csv
+import io
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import prodgeom
-from prodgeom.cli import _parse_grid, run
+from prodgeom import fd_jet, gauss_kronecker
+from prodgeom.cli import BLOCK_ROWS, _parse_grid, run
+from prodgeom.jets import norm_rel_gaps
 from prodgeom.verify import run_checks
 
 DATA = Path(__file__).parent / "data"
@@ -260,8 +266,13 @@ _CES_RHO_MINUS_1 = ('{"kind":"acms","gamma":1,"betas":[0.4,1],"rho":-1,"d":1,'
                     '"outer":{"type":"identity"}}')
 _SHIFTED_SQRT = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":1,'
                  '"alpha":0.5},{"type":"pow","gamma":1,"beta":1,"alpha":0.5}]}')
+_EXP = '{"kind":"homothetical","components":[{"type":"exp","gamma":1.0,"lambda":1.0}]}'
+_EXP_X = ('{"kind":"composite","outer":{"type":"identity"},"components":[{"type":"exp",'
+          '"gamma":1.0,"lambda":1.0},{"type":"pow","gamma":1.0,"beta":0.0,"alpha":1.0}]}')
 
 
+# a numpy warning on the way would be a second stderr line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, spec_text, point", [
     # x1 * x2: the jet and the determinant are finite, omega^4 is not
     ("curvature", _XY, "1e77,1e77"),
@@ -271,15 +282,24 @@ _SHIFTED_SQRT = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"
     ("elasticity", _CES_RHO_MINUS_1, "5e-324,1"),
     # x1 * x2 underflows to 0 in the Allen weight sum_k x_k f_k / (x1 x2)
     ("elasticity", _SHIFTED_SQRT, "5e-324,0.4"),
-], ids=["curvature-omega", "eval-ces", "curvature-ces", "elasticity-ces", "elasticity-weight"])
+    # e^x: f'^2 overflows in omega
+    ("curvature", _EXP, "360"),
+    # e^x1 * x2: omega and the LU determinant overflow, so gk would be nan
+    ("curvature", _EXP_X, "360,1e-5"),
+    # ... and so does the bordered determinant
+    ("elasticity", _EXP_X, "360,1e-5"),
+], ids=["curvature-omega", "eval-ces", "curvature-ces", "elasticity-ces", "elasticity-weight",
+        "curvature-omega-inf", "curvature-det-inf", "elasticity-bordered-inf"])
 def test_extreme_point_exits_3(capsys, tmp_path, command, spec_text, point):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text)
     points = tmp_path / "pts.csv"
     points.write_text(point + "\n")
-    code, out, err = _run(capsys, command, "--spec", spec, "--points", points)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for fmt in ("csv", "jsonl"):
+        code, out, err = _run(capsys, command, "--spec", spec, "--points", points,
+                              "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_zero_gradient_interior_point_keeps_value(capsys, tmp_path):
@@ -334,25 +354,130 @@ def _count_method_calls(monkeypatch, classes, name) -> list:
 
 
 @pytest.mark.parametrize("argv, jets, jet1ds, evaluates", [
-    # n = 2 product spec: the closed-form determinant reads the jet's own
-    # factor jets, and the value slot is the jet's
-    (["curvature", "--spec", DATA / "cobb_douglas_crs.json"], 1, 0, 0),
+    # curvature rows come from the block kernel, which forms the jets as
+    # columns (no jet_multivariate call) and runs the closed-form determinant
+    # on its own factor jets; the value slot is the jet's
+    (["curvature", "--spec", DATA / "cobb_douglas_crs.json"], 0, 0, 0),
     (["elasticity", "--spec", DATA / "acms_rho_half.json"], 1, 0, 0),
     # the FD stencil evaluates the spec; the exact side is the row's own jet
-    (["curvature", "--fd-check", "--spec", DATA / "acms_rho_half.json"], 1, 0, None),
+    (["curvature", "--fd-check", "--spec", DATA / "acms_rho_half.json"], 0, 0, None),
 ])
 def test_one_jet_per_row(capsys, monkeypatch, argv, jets, jet1ds, evaluates):
     counts = [_count_calls(monkeypatch, fn) for fn in
-              (prodgeom.jet_multivariate, prodgeom.jet1d, prodgeom.evaluate)]
+              (prodgeom.jet_multivariate, prodgeom.jet1d, prodgeom.evaluate,
+               prodgeom.gauss_kronecker, prodgeom.gauss_kronecker_batch)]
     kinds = (prodgeom.PowFn, prodgeom.ExpFn, prodgeom.LogPowFn)
     values = _count_method_calls(monkeypatch, kinds, "value")
     derivs = _count_method_calls(monkeypatch, kinds, "derivs")
     code, out, _ = _run(capsys, *argv, "--points", "grid:1.5..1.5x0.5..0.5:1")
     assert code == 0 and out.splitlines()[1].endswith(",ok")
     assert len(counts[0]) == jets and len(counts[1]) == jet1ds
+    # one kernel call for the one block, and no per-point fallback
+    assert len(counts[4]) == (argv[0] == "curvature") and counts[3] == []
     if evaluates is not None:
         assert len(counts[2]) == evaluates
         # each component's value and derivatives run once per row
         spec = prodgeom.parse_spec(Path(argv[argv.index("--spec") + 1]).read_text())
         components = list(getattr(spec, "components", ()))
         assert values == components and derivs == components
+
+
+def test_curvature_kernel_runs_once_per_block(capsys, monkeypatch):
+    blocks = _count_calls(monkeypatch, prodgeom.gauss_kronecker_batch)
+    values = _count_method_calls(monkeypatch, (prodgeom.PowFn,), "value")
+    derivs = _count_method_calls(monkeypatch, (prodgeom.PowFn,), "derivs")
+    # 46 x 46 = 2,116 rows: one full block and a short one
+    code, out, _ = _run(capsys, "curvature", "--spec", DATA / "cobb_douglas_crs.json",
+                        "--points", "grid:0.5..2.0x0.5..2.0:46")
+    assert code == 0 and len(out.splitlines()) == 1 + 2116
+    assert [len(args[1]) for args in blocks] == [BLOCK_ROWS, 2116 - BLOCK_ROWS]
+    # each component's value and derivatives run once per row
+    spec = prodgeom.parse_spec((DATA / "cobb_douglas_crs.json").read_text())
+    assert Counter(values) == Counter(derivs) == {c: 2116 for c in spec.components}
+
+
+_BLOCK_SPECS = {
+    # (x1 - 1)^2 * sqrt(x2): the first factor vanishes on x1 = 1 (the LU
+    # route), and x2 < 0 is out of the domain
+    "homothetical": '{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":-1,'
+                    '"alpha":2},{"type":"pow","gamma":1,"beta":0,"alpha":0.5}]}',
+    # ((x1 - 1)^2 * (1 + ln x2))^2
+    "composite": '{"kind":"composite","outer":{"type":"power","d":2},"components":[{"type":'
+                 '"pow","gamma":1,"beta":-1,"alpha":2},{"type":"logpow","a":1,"b":1,"m":1}]}',
+    "acms": '{"kind":"acms","gamma":1,"betas":[0.5,2],"rho":0.5,"d":1,'
+            '"outer":{"type":"power","d":2}}',
+}
+
+
+def _block_points():
+    # two full blocks and a short third one; around each block boundary sit
+    # an out-of-domain row, a vanishing factor (x1 = 1) and a regular row
+    rng = random.Random(5)
+    points = [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(2 * BLOCK_ROWS + 50)]
+    for edge in (BLOCK_ROWS, 2 * BLOCK_ROWS):
+        points[edge - 2] = (1.0, 1.5)
+        points[edge - 1] = (1.25, -1.0)
+        points[edge] = (1.0, 0.75)
+        points[edge + 1] = (0.5, -0.5)
+    return points
+
+
+def _reference(spec, points, fd_check) -> dict:
+    """Expected stdout per format, from gauss_kronecker point by point."""
+    header = ["x1", "x2", "value", "omega", "det_hessian", "gk"]
+    header += ["fd_gap", "status"] if fd_check else ["status"]
+    rows = []
+    for p in points:
+        try:
+            rec = gauss_kronecker(spec, p)
+        except prodgeom.DomainError:
+            rows.append([*p] + [None] * (len(header) - 3) + ["domain_error"])
+            continue
+        cells = [rec.value, rec.omega, rec.hessian_det, rec.gk_curvature]
+        if fd_check:
+            cells.append(max(norm_rel_gaps(fd_jet(lambda q: prodgeom.evaluate(spec, q), p),
+                                           rec.jet)))
+        rows.append([*p, *cells, "ok"])
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header] + rows)
+    return {"csv": text.getvalue(),
+            "jsonl": "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+                             for row in rows)}
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCK_SPECS))
+@pytest.mark.parametrize("fd_check", [False, True])
+def test_curvature_blocks_match_per_point_reference(capsys, tmp_path, kind, fd_check):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_BLOCK_SPECS[kind])
+    points = _block_points()
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
+    expected = _reference(prodgeom.parse_spec(_BLOCK_SPECS[kind]), points, fd_check)
+    for fmt in ("csv", "jsonl"):
+        code, out, err = _run(capsys, "curvature", "--spec", spec_path, "--points", points_path,
+                              "--format", fmt, *(["--fd-check"] if fd_check else []))
+        assert (code, err) == (0, "")
+        assert out == expected[fmt]
+    statuses = [json.loads(line)["status"] for line in expected["jsonl"].splitlines()]
+    for edge in (BLOCK_ROWS, 2 * BLOCK_ROWS):
+        assert statuses[edge - 2:edge + 2] == ["ok", "domain_error", "ok", "domain_error"]
+
+
+def test_curvature_error_past_first_block_exits_3(capsys, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_BLOCK_SPECS["homothetical"])
+    spec = prodgeom.parse_spec(_BLOCK_SPECS["homothetical"])
+    points = _block_points()[:BLOCK_ROWS + 50]
+    # (1e200 - 1)^2 overflows in the value; so does the later 1e300 row
+    points[BLOCK_ROWS + 10] = (1e200, 1.0)
+    points[BLOCK_ROWS + 20] = (1e300, 1.0)
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
+    with pytest.raises(prodgeom.NumericalError) as first:
+        gauss_kronecker(spec, points[BLOCK_ROWS + 10])
+    for extra in ([], ["--fd-check"], ["--format", "jsonl"]):
+        code, out, err = _run(capsys, "curvature", "--spec", spec_path, "--points", points_path,
+                              *extra)
+        assert (code, out) == (3, "")
+        assert err == f"error: {first.value}\n"

@@ -15,7 +15,9 @@ from prodgeom import (
     ExpFn,
     HicksUndefined,
     Homothetical,
+    Identity,
     Log,
+    NumericalError,
     PowFn,
     Power,
     ValidationError,
@@ -249,6 +251,22 @@ def test_elasticity_report_singular_bordered():
     # this family is singular for BOTH measures: the Hicks denominator
     # cancels exactly as well, so the pair is reported as nan
     assert math.isnan(report.hicks[0, 1])
+
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, point, message", [
+    # e^x1 * x2: the bordered determinant overflows to inf
+    (Composite(Identity(), (ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))), (360.0, 1e-5),
+     "bordered determinant"),
+    # (x1 + 1) * x2: 1 / (x1 f_1) overflows at a subnormal x1
+    (Homothetical((PowFn(1.0, 1.0, 1.0), PowFn(1.0, 0.0, 1.0))), (5e-324, 1.0), "Hicks"),
+    # e^(400 x1) * (1 - x2): H_12 is finite, the Allen weight / (x1 x2) is not
+    (Homothetical((ExpFn(1.0, 400.0), PowFn(-1.0, -1.0, 1.0))), (0.5, 1e-300), "Allen"),
+])
+def test_elasticity_report_non_finite_is_numerical_error(spec, point, message):
+    with pytest.raises(NumericalError, match=message):
+        elasticity_report(spec, point)
 
 
 def _cofactors_by_minor(border):

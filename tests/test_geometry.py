@@ -14,17 +14,25 @@ from prodgeom import (
     ExpFn,
     Homothetical,
     Identity,
+    Log,
+    LogPowFn,
     NumericalError,
     PowFn,
+    Power,
+    ProdgeomError,
+    Scale,
     SpecError,
     ValidationError,
     gauss_kronecker,
+    gauss_kronecker_batch,
     hessian,
     hessian_det_closed,
     hessian_det_direct,
     is_developable,
+    make_acms,
     make_cobb_douglas,
 )
+from prodgeom import geometry
 from prodgeom.geometry import det_scale, plu_det, plu_dets
 from prodgeom.sampling import points_loguniform, random_homothetical
 
@@ -261,3 +269,127 @@ def test_plu_dets_rejects_non_square_stack():
         plu_dets(np.zeros((2, 3, 4)))
     with pytest.raises(ValidationError):
         plu_dets(np.zeros((3, 3)))
+
+
+def _component(rng):
+    # integer exponents with beta in {0, -1} and logpow with a = 0 vanish at
+    # x = 0 or x = 1, the closed form's LU fallback
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PowFn(rng.choice([1.0, -1.0, rng.uniform(0.2, 3.0)]),
+                     rng.choice([0.0, -1.0, 1.0, rng.uniform(0.0, 1.0)]),
+                     rng.choice([1.0, 2.0, 3.0, -1.0, 0.5, rng.uniform(-3.0, 3.0) or 1.0]))
+    if kind == 1:
+        return ExpFn(rng.choice([1.0, -2.0, rng.uniform(0.1, 3.0)]),
+                     rng.choice([1.0, -1.0, 400.0, rng.uniform(-3.0, 3.0) or 1.0]))
+    return LogPowFn(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]),
+                    rng.choice([1.0, -1.0, rng.uniform(0.2, 2.0)]),
+                    rng.choice([1.0, 2.0, 0.5, -1.0, rng.uniform(-2.0, 2.0) or 1.0]))
+
+
+def _outer(rng):
+    return rng.choice([Identity(), Power(rng.choice([2.0, -1.0, 0.5, rng.uniform(-2.0, 3.0) or 1.0])),
+                       Scale(rng.uniform(0.5, 2.0)), Log()])
+
+
+# the domain edge, negatives, subnormal and tiny values whose powers
+# underflow, and huge ones whose powers overflow
+_BLOCK_COORDS = (0.0, -0.0, -0.5, -2.0, 1.0, 5e-324, 1e-300, 1e-160, 1e150, 1e200)
+
+
+def _record_bits(value, gradient, hessian, omega, det, gk) -> list:
+    return [float(v).hex() for v in (value, omega, det, gk, *gradient, *np.ravel(hessian))]
+
+
+def _assert_batch_matches_scalar(spec, points):
+    block = gauss_kronecker_batch(spec, points)
+    for i, point in enumerate(points):
+        try:
+            rec = gauss_kronecker(spec, point)
+        except ProdgeomError as e:
+            assert type(block.errors[i]) is type(e) and str(block.errors[i]) == str(e)
+            continue
+        assert block.errors[i] is None
+        assert _record_bits(block.value[i], block.gradient[i], block.hessian[i],
+                            block.omega[i], block.hessian_det[i], block.gk_curvature[i]) == \
+            _record_bits(rec.value, rec.jet.gradient, rec.jet.hessian, rec.omega,
+                         rec.hessian_det, rec.gk_curvature)
+
+
+# the scalar route warns on overflow before it raises NumericalError
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       n=st.integers(1, 10), m=st.integers(1, 30))
+def test_batch_bitwise_equals_gauss_kronecker(seed, kind, n, m):
+    rng = random.Random(seed)
+    if kind == "homothetical":
+        spec = Homothetical([_component(rng) for _ in range(n)])
+    elif kind == "composite":
+        spec = Composite(_outer(rng), [_component(rng) for _ in range(n)])
+    else:
+        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
+                         rng.uniform(0.5, 2.0), _outer(rng), relax_rho=True)
+    points = [[rng.choice(_BLOCK_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
+               for _ in range(n)] for _ in range(m)]
+    _assert_batch_matches_scalar(spec, points)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, points", [
+    # 1e300 * x overflows to inf at x = 1e10, but 1 / inf is a finite value:
+    # the 1-D jet is not finite, though the assembled row would be
+    (Composite(Power(-1.0), (PowFn(1e300, 0.0, 1.0),)), [(1e10,), (2.0,)]),
+    # x1 * x2: a square underflows to 0, or r_1 overflows, in the closed form
+    (make_cobb_douglas(1.0, (1.0, 1.0)), [(1e-200, 1.0), (1e-160, 1.0), (1.0, 2.0)]),
+    # 0.4 * 5e-324 underflows to 0 in a CES base with rho = -1
+    (make_acms(1.0, (0.4, 1.0), -1.0, 1.0), [(5e-324, 1.0), (1.0, 1.0)]),
+])
+def test_batch_edge_rows_equal_gauss_kronecker(spec, points):
+    _assert_batch_matches_scalar(spec, points)
+
+
+def test_batch_zero_factor_rows_take_lu(monkeypatch):
+    # (x1 - 1)^2 * x2^2: the first factor vanishes on x1 = 1; those rows take
+    # the stacked LU route, not the per-point one
+    spec = Homothetical((PowFn(1.0, -1.0, 2.0), PowFn(1.0, 0.0, 2.0)))
+    points = [(1.0, 1.0), (2.0, 1.5), (1.0, 3.0)]
+    monkeypatch.setattr(geometry, "gauss_kronecker", None)
+    block = gauss_kronecker_batch(spec, points)
+    monkeypatch.undo()
+    assert block.errors == (None, None, None)
+    assert block.hessian_det.tolist() == [hessian_det_direct(spec, points[0]),
+                                          hessian_det_closed(spec, points[1]),
+                                          hessian_det_direct(spec, points[2])]
+
+
+def test_batch_errors_per_row_and_shape_check():
+    spec = make_cobb_douglas(1.0, (0.3, 0.7))
+    block = gauss_kronecker_batch(spec, [(1.0, 1.0), (-1.0, 1.0), (1e200, 1e200)])
+    assert block.errors[0] is None
+    assert isinstance(block.errors[1], DomainError)
+    assert isinstance(block.errors[2], NumericalError)
+    assert math.isnan(block.gk_curvature[1]) and math.isnan(block.value[2])
+    with pytest.raises(ValidationError):
+        gauss_kronecker_batch(spec, [(1.0, 1.0, 1.0)])
+    with pytest.raises(ValidationError):
+        gauss_kronecker_batch(spec, [1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, point, message", [
+    # omega overflows: f' = e^360 squares past the float range
+    (Homothetical((ExpFn(1.0, 1.0),)), (360.0,), "non-finite"),
+    # ... and the LU determinant overflows to -inf
+    (Composite(Identity(), (ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))), (360.0, 1e-5),
+     "non-finite"),
+    # x1 * x2: r_1 = -1 / x1^2 divides by a square that underflows to 0
+    (make_cobb_douglas(1.0, (1.0, 1.0)), (1e-200, 1.0), "underflowed"),
+    # ... or overflows to -inf, which the closed form carries into det
+    (make_cobb_douglas(1.0, (1.0, 1.0)), (1e-160, 1.0), "non-finite"),
+])
+def test_gauss_kronecker_non_finite_is_numerical_error(spec, point, message):
+    with pytest.raises(NumericalError, match=message):
+        gauss_kronecker(spec, point)
