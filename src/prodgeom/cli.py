@@ -30,7 +30,7 @@ from .elasticity import elasticity_report
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
 from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
 from .geometry import gauss_kronecker_batch
-from .jets import Jet2N, fd_jet, jet_multivariate, norm_rel_gaps
+from .jets import Jet2N, _fd_gaps, jet_multivariate
 from .verify import run_checks
 
 
@@ -163,7 +163,9 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     any other error ends the run. ``curvature`` computes a block at once
     with ``gauss_kronecker_batch``; ``eval`` and ``elasticity`` go point by
     point. The fd_gap column compares the finite-difference oracle with the
-    row's jet. Stdout is written once, after the last block.
+    row's jet, for a whole block at once (``jets._fd_gaps``); the first row,
+    in input order, whose measure or oracle fails decides the error. Stdout
+    is written once, after the last block.
     """
     columns = []
     if args.command == "eval":
@@ -213,19 +215,30 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     if args.fd_check:
         header.append("fd_gap")
     header.append("status")
+    empty = [None] * (len(header) - spec.n - 1)
     text = io.StringIO()
     write = _writer(header, args.format, text)
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start:start + BLOCK_ROWS]
-            rows = []
-            for p, (jet, cells, status) in zip(block, measure_block(block)):
-                if cells is None:
-                    cells = [None] * (len(header) - spec.n - 1)
-                elif args.fd_check:
-                    cells.append(max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), jet)))
-                rows.append([*p, *cells, status])
-            write(rows)
+            results, error = [], None
+            try:
+                for result in measure_block(block):
+                    results.append(result)
+            except ProdgeomError as e:
+                error = e  # raised once the rows before it have had their fd_gap
+            checked = [i for i, (_, cells, _) in enumerate(results) if cells is not None]
+            if args.fd_check and checked:
+                jets = [results[i][0] for i in checked]
+                gaps = _fd_gaps(spec, np.array([block[i] for i in checked], dtype=float),
+                                np.array([jet.gradient for jet in jets]),
+                                np.array([jet.hessian for jet in jets]))
+                for i, gap in zip(checked, gaps.tolist()):
+                    results[i][1].append(gap)
+            if error is not None:
+                raise error
+            write([[*p, *(empty if cells is None else cells), status]
+                   for p, (_, cells, status) in zip(block, results)])
     out.write(text.getvalue())
     return 0
 

@@ -171,6 +171,8 @@ class ElasticityReport:
         return self.jet.value
 
 
+# numpy's overflow warnings are silenced: a non-finite result raises NumericalError
+@np.errstate(all="ignore")
 def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityReport:
     """Assemble the full Hicks/Allen report at a point.
 

@@ -21,17 +21,21 @@ Each component class defines its kind once: a guarded ``value(x)``, its
 derivatives ``derivs(x, value)``, and its wire-format ``TAG`` and ``WIRE``
 field names (in dataclass field order). Each outer map likewise has a guarded
 ``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``. ``evaluate`` and the jets
-share one value pass, so every domain guard runs before any derivative.
+share one value pass, so every domain guard runs before any derivative;
+``_value_columns`` runs that pass over many points at once, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
-from .errors import DomainError, NumericalError, ParseError, ValidationError
+import numpy as np
+
+from .errors import DomainError, NumericalError, ParseError, ProdgeomError, ValidationError
 
 
 def _is_nonneg_int(a: float) -> bool:
@@ -62,7 +66,7 @@ class PowFn:
     def value(self, x: float) -> float:
         b = x + self.beta
         # x + beta > 0 unless alpha is a non-negative integer.
-        if not _is_nonneg_int(self.alpha) and b <= 0.0:
+        if b <= 0.0 and not _is_nonneg_int(self.alpha):
             raise DomainError(
                 f"pow component needs x + beta > 0 (alpha={self.alpha!r} is not a "
                 f"non-negative integer); got x + beta = {b!r}")
@@ -126,7 +130,7 @@ class LogPowFn:
         if x <= 0.0:
             raise DomainError(f"logpow component needs x > 0; got x = {x!r}")
         u = self.a + self.b * math.log(x)
-        if not _is_nonneg_int(self.m) and u <= 0.0:
+        if u <= 0.0 and not _is_nonneg_int(self.m):
             raise DomainError(
                 f"logpow component needs a + b ln x > 0 (m={self.m!r} is not a "
                 f"non-negative integer); got {u!r}")
@@ -179,7 +183,7 @@ class Power:
             raise ValidationError("power outer: d must be nonzero")
 
     def value(self, u: float) -> float:
-        if not float(self.d).is_integer() and u <= 0.0:
+        if u <= 0.0 and not float(self.d).is_integer():
             raise DomainError(f"power outer needs u > 0 for non-integer d; got u = {u!r}")
         if self.d < 0.0 and u == 0.0:
             raise DomainError("power outer with negative d needs u != 0")
@@ -409,6 +413,85 @@ def evaluate(spec: FunctionSpec, point: Sequence[float]) -> float:
     """Function value at a point; raises DomainError outside the domain and
     NumericalError where the value overflows or is not finite."""
     return _values(spec, _point(spec, point))[2]
+
+
+def _map_rows(fn, *args, failed=math.nan) -> np.ndarray:
+    """``fn`` applied row by row to columns of Python floats (an array argument
+    gives one element per row, any other argument is passed to every row).
+
+    Rows where ``fn`` raises OverflowError, ZeroDivisionError or DomainError
+    get ``failed`` (nan, or a tuple of nans for a tuple-valued ``fn``), so
+    they fail the caller's finite check and go back through the scalar path,
+    which reports the error.
+    """
+    def columns():
+        return [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+
+    try:
+        out = list(map(fn, *columns()))
+    except (OverflowError, ZeroDivisionError, DomainError):
+        out = []
+        for row in zip(*columns()):
+            try:
+                out.append(fn(*row))
+            except (OverflowError, ZeroDivisionError, DomainError):
+                out.append(failed)
+    return np.array(out, dtype=float)
+
+
+def _column_pow(base: np.ndarray, e) -> np.ndarray:
+    # ``**`` on each row's Python float: numpy's power is not libm's pow bit for bit
+    return _map_rows(pow, base, e)
+
+
+def _term_column(spec: FunctionSpec, k: int, col: np.ndarray) -> np.ndarray:
+    """Axis k's term of the value pass at a column of x_k: component k's value
+    or the CES term (beta_k x_k)^rho, nan where a guard fails or a power overflows."""
+    if isinstance(spec, Acms):
+        return _column_pow(spec.betas[k] * np.where(col <= 0.0, math.nan, col), spec.rho)
+    return _map_rows(spec.components[k].value, col)
+
+
+def _value_columns(spec: FunctionSpec, points: np.ndarray, terms=None):
+    """``_values`` at every row of an (m, n) point array, as columns.
+
+    Returns ``(parts, u, value, failed)``: ``parts`` is (m, n) for a product
+    kind and the (m,) CES sum otherwise, u and value are (m,), and ``failed``
+    (m,) marks the rows where ``_values`` raises. Every other row has the
+    bits of ``_values`` at its point. ``terms`` may pass in each axis's
+    ``_term_column`` at ``points``, for axes a caller has already evaluated.
+
+    Each component's and outer map's own ``value`` runs row by row on Python
+    floats; the product and the CES sum run on whole columns, with the
+    operations of ``_values`` in its order. A guard that fails or a ``value``
+    that raises leaves nan, which every later step keeps, so a row where one
+    did or whose value is not finite goes back through ``_values`` itself:
+    the error class, message and guard order stay exact.
+    """
+    if not isinstance(spec, (Homothetical, Composite, Acms)):
+        raise ValidationError(f"unknown spec kind {spec!r}")
+    with np.errstate(all="ignore"):
+        if terms is None:
+            terms = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
+        if isinstance(spec, Acms):
+            parts = 0.0
+            for t in terms:
+                parts = parts + t
+            u = spec.gamma * _column_pow(parts, spec.d / spec.rho)
+        else:
+            u = 1.0
+            for v in terms:
+                u = u * v
+            parts = np.stack(terms, axis=1)
+        value = u if isinstance(spec, Homothetical) else _map_rows(spec.outer.value, u)
+    failed = ~np.isfinite(value)
+    for i in np.flatnonzero(failed).tolist():
+        try:
+            parts[i], u[i], value[i] = _values(spec, points[i].tolist())
+        except ProdgeomError:
+            continue
+        failed[i] = False
+    return parts, u, value, failed
 
 
 # ---------------------------------------------------------------------------

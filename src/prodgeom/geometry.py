@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
-from .funcspec import FunctionSpec, Homothetical, _point
-from .jets import Jet2N, _column_pow, _jet_columns, jet1d, jet_multivariate
+from .funcspec import FunctionSpec, Homothetical, _column_pow, _point
+from .jets import Jet2N, _jet_columns, jet1d, jet_multivariate
 from .sampling import points_loguniform
 
 
@@ -188,24 +188,28 @@ class CurvatureRecord:
         return self.jet.value
 
 
+# numpy's overflow warnings are silenced: a non-finite result raises NumericalError
+@np.errstate(all="ignore")
 def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureRecord:
     """Gauss-Kronecker curvature of the graph of the spec at the point.
 
     For homothetical specs the determinant uses the closed form on the jet's
-    own factor jets, falling back to the LU route at points where a factor
-    value is exactly zero (the closed form divides by factor values); other
-    kinds use the LU route. Raises NumericalError where omega, the
-    determinant or the curvature overflows or is not finite.
+    own factor jets, falling back to the LU route at points where the closed
+    form fails: a factor value is exactly zero (the closed form divides by
+    factor values), or the closed form overflows, underflows or is not
+    finite; other kinds use the LU route. Raises NumericalError where omega,
+    the determinant or the curvature overflows or is not finite.
     """
     jet = jet_multivariate(spec, point)
     n = jet.n
     omega = math.sqrt(1.0 + float(np.dot(jet.gradient, jet.gradient)))
+    det = math.nan
     if jet.factors is not None:
         try:
             det = _closed_det(jet.factors, point)
-        except DomainError:
-            det = plu_det(jet.hessian)
-    else:
+        except (DomainError, NumericalError):
+            pass
+    if not math.isfinite(det):
         det = plu_det(jet.hessian)
     try:
         gk = det / omega ** (n + 2)
@@ -241,11 +245,12 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
 
     The jets are formed column by column (``jets._jet_columns``); omega, the
     closed-form determinant and the curvature follow on whole columns, and
-    the LU route (other kinds, zero factors) runs once on the stacked
-    Hessians (``plu_dets``). Transcendentals stay on Python floats, row by
-    row. A row the columns cannot reproduce exactly (a guard fails, a power
-    overflows, a result is not finite) goes back through ``gauss_kronecker``
-    itself, in input order, which gives its result or its error.
+    the LU route (other kinds, rows where the closed form fails) runs once
+    on the stacked Hessians (``plu_dets``). Transcendentals stay on Python
+    floats, row by row. A row the columns cannot reproduce exactly (a guard
+    fails, a power overflows, a result is not finite) goes back through
+    ``gauss_kronecker`` itself, in input order, which gives its result or
+    its error.
     """
     x = np.array(points, dtype=float)
     n = spec.n
@@ -266,10 +271,11 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
                 d = plu_dets(h)
             else:
                 d = _closed_form(factors, _column_pow)
+                lu = ~np.isfinite(d)
                 if n > 1:
-                    lu = np.logical_or.reduce([j.value == 0.0 for j in factors])
-                    if lu.any():
-                        d[lu] = plu_dets(h[lu])
+                    lu |= np.logical_or.reduce([j.value == 0.0 for j in factors])
+                if lu.any():
+                    d[lu] = plu_dets(h[lu])
             curv = d / _column_pow(om, n + 2)
             ok &= np.isfinite(om) & np.isfinite(d) & np.isfinite(curv)
             done = rows[ok]

@@ -6,20 +6,23 @@ through the product and chain rules, never from finite differences;
 ``fd_jet`` is the independent central-difference route used to cross-check
 that assembly. All arithmetic is 64-bit floating point. The assembly takes
 floats for one point or, in ``_jet_columns``, numpy columns with one entry
-per point, and performs the same operations in the same order on both.
+per point, and performs the same operations in the same order on both. The
+finite-difference stencil is written once the same way: ``fd_jet`` calls a
+black-box evaluator per stencil point, and ``_fd_columns`` evaluates a spec
+at one stencil point of every row at once (``funcspec._value_columns``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ProdgeomError
-from .funcspec import Acms, ComponentFn, FunctionSpec, Homothetical, _point, _values
+from .errors import DomainError, NumericalError
+from .funcspec import (Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow, _map_rows,
+                       _point, _term_column, _value_columns, _values, evaluate)
 
 
 @dataclass(frozen=True)
@@ -159,35 +162,6 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
     return Jet2N(value, gradient, hess, factors)
 
 
-def _map_rows(fn, *args, failed=math.nan) -> np.ndarray:
-    """``fn`` applied row by row to columns of Python floats (an array argument
-    gives one element per row, any other argument is passed to every row).
-
-    Rows where ``fn`` raises OverflowError or ZeroDivisionError get
-    ``failed`` (nan, or a tuple of nans for a tuple-valued ``fn``), so they
-    fail the caller's finite check and go back through the scalar path, which
-    reports the error.
-    """
-    def columns():
-        return [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-
-    try:
-        out = list(map(fn, *columns()))
-    except (OverflowError, ZeroDivisionError):
-        out = []
-        for row in zip(*columns()):
-            try:
-                out.append(fn(*row))
-            except (OverflowError, ZeroDivisionError):
-                out.append(failed)
-    return np.array(out, dtype=float)
-
-
-def _column_pow(base: np.ndarray, e) -> np.ndarray:
-    # ``**`` on each row's Python float: numpy's power is not libm's pow bit for bit
-    return _map_rows(pow, base, e)
-
-
 def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     """The jets of a spec at the rows of an (m, n) point array, as columns.
 
@@ -198,36 +172,27 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     (None otherwise), and ``ok`` (k,). Where ``ok`` holds, a row has the bits
     of ``jet_multivariate`` at its point; elsewhere that call raises.
 
-    The value pass is ``funcspec._values`` row by row, so every guard runs
+    The value pass is ``funcspec._value_columns``, so every guard runs
     first, and derivatives run only on the rows it accepted, through each
     component's and outer map's own scalar ``derivs``. Only + - * / run on
     whole columns, in the order of the scalar assembly, which is shared.
     """
-    rows, parts, us, values = [], [], [], []
-    for i, pt in enumerate(points.tolist()):
-        try:
-            part, u, value = _values(spec, pt)
-        except ProdgeomError:
-            continue
-        rows.append(i)
-        parts.append(part)
-        us.append(u)
-        values.append(value)
-    rows = np.array(rows, dtype=np.intp)
+    parts, u, value, failed = _value_columns(spec, points)
+    rows = np.flatnonzero(~failed)
     k = len(rows)
     if k == 0:
         return rows, None, None, None, None, np.zeros(0, dtype=bool)
     pt = list(points[rows].T)
-    u = np.array(us)
+    parts, u = parts[rows], u[rows]
     nan2 = (math.nan, math.nan)
     shape = (k,)
     factors = None
     ok = np.ones(k, dtype=bool)
     if isinstance(spec, Acms):
-        dg, d2g = _acms_parts(spec, pt, np.array(parts), _column_pow, shape)
+        dg, d2g = _acms_parts(spec, pt, parts, _column_pow, shape)
         grad, hess = _chain(*_map_rows(spec.outer.derivs, u, failed=nan2).T, dg, d2g, shape)
     else:
-        vals = list(np.array(parts).T)
+        vals = list(parts.T)
         factors = []
         for c, x, v in zip(spec.components, pt, vals):
             d1, d2 = _map_rows(c.derivs, x, v, failed=nan2).T
@@ -241,7 +206,7 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     gradient = np.stack(grad, axis=1)
     hessian = hess.transpose(2, 0, 1)
     ok &= np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))
-    return rows, np.array(values), gradient, hessian, factors, ok
+    return rows, value[rows], gradient, hessian, factors, ok
 
 
 #: Relative central-difference steps: h = FD_REL_FIRST * max(1, |x_i|) for
@@ -251,19 +216,50 @@ FD_REL_FIRST = 6e-6
 FD_REL_SECOND = 2e-4
 
 
+def _fd_parts(f, pt, mx=max, shape=()):
+    """Value, gradient (a list) and Hessian of ``fd_jet`` from stencil values.
+
+    ``f(deltas)`` is the function at ``pt`` moved by ``(axis, step)`` pairs
+    (``()`` for ``pt`` itself); it is called in a fixed order: f0, the
+    +-h pair of each axis, then for each axis i its +-h pair and the four
+    corners with each later axis j. ``pt`` holds floats, or (k,) columns
+    with ``mx`` taking the elementwise maximum; ``shape`` is as in
+    ``_product_parts``.
+    """
+    n = len(pt)
+    f0 = f(())
+    grad = []
+    for i in range(n):
+        h = FD_REL_FIRST * mx(1.0, abs(pt[i]))
+        grad.append((f(((i, h),)) - f(((i, -h),))) / (2.0 * h))
+    hess = np.zeros((n, n) + shape)
+    for i in range(n):
+        h = FD_REL_SECOND * mx(1.0, abs(pt[i]))
+        hess[i, i] = (f(((i, h),)) - 2.0 * f0 + f(((i, -h),))) / (h * h)
+        for j in range(i + 1, n):
+            hj = FD_REL_SECOND * mx(1.0, abs(pt[j]))
+            hess[i, j] = hess[j, i] = (f(((i, h), (j, hj))) - f(((i, h), (j, -hj)))
+                                       - f(((i, -h), (j, hj)))
+                                       + f(((i, -h), (j, -hj)))) / (4.0 * h * hj)
+    return f0, grad, hess
+
+
 def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]) -> Jet2N:
     """Finite-difference jet of a black-box evaluator (truncation order 2).
 
     Gradient entries come from the two-point central difference, diagonal
     Hessian entries from the 3-point stencil and mixed entries from the
     4-point cross stencil, with the fixed steps ``FD_REL_FIRST`` and
-    ``FD_REL_SECOND``. Raises NumericalError when a stencil point leaves
-    the evaluator's domain or the evaluator returns a non-finite value.
+    ``FD_REL_SECOND``. The evaluator is called one stencil point at a time.
+    Raises NumericalError when a stencil point leaves the evaluator's
+    domain or the evaluator returns a non-finite value.
     """
     pt = [float(x) for x in point]
-    n = len(pt)
 
-    def ev(q):
+    def ev(deltas):
+        q = list(pt)
+        for idx, dh in deltas:
+            q[idx] += dh
         try:
             v = float(evaluator(q))
         except DomainError as e:
@@ -274,30 +270,45 @@ def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]
             raise NumericalError(f"evaluator returned non-finite value at {tuple(q)!r}")
         return v
 
-    def shifted(deltas):
-        q = list(pt)
-        for idx, dh in deltas:
-            q[idx] += dh
-        return ev(q)
+    f0, grad, hess = _fd_parts(ev, pt)
+    return Jet2N(f0, np.array(grad, dtype=float), hess)
 
-    f0 = ev(pt)
-    grad = np.zeros(n)
-    for i in range(n):
-        h = FD_REL_FIRST * max(1.0, abs(pt[i]))
-        grad[i] = (shifted([(i, h)]) - shifted([(i, -h)])) / (2.0 * h)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        h = FD_REL_SECOND * max(1.0, abs(pt[i]))
-        hess[i, i] = (shifted([(i, h)]) - 2.0 * f0 + shifted([(i, -h)])) / (h * h)
-        for j in range(i + 1, n):
-            hj = FD_REL_SECOND * max(1.0, abs(pt[j]))
-            mixed = (shifted([(i, h), (j, hj)])
-                     - shifted([(i, h), (j, -hj)])
-                     - shifted([(i, -h), (j, hj)])
-                     + shifted([(i, -h), (j, -hj)])) / (4.0 * h * hj)
-            hess[i, j] = mixed
-            hess[j, i] = mixed
-    return Jet2N(f0, grad, hess)
+
+def _fd_columns(spec: FunctionSpec, points: np.ndarray):
+    """``fd_jet(lambda q: evaluate(spec, q), p)`` at every row p of a (k, n)
+    point array, as columns: (value (k,), gradient (k, n), Hessian (k, n, n),
+    failed (k,)).
+
+    Each stencil point is one value pass over all rows
+    (``funcspec._value_columns``) that re-evaluates only the terms of the
+    one or two axes it moves, so memory stays O(k n) apart from the
+    Hessian. ``failed`` marks the rows where some stencil point fails the
+    value pass, which is where that ``fd_jet`` call raises; every other row
+    has its bits.
+    """
+    failed = np.zeros(len(points), dtype=bool)
+
+    def ev(deltas):
+        q = points.copy()
+        terms = list(base)
+        for idx, dh in deltas:
+            q[:, idx] += dh
+            terms[idx] = _term_column(spec, idx, q[:, idx])
+        _, _, value, bad = _value_columns(spec, q, terms)
+        np.logical_or(failed, bad, out=failed)
+        return value
+
+    with np.errstate(all="ignore"):  # a failed row's numbers are discarded
+        base = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
+        value, grad, hess = _fd_parts(ev, list(points.T), np.maximum, (len(points),))
+    return value, np.stack(grad, axis=1), hess.transpose(2, 0, 1), failed
+
+
+def _rel_gap(approx, exact, axis=None):
+    # max and fmax are exact, so a reduction over one row or over whole
+    # columns gives the same bits; fmax(1, nan) is 1, as max(1.0, nan) is
+    return (np.max(np.abs(approx - exact), axis=axis)
+            / np.fmax(1.0, np.max(np.abs(exact), axis=axis)))
 
 
 def norm_rel_gaps(approx: Jet2N, exact: Jet2N) -> tuple:
@@ -306,7 +317,26 @@ def norm_rel_gaps(approx: Jet2N, exact: Jet2N) -> tuple:
     Each gap is the largest entrywise |approx - exact|, divided by
     max(1, largest |exact| entry) of the same block.
     """
-    def gap(a, e):
-        return float(np.max(np.abs(a - e))) / max(1.0, float(np.max(np.abs(e))))
+    return (float(_rel_gap(approx.gradient, exact.gradient)),
+            float(_rel_gap(approx.hessian, exact.hessian)))
 
-    return gap(approx.gradient, exact.gradient), gap(approx.hessian, exact.hessian)
+
+def _fd_gaps(spec: FunctionSpec, points: np.ndarray, gradient: np.ndarray,
+             hessian: np.ndarray) -> np.ndarray:
+    """``max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), exact))``
+    at every row p of a (k, n) point array, whose exact jets have the
+    gradients (k, n) and Hessians (k, n, n) given, bit for bit.
+
+    The FD jets are formed in columns (``_fd_columns``). A row whose stencil
+    failed goes through ``fd_jet`` itself, in row order, which raises that
+    row's NumericalError; so the first such row decides the error.
+    """
+    _, fd_gradient, fd_hessian, failed = _fd_columns(spec, points)
+    with np.errstate(all="ignore"):
+        g = _rel_gap(fd_gradient, gradient, axis=1)
+        h = _rel_gap(fd_hessian, hessian, axis=(1, 2))
+    gaps = np.where(h > g, h, g)  # max(g, h), which keeps g when either is nan
+    for i in np.flatnonzero(failed).tolist():
+        approx = fd_jet(lambda q: evaluate(spec, q), points[i])
+        gaps[i] = max(norm_rel_gaps(approx, Jet2N(approx.value, gradient[i], hessian[i])))
+    return gaps

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import prodgeom
-from prodgeom import fd_jet, gauss_kronecker
+from prodgeom import cli, fd_jet, gauss_kronecker
 from prodgeom.cli import BLOCK_ROWS, _parse_grid, run
 from prodgeom.jets import norm_rel_gaps
 from prodgeom.verify import run_checks
@@ -130,8 +130,9 @@ def test_singular_rows_do_not_fail_run(capsys):
 
 
 def test_curvature_overflow_exits_3(capsys, tmp_path):
-    points = tmp_path / "huge.csv"
-    points.write_text("1e200,1e200\n")
+    # x1^0.3 x2^0.7: f'' of the first factor, 1e-300^-1.7, overflows
+    points = tmp_path / "tiny.csv"
+    points.write_text("1e-300,1.0\n")
     code, out, err = _run(capsys, "curvature", "--spec", DATA / "cobb_douglas_crs.json",
                           "--points", points)
     assert code == 3
@@ -409,12 +410,12 @@ _BLOCK_SPECS = {
 }
 
 
-def _block_points():
+def _block_points(block_rows=BLOCK_ROWS):
     # two full blocks and a short third one; around each block boundary sit
     # an out-of-domain row, a vanishing factor (x1 = 1) and a regular row
     rng = random.Random(5)
-    points = [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(2 * BLOCK_ROWS + 50)]
-    for edge in (BLOCK_ROWS, 2 * BLOCK_ROWS):
+    points = [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(2 * block_rows + 50)]
+    for edge in (block_rows, 2 * block_rows):
         points[edge - 2] = (1.0, 1.5)
         points[edge - 1] = (1.25, -1.0)
         points[edge] = (1.0, 0.75)
@@ -479,5 +480,83 @@ def test_curvature_error_past_first_block_exits_3(capsys, tmp_path):
     for extra in ([], ["--fd-check"], ["--format", "jsonl"]):
         code, out, err = _run(capsys, "curvature", "--spec", spec_path, "--points", points_path,
                               *extra)
+        assert (code, out) == (3, "")
+        assert err == f"error: {first.value}\n"
+
+
+def _fd_gap_reference(spec, points, out: str, fmt: str) -> str:
+    """``out``, a run without --fd-check, with the fd_gap column a per-row
+    fd_jet reference gives, before the status column."""
+    def gap(p):
+        return max(norm_rel_gaps(fd_jet(lambda q: prodgeom.evaluate(spec, q), p),
+                                 prodgeom.jet_multivariate(spec, p)))
+
+    text = io.StringIO()
+    if fmt == "jsonl":
+        for p, line in zip(points, out.splitlines()):
+            row = json.loads(line)
+            status = row.pop("status")
+            row["fd_gap"] = None if status == "domain_error" else gap(p)
+            row["status"] = status
+            text.write(json.dumps(row, separators=(",", ":")) + "\n")
+        return text.getvalue()
+    lines = list(csv.reader(io.StringIO(out)))
+    rows = [lines[0][:-1] + ["fd_gap", "status"]]
+    for p, cells in zip(points, lines[1:]):
+        rows.append(cells[:-1] + ["" if cells[-1] == "domain_error" else gap(p), cells[-1]])
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+#: Rows per block in the --fd-check block tests: small blocks keep the
+#: per-row references cheap and still put rows on each side of a boundary.
+_SMALL_BLOCK = 64
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCK_SPECS))
+@pytest.mark.parametrize("command", ["eval", "elasticity"])
+def test_fd_check_blocks_match_per_row_reference(capsys, monkeypatch, tmp_path, command, kind):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", _SMALL_BLOCK)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_BLOCK_SPECS[kind])
+    spec = prodgeom.parse_spec(_BLOCK_SPECS[kind])
+    points = _block_points(_SMALL_BLOCK)
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
+    for fmt in ("csv", "jsonl"):
+        args = (command, "--spec", spec_path, "--points", points_path, "--format", fmt)
+        code, plain, _ = _run(capsys, *args)
+        assert code == 0
+        code, out, err = _run(capsys, *args, "--fd-check")
+        assert (code, err) == (0, "")
+        assert out == _fd_gap_reference(spec, points, plain, fmt)
+
+
+@pytest.mark.parametrize("command", ["eval", "curvature", "elasticity"])
+@pytest.mark.parametrize("fd_first", [True, False])
+def test_fd_check_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, command,
+                                                 fd_first):
+    # the first failing row decides the error, whether its oracle or its
+    # own measure fails
+    monkeypatch.setattr(cli, "BLOCK_ROWS", _SMALL_BLOCK)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_BLOCK_SPECS["homothetical"])
+    spec = prodgeom.parse_spec(_BLOCK_SPECS["homothetical"])
+    # at x2 = 1e-5 the row is inside the domain, but its stencil's
+    # x2 - 2e-4 is not; (1e200 - 1)^2 overflows in the value
+    near_edge, overflow = (1.5, 1e-5), (1e200, 1.0)
+    points = _block_points(_SMALL_BLOCK)
+    points[_SMALL_BLOCK + 10], points[_SMALL_BLOCK + 20] = ((near_edge, overflow) if fd_first
+                                                            else (overflow, near_edge))
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
+    with pytest.raises(prodgeom.NumericalError) as first:
+        if fd_first:
+            fd_jet(lambda q: prodgeom.evaluate(spec, q), near_edge)
+        else:
+            prodgeom.evaluate(spec, overflow)
+    for fmt in ("csv", "jsonl"):
+        code, out, err = _run(capsys, command, "--spec", spec_path, "--points", points_path,
+                              "--format", fmt, "--fd-check")
         assert (code, out) == (3, "")
         assert err == f"error: {first.value}\n"

@@ -254,7 +254,6 @@ def test_elasticity_report_singular_bordered():
 
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("spec, point, message", [
     # e^x1 * x2: the bordered determinant overflows to inf
     (Composite(Identity(), (ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))), (360.0, 1e-5),

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from prodgeom import (
     ParseError,
     PowFn,
     Power,
+    ProdgeomError,
     Scale,
     ValidationError,
     evaluate,
@@ -29,6 +31,7 @@ from prodgeom import (
     parse_spec,
     serialize_spec,
 )
+from prodgeom.funcspec import _value_columns, _values
 from prodgeom.sampling import points_loguniform, random_homothetical
 
 
@@ -261,3 +264,66 @@ def test_spec_equality_is_structural():
     c = make_cobb_douglas(2.0, (0.5, 0.5))
     assert a == b
     assert a != c
+
+
+def _edge_component(rng):
+    # integer, negative and fractional exponents, and rates that overflow
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PowFn(rng.choice([1.0, -1.0, rng.uniform(0.1, 3.0)]),
+                     rng.choice([0.0, -1.0, 1.0, rng.uniform(0.0, 1.0)]),
+                     rng.choice([1.0, 2.0, 3.0, -1.0, 0.5, rng.uniform(-3.0, 3.0) or 1.0]))
+    if kind == 1:
+        return ExpFn(rng.choice([1.0, -2.0, rng.uniform(0.1, 3.0)]),
+                     rng.choice([1.0, -1.0, 400.0, rng.uniform(-3.0, 3.0) or 1.0]))
+    return LogPowFn(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]),
+                    rng.choice([1.0, -1.0, rng.uniform(0.2, 2.0)]),
+                    rng.choice([1.0, 2.0, 0.5, -1.0, rng.uniform(-2.0, 2.0) or 1.0]))
+
+
+_EDGE_OUTERS = {
+    "identity": lambda rng: Identity(),
+    "power": lambda rng: Power(rng.choice([2.0, -1.0, 0.5, rng.uniform(-2.0, 3.0) or 1.0])),
+    "scale": lambda rng: Scale(rng.uniform(0.5, 2.0)),
+    "log": lambda rng: Log(),
+}
+
+# the domain edge, signed zero, negatives, subnormal and tiny values whose
+# powers underflow, and huge ones whose powers overflow
+_EDGE_COORDS = (0.0, -0.0, -0.5, -2.0, 5e-324, 1e-300, 1e200)
+
+
+def _bits(floats) -> list:
+    return [float(v).hex() for v in floats]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)),
+       n=st.integers(1, 6), m=st.integers(1, 20))
+def test_value_columns_bitwise_equal_values(seed, kind, outer, n, m):
+    # every row has the bits of the scalar value pass (sign of zero
+    # included), and a row is flagged exactly where that pass raises
+    rng = random.Random(seed)
+    if kind == "homothetical":
+        spec = Homothetical([_edge_component(rng) for _ in range(n)])
+    elif kind == "composite":
+        spec = Composite(_EDGE_OUTERS[outer](rng), [_edge_component(rng) for _ in range(n)])
+    else:
+        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
+                         rng.uniform(0.5, 2.0), _EDGE_OUTERS[outer](rng), relax_rho=True)
+    points = np.array([[rng.choice(_EDGE_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
+                        for _ in range(n)] for _ in range(m)])
+    parts, u, value, failed = _value_columns(spec, points)
+    assert parts.shape == ((m,) if kind == "acms" else (m, n))
+    for i, row in enumerate(points.tolist()):
+        try:
+            expected = _values(spec, row)
+        except ProdgeomError as e:
+            assert failed[i], f"row {i}: _values raises {e!r}"
+            continue
+        assert not failed[i]
+        assert _bits([*np.ravel(parts[i]), u[i], value[i]]) == \
+            _bits([*np.ravel(expected[0]), *expected[1:]])

@@ -31,8 +31,10 @@ from prodgeom import (
     is_developable,
     make_acms,
     make_cobb_douglas,
+    serialize_spec,
 )
 from prodgeom import geometry
+from prodgeom.cli import run
 from prodgeom.geometry import det_scale, plu_det, plu_dets
 from prodgeom.sampling import points_loguniform, random_homothetical
 
@@ -316,8 +318,6 @@ def _assert_batch_matches_scalar(spec, points):
                          rec.hessian_det, rec.gk_curvature)
 
 
-# the scalar route warns on overflow before it raises NumericalError
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
@@ -337,12 +337,12 @@ def test_batch_bitwise_equals_gauss_kronecker(seed, kind, n, m):
     _assert_batch_matches_scalar(spec, points)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("spec, points", [
     # 1e300 * x overflows to inf at x = 1e10, but 1 / inf is a finite value:
     # the 1-D jet is not finite, though the assembled row would be
     (Composite(Power(-1.0), (PowFn(1e300, 0.0, 1.0),)), [(1e10,), (2.0,)]),
-    # x1 * x2: a square underflows to 0, or r_1 overflows, in the closed form
+    # x1 * x2: a square underflows to 0, or r_1 overflows, in the closed form,
+    # so those rows take the LU route
     (make_cobb_douglas(1.0, (1.0, 1.0)), [(1e-200, 1.0), (1e-160, 1.0), (1.0, 2.0)]),
     # 0.4 * 5e-324 underflows to 0 in a CES base with rho = -1
     (make_acms(1.0, (0.4, 1.0), -1.0, 1.0), [(5e-324, 1.0), (1.0, 1.0)]),
@@ -367,7 +367,8 @@ def test_batch_zero_factor_rows_take_lu(monkeypatch):
 
 def test_batch_errors_per_row_and_shape_check():
     spec = make_cobb_douglas(1.0, (0.3, 0.7))
-    block = gauss_kronecker_batch(spec, [(1.0, 1.0), (-1.0, 1.0), (1e200, 1e200)])
+    # f'' of the first factor, 1e-300^-1.7, overflows
+    block = gauss_kronecker_batch(spec, [(1.0, 1.0), (-1.0, 1.0), (1e-300, 1.0)])
     assert block.errors[0] is None
     assert isinstance(block.errors[1], DomainError)
     assert isinstance(block.errors[2], NumericalError)
@@ -378,18 +379,40 @@ def test_batch_errors_per_row_and_shape_check():
         gauss_kronecker_batch(spec, [1.0, 1.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("spec, point, message", [
     # omega overflows: f' = e^360 squares past the float range
     (Homothetical((ExpFn(1.0, 1.0),)), (360.0,), "non-finite"),
     # ... and the LU determinant overflows to -inf
     (Composite(Identity(), (ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))), (360.0, 1e-5),
      "non-finite"),
-    # x1 * x2: r_1 = -1 / x1^2 divides by a square that underflows to 0
-    (make_cobb_douglas(1.0, (1.0, 1.0)), (1e-200, 1.0), "underflowed"),
-    # ... or overflows to -inf, which the closed form carries into det
-    (make_cobb_douglas(1.0, (1.0, 1.0)), (1e-160, 1.0), "non-finite"),
 ])
 def test_gauss_kronecker_non_finite_is_numerical_error(spec, point, message):
     with pytest.raises(NumericalError, match=message):
         gauss_kronecker(spec, point)
+
+
+@pytest.mark.parametrize("alphas, point, det", [
+    # x1 * x2: r_1 = -1 / x1^2 divides by a square that underflows to 0
+    ((1.0, 1.0), (1e-200, 1.0), -1.0),
+    # ... or overflows to -inf
+    ((1.0, 1.0), (1e-160, 1.0), -1.0),
+    # x1^0.3 x2^0.7 (det H = 0 exactly): f^2 overflows in the closed form
+    ((0.3, 0.7), (1e200, 1e200), 0.0),
+])
+def test_closed_form_failure_takes_lu_route(capsys, tmp_path, alphas, point, det):
+    spec = make_cobb_douglas(1.0, alphas)
+    try:
+        closed = hessian_det_closed(spec, point)
+    except NumericalError:
+        closed = math.nan
+    assert not math.isfinite(closed)
+    assert gauss_kronecker(spec, point).hessian_det == hessian_det_direct(spec, point) == det
+    block = gauss_kronecker_batch(spec, [point])
+    assert block.errors == (None,) and block.hessian_det.tolist() == [det]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(serialize_spec(spec))
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text(f"{point[0]!r},{point[1]!r}\n")
+    assert run(["curvature", "--spec", str(spec_path), "--points", str(points_path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[4]) == det and row[-1] == "ok"

@@ -27,6 +27,7 @@ from prodgeom import (
     make_acms,
     make_cobb_douglas,
 )
+from prodgeom.jets import _fd_columns
 from prodgeom.sampling import (
     points_loguniform,
     random_composite,
@@ -268,3 +269,38 @@ def test_fd_agreement_property():
         h_scale = max(1.0, float(np.max(np.abs(exact.hessian))))
         assert np.max(np.abs(approx.gradient - exact.gradient)) <= 1e-6 * g_scale
         assert np.max(np.abs(approx.hessian - exact.hessian)) <= 1e-4 * h_scale
+
+
+# near the domain edge (1e-5) the point is inside but part of its stencil
+# is not
+_FD_COORDS = _EXTREME_COORDS + (-0.0, 1e-5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       n=st.integers(1, 6), m=st.integers(1, 8))
+def test_fd_columns_bitwise_equal_fd_jet(seed, kind, n, m):
+    # every row has the bits of fd_jet on evaluate at its point (value,
+    # gradient and Hessian), and is flagged exactly where that call raises
+    rng = random.Random(seed)
+    if kind == "homothetical":
+        spec = random_homothetical(rng, n=n)
+    elif kind == "composite":
+        spec = random_composite(rng, n=n)
+    else:
+        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
+                         rng.uniform(0.5, 2.0), random_outer(rng), relax_rho=True)
+    points = [[rng.choice(_FD_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
+               for _ in range(n)] for _ in range(m)]
+    value, gradient, hessian, failed = _fd_columns(spec, np.array(points))
+    for i, p in enumerate(points):
+        try:
+            jet = fd_jet(lambda q: evaluate(spec, q), p)
+        except NumericalError as e:
+            assert failed[i], f"row {i}: fd_jet raises {e!r}"
+            continue
+        assert not failed[i]
+        assert [float(v).hex() for v in (value[i], *gradient[i], *np.ravel(hessian[i]))] == \
+            [float(v).hex() for v in (jet.value, *jet.gradient, *np.ravel(jet.hessian))]
