@@ -30,7 +30,7 @@ from .elasticity import elasticity_report
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
 from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
 from .geometry import gauss_kronecker_batch
-from .jets import Jet2N, _fd_gaps, jet_multivariate
+from .jets import _fd_gaps, jet_multivariate
 from .verify import run_checks
 
 
@@ -141,55 +141,41 @@ def _writer(header: list, fmt: str, out):
 BLOCK_ROWS = 2048
 
 
-def _per_row(measure):
-    """Block measure from a one-point ``measure(p)`` (see ``_run_points``)."""
-    def measure_block(block):
-        for p in block:
-            try:
-                yield measure(p)
-            except DomainError:
-                yield None, None, "domain_error"
-
-    return measure_block
-
-
 def _run_points(args, spec: FunctionSpec, points, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
-    Points go in blocks of ``BLOCK_ROWS`` to the subcommand's
-    ``measure_block(block)``, which yields per point the row's exact jet
-    (None where the row needs none), its cells from ``value`` on and its
-    status; a DomainError row has no cells and status ``domain_error``, and
-    any other error ends the run. ``curvature`` computes a block at once
-    with ``gauss_kronecker_batch``; ``eval`` and ``elasticity`` go point by
-    point. The fd_gap column compares the finite-difference oracle with the
-    row's jet, for a whole block at once (``jets._fd_gaps``); the first row,
-    in input order, whose measure or oracle fails decides the error. Stdout
-    is written once, after the last block.
+    Points go in blocks of ``BLOCK_ROWS`` to ``measure(block)``. It returns
+    the rows as (cells from ``value`` on, status) up to the first error
+    other than DomainError (no cells, status ``domain_error``), that error
+    or None, and the block's exact gradient and Hessian columns:
+    ``curvature`` takes them from ``gauss_kronecker_batch``; ``eval`` and
+    ``elasticity`` go point by point and fill them from each row's jet under
+    ``--fd-check``. The fd_gap column compares the finite-difference oracle
+    with those columns at the rows with cells (``jets._fd_gaps``); the first
+    row, in input order, whose measure or oracle fails decides the error.
+    Stdout is written once, after the last block.
     """
     columns = []
-    if args.command == "eval":
-        def measure(p):
-            jet = jet_multivariate(spec, p) if args.fd_check else None
-            return jet, [evaluate(spec, p) if jet is None else jet.value], "ok"
-
-        measure_block = _per_row(measure)
-    elif args.command == "curvature":
+    if args.command == "curvature":
         columns = ["omega", "det_hessian", "gk"]
 
-        def measure_block(block):
+        def measure(block):
             blk = gauss_kronecker_batch(spec, block)
             cells = np.stack([blk.value, blk.omega, blk.hessian_det, blk.gk_curvature],
                              axis=1).tolist()
-            for i, error in enumerate(blk.errors):
+            rows = []
+            for error, row in zip(blk.errors, cells):
                 if isinstance(error, DomainError):
-                    yield None, None, "domain_error"
+                    rows.append((None, "domain_error"))
                 elif error is not None:
-                    raise error
+                    return rows, error, blk.gradient, blk.hessian
                 else:
-                    jet = (Jet2N(cells[i][0], blk.gradient[i], blk.hessian[i])
-                           if args.fd_check else None)
-                    yield jet, cells[i], "ok"
+                    rows.append((row, "ok"))
+            return rows, None, blk.gradient, blk.hessian
+    elif args.command == "eval":
+        def measure_point(p):
+            jet = jet_multivariate(spec, p) if args.fd_check else None
+            return jet, [evaluate(spec, p) if jet is None else jet.value], "ok"
     else:
         pairs = _parse_pairs(args.pairs, spec.n) if args.pairs else None
         if spec.n < 2:
@@ -199,7 +185,7 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
         columns = ([f"hicks_{i}_{j}" for i, j in pairs] + [f"allen_{i}_{j}" for i, j in pairs]
                    + ["bordered_det"])
 
-        def measure(p):
+        def measure_point(p):
             report = elasticity_report(spec, p)
             hicks = [float(report.hicks[i - 1, j - 1]) for i, j in pairs]
             # nan marks an undefined pair
@@ -209,8 +195,23 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
                      else [float(report.allen[i - 1, j - 1]) for i, j in pairs])
             return report.jet, [report.value, *(None if h != h else h for h in hicks),
                                 *allen, report.bordered_det], status
-
-        measure_block = _per_row(measure)
+    if args.command != "curvature":  # eval and elasticity go point by point
+        def measure(block):
+            rows = []
+            gradient = np.full((len(block), spec.n), math.nan)
+            hessian = np.full((len(block), spec.n, spec.n), math.nan)
+            for i, p in enumerate(block):
+                try:
+                    jet, cells, status = measure_point(p)
+                except DomainError:
+                    rows.append((None, "domain_error"))
+                    continue
+                except ProdgeomError as e:
+                    return rows, e, gradient, hessian
+                if args.fd_check:
+                    gradient[i], hessian[i] = jet.gradient, jet.hessian
+                rows.append((cells, status))
+            return rows, None, gradient, hessian
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")
@@ -221,24 +222,17 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start:start + BLOCK_ROWS]
-            results, error = [], None
-            try:
-                for result in measure_block(block):
-                    results.append(result)
-            except ProdgeomError as e:
-                error = e  # raised once the rows before it have had their fd_gap
-            checked = [i for i, (_, cells, _) in enumerate(results) if cells is not None]
+            rows, error, gradient, hessian = measure(block)
+            checked = [i for i, (cells, _) in enumerate(rows) if cells is not None]
             if args.fd_check and checked:
-                jets = [results[i][0] for i in checked]
-                gaps = _fd_gaps(spec, np.array([block[i] for i in checked], dtype=float),
-                                np.array([jet.gradient for jet in jets]),
-                                np.array([jet.hessian for jet in jets]))
+                gaps = _fd_gaps(spec, np.array(block, dtype=float)[checked],
+                                gradient[checked], hessian[checked])
                 for i, gap in zip(checked, gaps.tolist()):
-                    results[i][1].append(gap)
-            if error is not None:
+                    rows[i][0].append(gap)
+            if error is not None:  # once the rows before it have had their fd_gap
                 raise error
             write([[*p, *(empty if cells is None else cells), status]
-                   for p, (_, cells, status) in zip(block, results)])
+                   for p, (cells, status) in zip(block, rows)])
     out.write(text.getvalue())
     return 0
 

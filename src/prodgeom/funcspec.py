@@ -35,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParseError, ProdgeomError, ValidationError
+from .errors import DomainError, NumericalError, ParseError, ValidationError
 
 
 def _is_nonneg_int(a: float) -> bool:
@@ -464,9 +464,9 @@ def _value_columns(spec: FunctionSpec, points: np.ndarray, terms=None):
     Each component's and outer map's own ``value`` runs row by row on Python
     floats; the product and the CES sum run on whole columns, with the
     operations of ``_values`` in its order. A guard that fails or a ``value``
-    that raises leaves nan, which every later step keeps, so a row where one
-    did or whose value is not finite goes back through ``_values`` itself:
-    the error class, message and guard order stay exact.
+    that raises leaves nan, which every later step keeps; each caller sends
+    the flagged rows through its own per-point function (``gauss_kronecker``,
+    ``fd_jet``), whose error class, message and guard order are exact.
     """
     if not isinstance(spec, (Homothetical, Composite, Acms)):
         raise ValidationError(f"unknown spec kind {spec!r}")
@@ -484,14 +484,7 @@ def _value_columns(spec: FunctionSpec, points: np.ndarray, terms=None):
                 u = u * v
             parts = np.stack(terms, axis=1)
         value = u if isinstance(spec, Homothetical) else _map_rows(spec.outer.value, u)
-    failed = ~np.isfinite(value)
-    for i in np.flatnonzero(failed).tolist():
-        try:
-            parts[i], u[i], value[i] = _values(spec, points[i].tolist())
-        except ProdgeomError:
-            continue
-        failed[i] = False
-    return parts, u, value, failed
+    return parts, u, value, ~np.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

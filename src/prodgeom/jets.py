@@ -252,7 +252,9 @@ def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]
     4-point cross stencil, with the fixed steps ``FD_REL_FIRST`` and
     ``FD_REL_SECOND``. The evaluator is called one stencil point at a time.
     Raises NumericalError when a stencil point leaves the evaluator's
-    domain or the evaluator returns a non-finite value.
+    domain, the evaluator returns a non-finite value, or a gradient or
+    Hessian entry is not finite (a stencil sum can overflow although every
+    value is finite).
     """
     pt = [float(x) for x in point]
 
@@ -271,6 +273,8 @@ def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]
         return v
 
     f0, grad, hess = _fd_parts(ev, pt)
+    if not all(map(math.isfinite, [*grad, *hess.ravel().tolist()])):
+        raise NumericalError(f"non-finite finite-difference jet at {tuple(pt)!r}")
     return Jet2N(f0, np.array(grad, dtype=float), hess)
 
 
@@ -282,26 +286,25 @@ def _fd_columns(spec: FunctionSpec, points: np.ndarray):
     Each stencil point is one value pass over all rows
     (``funcspec._value_columns``) that re-evaluates only the terms of the
     one or two axes it moves, so memory stays O(k n) apart from the
-    Hessian. ``failed`` marks the rows where some stencil point fails the
-    value pass, which is where that ``fd_jet`` call raises; every other row
-    has its bits.
+    Hessian. ``failed`` marks the rows with a gradient or Hessian entry that
+    is not finite, which is where that ``fd_jet`` call raises: every stencil
+    value enters some entry, so a stencil point that fails the value pass
+    (nan) makes one so too. Every other row has its bits.
     """
-    failed = np.zeros(len(points), dtype=bool)
-
     def ev(deltas):
         q = points.copy()
         terms = list(base)
         for idx, dh in deltas:
             q[:, idx] += dh
             terms[idx] = _term_column(spec, idx, q[:, idx])
-        _, _, value, bad = _value_columns(spec, q, terms)
-        np.logical_or(failed, bad, out=failed)
-        return value
+        return _value_columns(spec, q, terms)[2]
 
     with np.errstate(all="ignore"):  # a failed row's numbers are discarded
         base = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
         value, grad, hess = _fd_parts(ev, list(points.T), np.maximum, (len(points),))
-    return value, np.stack(grad, axis=1), hess.transpose(2, 0, 1), failed
+    gradient, hessian = np.stack(grad, axis=1), hess.transpose(2, 0, 1)
+    failed = ~(np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2)))
+    return value, gradient, hessian, failed
 
 
 def _rel_gap(approx, exact, axis=None):
@@ -327,9 +330,9 @@ def _fd_gaps(spec: FunctionSpec, points: np.ndarray, gradient: np.ndarray,
     at every row p of a (k, n) point array, whose exact jets have the
     gradients (k, n) and Hessians (k, n, n) given, bit for bit.
 
-    The FD jets are formed in columns (``_fd_columns``). A row whose stencil
-    failed goes through ``fd_jet`` itself, in row order, which raises that
-    row's NumericalError; so the first such row decides the error.
+    The FD jets are formed in columns (``_fd_columns``). A row they flag goes
+    through ``fd_jet`` itself, in row order, which raises that row's
+    NumericalError; so the first such row decides the error.
     """
     _, fd_gradient, fd_hessian, failed = _fd_columns(spec, points)
     with np.errstate(all="ignore"):

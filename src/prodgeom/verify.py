@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
-from .elasticity import bordered_hessian, ces_probe, hicks
-from .errors import AllenUndefined, HicksUndefined, ZeroGradientError
+from .elasticity import _hicks_from_jet, bordered_hessian, ces_probe, elasticity_report, hicks
+from .errors import HicksUndefined, ZeroGradientError
 from .funcspec import (
     Acms,
     Composite,
@@ -30,7 +30,6 @@ from .funcspec import (
     make_acms,
     make_cobb_douglas,
 )
-from .elasticity import allen as allen_elasticity
 from .geometry import (
     det_scale,
     gauss_kronecker,
@@ -48,10 +47,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=passed, detail=detail)
 
 
 def _random_acms(rng: random.Random, n: int = 2) -> Acms:
@@ -74,8 +69,8 @@ def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8) -> CheckResult:
         closed = hessian_det_closed(spec, point)
         gap = abs(closed - direct) / max(1.0, abs(direct))
         worst = max(worst, gap)
-    return _result("det_closed_vs_lu", worst <= tol,
-                   f"max scaled gap {worst:.3e} over 200 specs (limit {tol:.1e})")
+    return CheckResult("det_closed_vs_lu", worst <= tol,
+                       f"max scaled gap {worst:.3e} over 200 specs (limit {tol:.1e})")
 
 
 def _random_case_a_components(rng: random.Random, positive: bool = False):
@@ -142,10 +137,10 @@ def check_developable_certificates(seed: int = 42, tol: float = 1e-8) -> CheckRe
                   and abs(rec.omega ** 2 - 14.0) <= 1e-12 * 14.0
                   and abs(rec.gk_curvature - (-24.0 / 196.0)) <= 1e-12 * (24.0 / 196.0))
     passed = worst_g <= cert_tol and worst_rel <= cert_tol and control_ok
-    return _result("developable_certificates", passed,
-                   f"max |G| {worst_g:.3e}, max det residual {worst_rel:.3e} over 20 "
-                   f"constructed specs (limit {cert_tol:.1e}); worked control "
-                   f"{'ok' if control_ok else 'FAILED'}")
+    return CheckResult("developable_certificates", passed,
+                       f"max |G| {worst_g:.3e}, max det residual {worst_rel:.3e} over 20 "
+                       f"constructed specs (limit {cert_tol:.1e}); worked control "
+                       f"{'ok' if control_ok else 'FAILED'}")
 
 
 def check_cobb_douglas_curvature_control(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -163,7 +158,7 @@ def check_cobb_douglas_curvature_control(seed: int = 42, tol: float = 1e-8) -> C
     max_g, max_rel = _flatness_evidence(spec, points_loguniform(2, 50, rng))
     details.append(f"sum 1.0: max|G| {max_g:.3e}, det residual {max_rel:.3e}")
     passed = passed and max_g <= cert_tol and max_rel <= cert_tol
-    return _result("cobb_douglas_curvature_control", passed, "; ".join(details))
+    return CheckResult("cobb_douglas_curvature_control", passed, "; ".join(details))
 
 
 def check_ces_constant_sigma(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -184,7 +179,19 @@ def check_ces_constant_sigma(seed: int = 42, tol: float = 1e-8) -> CheckResult:
         passed = (passed and verdict.is_constant
                   and abs(verdict.sigma - expected) <= tol)
         details.append(f"ces rho {rho}: sigma {verdict.sigma:.9f}")
-    return _result("ces_constant_sigma", passed, "; ".join(details))
+    return CheckResult("ces_constant_sigma", passed, "; ".join(details))
+
+
+def _hicks_pairs(spec, points) -> dict:
+    # H_ij of every pair i < j at every point, keyed (point, i, j) and read
+    # from one jet per point
+    out = {}
+    for p in points:
+        jet = jet_multivariate(spec, p)
+        for i in range(1, spec.n + 1):
+            for j in range(i + 1, spec.n + 1):
+                out[(p, i, j)] = _hicks_from_jet(jet, p, i - 1, j - 1)
+    return out
 
 
 def check_hicks_outer_invariance(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -200,22 +207,20 @@ def check_hicks_outer_invariance(seed: int = 42, tol: float = 1e-8) -> CheckResu
         inner = random_homothetical(rng, n_range=(2, 3), positive=True)
         points = points_loguniform(inner.n, 2, rng)
         try:
-            base = {(p, i, j): hicks(inner, p, i, j)
-                    for p in points
-                    for i in range(1, inner.n + 1) for j in range(i + 1, inner.n + 1)}
+            base = _hicks_pairs(inner, points)
         except (HicksUndefined, ZeroGradientError):
             continue
         if any(abs(v) > 50.0 for v in base.values()):
             continue
         accepted += 1
         for outer in outers:
-            wrapped = Composite(outer, inner.components)
-            for (p, i, j), h_inner in base.items():
-                worst = max(worst, abs(hicks(wrapped, p, i, j) - h_inner))
+            wrapped = _hicks_pairs(Composite(outer, inner.components), points)
+            for key, h_inner in base.items():
+                worst = max(worst, abs(wrapped[key] - h_inner))
     passed = accepted == cases and worst <= tol
-    return _result("hicks_outer_invariance", passed,
-                   f"max |H(F.g) - H(g)| {worst:.3e} over {accepted} specs x 3 outers "
-                   f"(limit {tol:.1e})")
+    return CheckResult("hicks_outer_invariance", passed,
+                       f"max |H(F.g) - H(g)| {worst:.3e} over {accepted} specs x 3 outers "
+                       f"(limit {tol:.1e})")
 
 
 def _random_two_var_spec(rng: random.Random, kind_roll: int):
@@ -235,17 +240,17 @@ def check_hicks_allen_two_var(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     for k in range(cases):
         spec = _random_two_var_spec(rng, k % 3)
         point = points_loguniform(2, 1, rng)[0]
-        try:
-            h = hicks(spec, point, 1, 2)
-            a = allen_elasticity(spec, point, 1, 2)
-        except (HicksUndefined, AllenUndefined, ZeroGradientError):
+        report = elasticity_report(spec, point)
+        h = float(report.hicks[0, 1])
+        if h != h or report.allen is None:  # nan marks an undefined Hicks entry
             continue
+        a = float(report.allen[0, 1])
         compared += 1
         worst = max(worst, abs(h - a) / max(1.0, abs(h)))
     passed = compared >= cases // 2 and worst <= tol
-    return _result("hicks_allen_two_var", passed,
-                   f"max scaled |H - A| {worst:.3e} over {compared}/{cases} defined "
-                   f"cases (limit {tol:.1e})")
+    return CheckResult("hicks_allen_two_var", passed,
+                       f"max scaled |H - A| {worst:.3e} over {compared}/{cases} defined "
+                       f"cases (limit {tol:.1e})")
 
 
 def check_allen_singular_certificates(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -269,9 +274,9 @@ def check_allen_singular_certificates(seed: int = 42, tol: float = 1e-8) -> Chec
     _, det = bordered_hessian(control, (1.0, 1.0))
     control_ok = abs(det - 2.0) <= 1e-12 * 2.0
     passed = worst <= tol and control_ok
-    return _result("allen_singular_certificates", passed,
-                   f"max scale-relative |det| {worst:.3e} over 10 constructed specs "
-                   f"(limit {tol:.1e}); control det {det!r}")
+    return CheckResult("allen_singular_certificates", passed,
+                       f"max scale-relative |det| {worst:.3e} over 10 constructed specs "
+                       f"(limit {tol:.1e}); control det {det!r}")
 
 
 def check_curvature_allen_equivalence(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -289,9 +294,9 @@ def check_curvature_allen_equivalence(seed: int = 42, tol: float = 1e-8) -> Chec
             margin = min(margin, tol / max(report.max_abs_gk, 1e-300))
         else:
             margin = min(margin, report.max_abs_gk / tol)
-    return _result("curvature_allen_equivalence", disagreements == 0,
-                   f"{disagreements} disagreements over 100 specs; "
-                   f"min threshold margin {margin:.1e}x")
+    return CheckResult("curvature_allen_equivalence", disagreements == 0,
+                       f"{disagreements} disagreements over 100 specs; "
+                       f"min threshold margin {margin:.1e}x")
 
 
 def check_log_component_ces(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -312,9 +317,9 @@ def check_log_component_ces(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     witness_ok = abs(w1 - 0.5) <= 1e-9 and abs(w2 - 0.6) <= 1e-9
     bad_ok = (not bad_verdict.is_constant) and bad_verdict.spread >= 0.1
     passed = good_ok and worst <= tol and bad_ok and witness_ok
-    return _result("log_component_ces", passed,
-                   f"constrained: max |H-1| {worst:.3e}; unconstrained spread "
-                   f"{bad_verdict.spread:.3f}, witnesses {w1!r}, {w2!r}")
+    return CheckResult("log_component_ces", passed,
+                       f"constrained: max |H-1| {worst:.3e}; unconstrained spread "
+                       f"{bad_verdict.spread:.3f}, witnesses {w1!r}, {w2!r}")
 
 
 def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -337,9 +342,9 @@ def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8) -> CheckR
         worst_g = max(worst_g, g_gap)
         worst_h = max(worst_h, h_gap)
     passed = worst_g <= 1e-6 and worst_h <= 1e-4
-    return _result("jets_vs_finite_difference", passed,
-                   f"max gradient gap {worst_g:.3e} (limit 1e-06), "
-                   f"max Hessian gap {worst_h:.3e} (limit 1e-04) over 200 cases")
+    return CheckResult("jets_vs_finite_difference", passed,
+                       f"max gradient gap {worst_g:.3e} (limit 1e-06), "
+                       f"max Hessian gap {worst_h:.3e} (limit 1e-04) over 200 cases")
 
 
 ALL_CHECKS = (

@@ -270,6 +270,7 @@ _SHIFTED_SQRT = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"
 _EXP = '{"kind":"homothetical","components":[{"type":"exp","gamma":1.0,"lambda":1.0}]}'
 _EXP_X = ('{"kind":"composite","outer":{"type":"identity"},"components":[{"type":"exp",'
           '"gamma":1.0,"lambda":1.0},{"type":"pow","gamma":1.0,"beta":0.0,"alpha":1.0}]}')
+_HUGE_X = '{"kind":"homothetical","components":[{"type":"pow","gamma":1e300,"beta":0,"alpha":1}]}'
 
 
 # a numpy warning on the way would be a second stderr line
@@ -289,15 +290,19 @@ _EXP_X = ('{"kind":"composite","outer":{"type":"identity"},"components":[{"type"
     ("curvature", _EXP_X, "360,1e-5"),
     # ... and so does the bordered determinant
     ("elasticity", _EXP_X, "360,1e-5"),
+    # 1e300 * x: every FD stencil value is finite, but the diagonal stencil's
+    # 2 f0 overflows, so fd_gap would be inf
+    ("eval --fd-check", _HUGE_X, "1.5e8"),
 ], ids=["curvature-omega", "eval-ces", "curvature-ces", "elasticity-ces", "elasticity-weight",
-        "curvature-omega-inf", "curvature-det-inf", "elasticity-bordered-inf"])
+        "curvature-omega-inf", "curvature-det-inf", "elasticity-bordered-inf",
+        "eval-fd-gap-inf"])
 def test_extreme_point_exits_3(capsys, tmp_path, command, spec_text, point):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text)
     points = tmp_path / "pts.csv"
     points.write_text(point + "\n")
     for fmt in ("csv", "jsonl"):
-        code, out, err = _run(capsys, command, "--spec", spec, "--points", points,
+        code, out, err = _run(capsys, *command.split(), "--spec", spec, "--points", points,
                               "--format", fmt)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -327,3 +327,12 @@ def test_value_columns_bitwise_equal_values(seed, kind, outer, n, m):
         assert not failed[i]
         assert _bits([*np.ravel(parts[i]), u[i], value[i]]) == \
             _bits([*np.ravel(expected[0]), *expected[1:]])
+
+
+def test_value_columns_makes_no_scalar_call(scalar_value_calls):
+    # flagged rows are left to the caller's own per-point function
+    spec = make_cobb_douglas(1.0, (0.3, 0.7))
+    _, _, value, failed = _value_columns(spec, np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -2.0]]))
+    assert failed.tolist() == [False, True, True]
+    assert value[0] == 1.0
+    assert scalar_value_calls == []

@@ -379,6 +379,15 @@ def test_batch_errors_per_row_and_shape_check():
         gauss_kronecker_batch(spec, [1.0, 1.0])
 
 
+def test_batch_out_of_domain_row_runs_scalar_value_pass_once(scalar_value_calls):
+    # the column pass flags the row, and only gauss_kronecker's own jet re-runs it
+    spec = make_cobb_douglas(1.0, (0.3, 0.7))
+    block = gauss_kronecker_batch(spec, [(1.0, 1.0), (-1.0, 1.0), (2.0, 0.5)])
+    assert isinstance(block.errors[1], DomainError)
+    assert block.errors[0] is None and block.errors[2] is None
+    assert scalar_value_calls == [(-1.0, 1.0)]
+
+
 @pytest.mark.parametrize("spec, point, message", [
     # omega overflows: f' = e^360 squares past the float range
     (Homothetical((ExpFn(1.0, 1.0),)), (360.0,), "non-finite"),

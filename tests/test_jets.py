@@ -256,6 +256,24 @@ def test_fd_jet_stencil_leaving_domain():
         fd_jet(half_line, (1.0,))
 
 
+def test_fd_jet_non_finite_stencil_sum_is_numerical_error():
+    # 1e300 * x at 1.5e8: every stencil value is finite, but the diagonal
+    # stencil's 2 f0 overflows; the column oracle flags the same row
+    spec = Homothetical((PowFn(1e300, 0.0, 1.0),))
+    with pytest.raises(NumericalError, match="non-finite finite-difference jet"):
+        fd_jet(lambda q: evaluate(spec, q), (1.5e8,))
+    _, _, _, failed = _fd_columns(spec, np.array([[1.5e8], [2.0]]))
+    assert failed.tolist() == [True, False]
+
+
+def test_fd_columns_makes_no_scalar_call(scalar_value_calls):
+    # x1 = 1e-5 is inside the domain, but its stencil's x1 - h is not
+    spec = make_cobb_douglas(1.0, (0.5, 0.5))
+    _, _, _, failed = _fd_columns(spec, np.array([[1.0, 1.0], [1e-5, 1.0]]))
+    assert failed.tolist() == [False, True]
+    assert scalar_value_calls == []
+
+
 def test_fd_agreement_property():
     # norm-relative agreement over randomised specs and points in [0.5, 2]^n
     rng = random.Random(42)
