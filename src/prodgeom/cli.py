@@ -120,6 +120,8 @@ def _parse_pairs(text: str, n: int) -> list:
             raise ValidationError(f"pair {chunk!r} has non-integer indices") from None
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValidationError(f"pair ({i},{j}) invalid for {n} variables")
+        if (i, j) in pairs:  # its column names would repeat, which JSONL keys cannot
+            raise ValidationError(f"pair ({i},{j}) given twice")
         pairs.append((i, j))
     return pairs
 
@@ -313,8 +315,8 @@ def run(argv: Sequence[str]) -> int:
     out = sys.stdout
     try:
         if args.command == "verify":
-            if args.tol <= 0.0:
-                raise ValidationError(f"--tol must be positive, got {args.tol!r}")
+            if not 0.0 < args.tol < math.inf:
+                raise ValidationError(f"--tol must be positive and finite, got {args.tol!r}")
             return _run_verify(args.seed, args.tol, out)
         spec = _load_spec(args.spec, args.relax_rho)
         if args.command == "classify":

@@ -109,9 +109,9 @@ def hessian_det_direct(spec: FunctionSpec, point: Sequence[float]) -> float:
 
 
 def _closed_form(jets, pw=pow):
-    """The closed form of ``hessian_det_closed`` on the factors' 1-D jets,
-    whose values must be nonzero when n > 1. The slots are floats, or
-    columns with ``pw`` applying ``**`` row by row."""
+    """The closed form of ``hessian_det_closed`` on the factors' 1-D jets:
+    floats, or columns with ``pw`` applying ``**`` row by row. A zero factor
+    value (n > 1) raises ZeroDivisionError on floats and gives nan on columns."""
     n = len(jets)
     if n == 1:
         return jets[0].d2
@@ -134,23 +134,6 @@ def _closed_form(jets, pw=pow):
     return pw(f, n) * (term1 + r[0] * acc)
 
 
-def _closed_det(jets, point) -> float:
-    """``_closed_form`` at one point; ``point`` only names it in a message."""
-    if len(jets) > 1:
-        for k, j in enumerate(jets):
-            if j.value == 0.0:
-                raise DomainError(
-                    f"closed-form determinant undefined where component {k + 1} vanishes")
-    try:
-        return _closed_form(jets)
-    except OverflowError:
-        raise NumericalError(
-            f"closed-form determinant overflowed at {tuple(map(float, point))!r}") from None
-    except ZeroDivisionError:  # a factor's square underflowed to 0
-        raise NumericalError(
-            f"closed-form determinant underflowed at {tuple(map(float, point))!r}") from None
-
-
 def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
     """Closed-form Hessian determinant for product specs.
 
@@ -160,12 +143,24 @@ def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
     where r_i = (f_i'/f_i)' is evaluated as (f_i'' f_i - f_i'^2) / f_i^2 to
     avoid cancellation when f_i'/f_i is large. Needs every component value
     nonzero at the point (DomainError otherwise); n = 1 reduces to f1''.
+    NumericalError where it overflows or a factor's square underflows to 0.
     ``gauss_kronecker`` applies the same closed form to its jet's factors.
     """
     if not isinstance(spec, Homothetical):
         raise SpecError(f"closed-form determinant needs a homothetical spec, got {spec.kind}")
     pt = _point(spec, point)
-    return _closed_det([jet1d(c, x) for c, x in zip(spec.components, pt)], pt)
+    jets = [jet1d(c, x) for c, x in zip(spec.components, pt)]
+    if len(jets) > 1:
+        for k, j in enumerate(jets):
+            if j.value == 0.0:
+                raise DomainError(
+                    f"closed-form determinant undefined where component {k + 1} vanishes")
+    try:
+        return _closed_form(jets)
+    except OverflowError:
+        raise NumericalError(f"closed-form determinant overflowed at {tuple(pt)!r}") from None
+    except ZeroDivisionError:  # a factor's square underflowed to 0
+        raise NumericalError(f"closed-form determinant underflowed at {tuple(pt)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -193,12 +188,12 @@ class CurvatureRecord:
 def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureRecord:
     """Gauss-Kronecker curvature of the graph of the spec at the point.
 
-    For homothetical specs the determinant uses the closed form on the jet's
-    own factor jets, falling back to the LU route at points where the closed
-    form fails: a factor value is exactly zero (the closed form divides by
-    factor values), or the closed form overflows, underflows or is not
-    finite; other kinds use the LU route. Raises NumericalError where omega,
-    the determinant or the curvature overflows or is not finite.
+    The determinant follows one rule: for homothetical specs, the closed
+    form on the jet's own factor jets where it is finite, and the LU route
+    everywhere else. The closed form fails where a factor value is exactly
+    zero (it divides by factor values) or where it overflows, underflows or
+    is not finite; other kinds have no closed form. Raises NumericalError
+    where omega, the determinant or the curvature overflows or is not finite.
     """
     jet = jet_multivariate(spec, point)
     n = jet.n
@@ -206,8 +201,8 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
     det = math.nan
     if jet.factors is not None:
         try:
-            det = _closed_det(jet.factors, point)
-        except (DomainError, NumericalError):
+            det = _closed_form(jet.factors)
+        except (OverflowError, ZeroDivisionError):
             pass
     if not math.isfinite(det):
         det = plu_det(jet.hessian)
@@ -243,14 +238,14 @@ class CurvatureBlock(NamedTuple):
 def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
     """``gauss_kronecker`` at every row of an (m, n) point array, bit for bit.
 
-    The jets are formed column by column (``jets._jet_columns``); omega, the
-    closed-form determinant and the curvature follow on whole columns, and
-    the LU route (other kinds, rows where the closed form fails) runs once
-    on the stacked Hessians (``plu_dets``). Transcendentals stay on Python
-    floats, row by row. A row the columns cannot reproduce exactly (a guard
-    fails, a power overflows, a result is not finite) goes back through
-    ``gauss_kronecker`` itself, in input order, which gives its result or
-    its error.
+    The jets are formed column by column, one entry per row
+    (``jets._jet_columns``); omega, the determinant and the curvature follow
+    on whole columns by ``gauss_kronecker``'s one rule, with the LU route run
+    once on the stacked Hessians (``plu_dets``). Transcendentals stay on
+    Python floats, row by row. A row the columns cannot reproduce exactly (a
+    guard fails, a power overflows, a result is not finite) is set to nan
+    and goes back through ``gauss_kronecker`` itself, in input order, which
+    gives its result or its error.
     """
     x = np.array(points, dtype=float)
     n = spec.n
@@ -258,32 +253,22 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
         raise ValidationError(
             f"points must form an (m, {n}) array for a spec with {n} variables, "
             f"got shape {x.shape}")
-    m = len(x)
-    value, omega, det, gk = (np.full(m, math.nan) for _ in range(4))
-    gradient = np.full((m, n), math.nan)
-    hessian = np.full((m, n, n), math.nan)
-    errors = [None] * m
+    errors = [None] * len(x)
     with np.errstate(all="ignore"):  # rows that go non-finite are redone one by one
-        rows, v, g, h, factors, ok = _jet_columns(spec, x)
-        if len(rows):
-            om = np.sqrt(1.0 + np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
-            if factors is None:
-                d = plu_dets(h)
-            else:
-                d = _closed_form(factors, _column_pow)
-                lu = ~np.isfinite(d)
-                if n > 1:
-                    lu |= np.logical_or.reduce([j.value == 0.0 for j in factors])
-                if lu.any():
-                    d[lu] = plu_dets(h[lu])
-            curv = d / _column_pow(om, n + 2)
-            ok &= np.isfinite(om) & np.isfinite(d) & np.isfinite(curv)
-            done = rows[ok]
-            value[done], gradient[done], hessian[done] = v[ok], g[ok], h[ok]
-            omega[done], det[done], gk[done] = om[ok], d[ok], curv[ok]
-        redo = np.ones(m, dtype=bool)
-        redo[rows[ok]] = False
-        for i in np.flatnonzero(redo).tolist():
+        value, gradient, hessian, factors, ok = _jet_columns(spec, x)
+        omega = np.sqrt(1.0 + np.matmul(gradient[:, None, :], gradient[:, :, None])[:, 0, 0])
+        if factors is None:
+            det = plu_dets(hessian)
+        else:
+            det = _closed_form(factors, _column_pow)
+            lu = ~np.isfinite(det)
+            if lu.any():
+                det[lu] = plu_dets(hessian[lu])
+        gk = det / _column_pow(omega, n + 2)
+        failed = ~(ok & np.isfinite(omega) & np.isfinite(det) & np.isfinite(gk))
+        for column in (value, gradient, hessian, omega, det, gk):
+            column[failed] = math.nan
+        for i in np.flatnonzero(failed).tolist():
             try:
                 rec = gauss_kronecker(spec, x[i])
             except ProdgeomError as e:

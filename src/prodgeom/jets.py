@@ -6,7 +6,8 @@ through the product and chain rules, never from finite differences;
 ``fd_jet`` is the independent central-difference route used to cross-check
 that assembly. All arithmetic is 64-bit floating point. The assembly takes
 floats for one point or, in ``_jet_columns``, numpy columns with one entry
-per point, and performs the same operations in the same order on both. The
+per point (nan where the value pass flags it); it tells them apart by their
+shape and performs the same operations in the same order on both. The
 finite-difference stencil is written once the same way: ``fd_jet`` calls a
 black-box evaluator per stencil point, and ``_fd_columns`` evaluates a spec
 at one stencil point of every row at once (``funcspec._value_columns``).
@@ -74,11 +75,12 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
         raise NumericalError(f"1-D jet overflowed at x = {x!r}") from None
 
 
-def _product_parts(jets, vals, shape=()):
+def _product_parts(jets, vals):
     """Gradient (a list) and Hessian of the product of the factor jets, whose
-    values are ``vals``; ``shape`` is () for float slots and (k,) for columns
-    of k points, whose Hessian is then (n, n, k)."""
+    values are ``vals``: floats, or (m,) columns over m points, whose Hessian
+    is then (n, n, m)."""
     n = len(jets)
+    shape = getattr(vals[0], "shape", ())
 
     def prod_except(skip):
         p = 1.0
@@ -96,10 +98,11 @@ def _product_parts(jets, vals, shape=()):
     return du, d2u
 
 
-def _acms_parts(spec: Acms, pt, s, pw=pow, shape=()):
+def _acms_parts(spec: Acms, pt, s, pw=pow):
     """Gradient and Hessian of the CES core g = gamma * s^(d/rho), from the
-    sum s (``shape`` as in ``_product_parts``; ``pw`` computes ``**``)."""
+    sum s (a float or a column, as in ``_product_parts``; ``pw`` computes ``**``)."""
     rho, q = spec.rho, spec.d / spec.rho
+    shape = getattr(s, "shape", ())
     n = spec.n
     ds = []
     d2s = []
@@ -119,12 +122,12 @@ def _acms_parts(spec: Acms, pt, s, pw=pow, shape=()):
     return dg, d2g
 
 
-def _chain(f1, f2, du, d2u, shape=()):
+def _chain(f1, f2, du, d2u):
     """Gradient and Hessian of F(u(x)) from the derivatives of u and
-    F'(u) = f1, F''(u) = f2 (``shape`` as in ``_product_parts``)."""
+    F'(u) = f1, F''(u) = f2 (floats or columns, as in ``_product_parts``)."""
     n = len(du)
     grad = [f1 * du[i] for i in range(n)]
-    hess = np.zeros((n, n) + shape)
+    hess = np.zeros(d2u.shape)
     for i in range(n):
         hess[i, i] = f2 * du[i] * du[i] + f1 * d2u[i, i]
         for j in range(i + 1, n):
@@ -146,14 +149,13 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
     factors = None
     try:
         if isinstance(spec, Acms):
-            dg, d2g = _acms_parts(spec, pt, parts)
-            grad, hess = _chain(*spec.outer.derivs(u), dg, d2g)
+            grad, hess = _acms_parts(spec, pt, parts)
         else:
             factors = tuple(_factor_jet(c, x, v) for c, x, v in zip(spec.components, pt, parts))
             grad, hess = _product_parts(factors, parts)
-            if not isinstance(spec, Homothetical):
-                factors = None
-                grad, hess = _chain(*spec.outer.derivs(u), grad, hess)
+        if not isinstance(spec, Homothetical):
+            factors = None
+            grad, hess = _chain(*spec.outer.derivs(u), grad, hess)
     except (OverflowError, ZeroDivisionError):
         raise NumericalError(f"jet assembly overflowed at {tuple(pt)!r}") from None
     gradient = np.array(grad, dtype=float)
@@ -165,48 +167,45 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
 def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     """The jets of a spec at the rows of an (m, n) point array, as columns.
 
-    Returns ``(rows, value, gradient, hessian, factors, ok)``. ``rows`` indexes
-    the points whose value pass succeeded; the other fields hold one entry
-    per such row: value (k,), gradient (k, n), Hessian (k, n, n), for
-    homothetical specs the factors' 1-D jets with (k,) columns as slots
-    (None otherwise), and ``ok`` (k,). Where ``ok`` holds, a row has the bits
-    of ``jet_multivariate`` at its point; elsewhere that call raises.
+    Returns ``(value, gradient, hessian, factors, ok)``, each with one entry
+    per row: value (m,), gradient (m, n), Hessian (m, n, n), for homothetical
+    specs the factors' 1-D jets with (m,) columns as slots (None otherwise),
+    and ``ok`` (m,). Where ``ok`` holds, a row has the bits of
+    ``jet_multivariate`` at its point; elsewhere that call raises.
 
     The value pass is ``funcspec._value_columns``, so every guard runs
-    first, and derivatives run only on the rows it accepted, through each
-    component's and outer map's own scalar ``derivs``. Only + - * / run on
-    whole columns, in the order of the scalar assembly, which is shared.
+    first; a row it flags gets nan coordinates and u before any ``derivs``
+    or ``**`` runs (a power of a negative base would be complex), so its
+    derivatives come out nan. Derivatives run through each component's and
+    outer map's own scalar ``derivs``. Only + - * / run on whole columns, in
+    the order of the scalar assembly, which is shared.
     """
     parts, u, value, failed = _value_columns(spec, points)
-    rows = np.flatnonzero(~failed)
-    k = len(rows)
-    if k == 0:
-        return rows, None, None, None, None, np.zeros(0, dtype=bool)
-    pt = list(points[rows].T)
-    parts, u = parts[rows], u[rows]
-    nan2 = (math.nan, math.nan)
-    shape = (k,)
+    pt = list(np.where(failed[:, None], math.nan, points).T)
+    u = np.where(failed, math.nan, u)
+
+    def derivs(fn, *cols):  # the (f', f'') columns, two empty ones for no rows
+        return _map_rows(fn, *cols, failed=(math.nan, math.nan)).reshape(-1, 2).T
+
     factors = None
-    ok = np.ones(k, dtype=bool)
+    ok = ~failed
     if isinstance(spec, Acms):
-        dg, d2g = _acms_parts(spec, pt, parts, _column_pow, shape)
-        grad, hess = _chain(*_map_rows(spec.outer.derivs, u, failed=nan2).T, dg, d2g, shape)
+        grad, hess = _acms_parts(spec, pt, parts, _column_pow)
     else:
         vals = list(parts.T)
         factors = []
         for c, x, v in zip(spec.components, pt, vals):
-            d1, d2 = _map_rows(c.derivs, x, v, failed=nan2).T
+            d1, d2 = derivs(c.derivs, x, v)
             factors.append(Jet1(v, d1, d2))
             ok &= np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2)
-        grad, hess = _product_parts(factors, vals, shape)
-        if not isinstance(spec, Homothetical):
-            factors = None
-            grad, hess = _chain(*_map_rows(spec.outer.derivs, u, failed=nan2).T, grad, hess,
-                                shape)
+        grad, hess = _product_parts(factors, vals)
+    if not isinstance(spec, Homothetical):
+        factors = None
+        grad, hess = _chain(*derivs(spec.outer.derivs, u), grad, hess)
     gradient = np.stack(grad, axis=1)
     hessian = hess.transpose(2, 0, 1)
     ok &= np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))
-    return rows, value[rows], gradient, hessian, factors, ok
+    return value, gradient, hessian, factors, ok
 
 
 #: Relative central-difference steps: h = FD_REL_FIRST * max(1, |x_i|) for
@@ -216,17 +215,17 @@ FD_REL_FIRST = 6e-6
 FD_REL_SECOND = 2e-4
 
 
-def _fd_parts(f, pt, mx=max, shape=()):
+def _fd_parts(f, pt, mx=max):
     """Value, gradient (a list) and Hessian of ``fd_jet`` from stencil values.
 
     ``f(deltas)`` is the function at ``pt`` moved by ``(axis, step)`` pairs
     (``()`` for ``pt`` itself); it is called in a fixed order: f0, the
     +-h pair of each axis, then for each axis i its +-h pair and the four
     corners with each later axis j. ``pt`` holds floats, or (k,) columns
-    with ``mx`` taking the elementwise maximum; ``shape`` is as in
-    ``_product_parts``.
+    with ``mx`` taking the elementwise maximum.
     """
     n = len(pt)
+    shape = getattr(pt[0], "shape", ())
     f0 = f(())
     grad = []
     for i in range(n):
@@ -301,7 +300,7 @@ def _fd_columns(spec: FunctionSpec, points: np.ndarray):
 
     with np.errstate(all="ignore"):  # a failed row's numbers are discarded
         base = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
-        value, grad, hess = _fd_parts(ev, list(points.T), np.maximum, (len(points),))
+        value, grad, hess = _fd_parts(ev, list(points.T), np.maximum)
     gradient, hessian = np.stack(grad, axis=1), hess.transpose(2, 0, 1)
     failed = ~(np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2)))
     return value, gradient, hessian, failed

@@ -92,6 +92,25 @@ def test_bad_pairs_exit_2(capsys):
     assert "(1,7)" in err
 
 
+def test_repeated_pair_exit_2(capsys):
+    code, out, err = _run(capsys, "elasticity", "--spec", DATA / "acms_rho_half.json",
+                          "--points", DATA / "pts.csv", "--pairs", "1,2;1,2")
+    assert code == 2 and out == ""
+    assert "(1,2) given twice" in err
+
+
+def test_reversed_pair_is_a_distinct_pair(capsys):
+    args = ("elasticity", "--spec", DATA / "acms_rho_half.json", "--points", DATA / "pts.csv",
+            "--pairs", "1,2;2,1")
+    code, csv_out, _ = _run(capsys, *args)
+    assert code == 0
+    header = csv_out.splitlines()[0].split(",")
+    assert len(set(header)) == len(header) == 9
+    assert {"hicks_1_2", "allen_1_2", "hicks_2_1", "allen_2_1"} <= set(header)
+    _, jsonl_out, _ = _run(capsys, *args, "--format", "jsonl")
+    assert all(list(json.loads(line)) == header for line in jsonl_out.splitlines())
+
+
 def test_validation_error_names_component(capsys):
     code, _, err = _run(capsys, "classify", "--spec", DATA / "bad_gamma.json")
     assert code == 2
@@ -140,17 +159,32 @@ def test_curvature_overflow_exits_3(capsys, tmp_path):
     assert err.startswith("error: ") and "overflowed" in err
 
 
-def test_csv_jsonl_numeric_equivalence(capsys):
-    _, csv_out, _ = _run(capsys, "curvature", "--spec", DATA / "acms_rho_half.json",
-                         "--points", DATA / "pts.csv")
-    _, jsonl_out, _ = _run(capsys, "curvature", "--spec", DATA / "acms_rho_half.json",
-                           "--points", DATA / "pts.csv", "--format", "jsonl")
-    header = csv_out.splitlines()[0].split(",")
-    for csv_row, json_row in zip(csv_out.splitlines()[1:], jsonl_out.splitlines()):
-        obj = json.loads(json_row)
-        cells = csv_row.split(",")
+def _reject_constant(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+@pytest.mark.parametrize("spec, points", [
+    ("cobb_douglas_crs.json", "grid:0.5..2.0x0.5..2.0:5"),
+    ("acms_rho_half.json", DATA / "pts.csv"),
+    ("log_hole.json", DATA / "pts.csv"),
+], ids=["golden-grid", "acms", "log-hole"])
+@pytest.mark.parametrize("command", ["eval", "curvature", "elasticity"])
+def test_csv_jsonl_numeric_equivalence(capsys, command, spec, points):
+    # every JSONL line is strict JSON (no NaN or Infinity constant) whose keys
+    # are the CSV header, in order, and whose values are the CSV cells
+    args = (command, "--spec", DATA / spec, "--points", points, "--fd-check")
+    _, csv_out, _ = _run(capsys, *args)
+    _, jsonl_out, _ = _run(capsys, *args, "--format", "jsonl")
+    header, *csv_rows = list(csv.reader(io.StringIO(csv_out)))
+    json_rows = [json.loads(line, parse_constant=_reject_constant)
+                 for line in jsonl_out.splitlines()]
+    assert csv_rows and len(json_rows) == len(csv_rows)
+    for cells, obj in zip(csv_rows, json_rows):
+        assert list(obj) == header
         for name, cell in zip(header, cells):
-            if name == "status":
+            if obj[name] is None:
+                assert cell == ""
+            elif name == "status":
                 assert obj[name] == cell
             else:
                 assert repr(obj[name]) == cell
@@ -208,6 +242,13 @@ def test_verify_fails_below_float_noise(capsys):
     assert code == 3
     assert "developable_certificates" in err
     assert any(line.startswith("FAIL  developable_certificates") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_tol_not_positive_and_finite(capsys, tol):
+    code, out, err = _run(capsys, "verify", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol must be positive and finite" in err
 
 
 def test_verify_seed_changes_samples_not_outcomes():

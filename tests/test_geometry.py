@@ -379,6 +379,14 @@ def test_batch_errors_per_row_and_shape_check():
         gauss_kronecker_batch(spec, [1.0, 1.0])
 
 
+def test_batch_of_no_rows():
+    block = gauss_kronecker_batch(make_cobb_douglas(1.0, (0.3, 0.7)), np.zeros((0, 2)))
+    assert block.errors == ()
+    assert block.gradient.shape == (0, 2) and block.hessian.shape == (0, 2, 2)
+    assert all(col.shape == (0,) for col in (block.value, block.omega, block.hessian_det,
+                                             block.gk_curvature))
+
+
 def test_batch_out_of_domain_row_runs_scalar_value_pass_once(scalar_value_calls):
     # the column pass flags the row, and only gauss_kronecker's own jet re-runs it
     spec = make_cobb_douglas(1.0, (0.3, 0.7))

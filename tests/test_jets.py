@@ -27,7 +27,7 @@ from prodgeom import (
     make_acms,
     make_cobb_douglas,
 )
-from prodgeom.jets import _fd_columns
+from prodgeom.jets import _fd_columns, _jet_columns
 from prodgeom.sampling import (
     points_loguniform,
     random_composite,
@@ -164,6 +164,31 @@ def test_domain_error_outranks_derivative_overflow(spec, point):
         jet1d(spec.components[0], point[0])
     with pytest.raises(DomainError):
         jet_multivariate(spec, point)
+
+
+@pytest.mark.parametrize("spec, points", [
+    # CES with rho = 0.5 under a power 0.5 outer at negative coordinates: the
+    # CES base b x is negative, and its fractional powers would be complex
+    (make_acms(1.0, (1.0, 2.0), 0.5, 1.0, Power(0.5)), [(-1.0, 2.0), (-0.5, -3.0)]),
+    # a pow factor with alpha = 0.5 at x + beta < 0
+    (Homothetical((PowFn(1.0, 0.0, 0.5), PowFn(1.0, 0.0, 1.0))), [(-1.0, 2.0), (-4.0, 0.5)]),
+    # u = -x1 x2 is finite, but the power 0.5 outer rejects it, and its
+    # derivatives would be fractional powers of a negative u
+    (Composite(Power(0.5), (PowFn(-1.0, 0.0, 1.0), PowFn(1.0, 0.0, 1.0))),
+     [(1.0, 2.0), (3.0, 0.5)]),
+])
+def test_jet_columns_full_length_when_every_row_is_flagged(spec, points):
+    value, gradient, hessian, factors, ok = _jet_columns(spec, np.array(points))
+    m, n = len(points), spec.n
+    assert value.shape == ok.shape == (m,)
+    assert gradient.shape == (m, n) and hessian.shape == (m, n, n)
+    assert np.isnan(value).all() and np.isnan(gradient).all() and np.isnan(hessian).all()
+    assert not ok.any()
+    for jet in factors or ():
+        assert jet.value.shape == jet.d1.shape == jet.d2.shape == (m,)
+    for point in points:
+        with pytest.raises(DomainError):
+            jet_multivariate(spec, point)
 
 
 # coordinates off the [0.3, 3] box: the domain edge, negatives, subnormal
