@@ -41,6 +41,7 @@ from .funcspec import (
     LogPowFn,
     OuterFn,
     PowFn,
+    make_cobb_douglas,
 )
 from .geometry import det_scale, gauss_kronecker
 from .elasticity import _bordered_from_jet, _positive_point
@@ -172,6 +173,8 @@ def _make_exp_or_pow_family(case: str, build, target: float, components, alphas,
         if alphas is None:
             raise ValidationError("case b needs the exponent list")
         alphas = [float(a) for a in alphas]
+        if not alphas:
+            raise ValidationError("case b needs at least one exponent")
         if any(a == 0.0 for a in alphas):
             raise ValidationError("case b exponents must all be nonzero")
         total = math.fsum(alphas)
@@ -225,7 +228,8 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
                       mu: Sequence[float] | None = None) -> FunctionSpec:
     """Construct a constant-elasticity family member.
 
-    Case "a": outer-composed Cobb-Douglas (sigma = 1). Case "b":
+    Case "a": outer-composed Cobb-Douglas (sigma = 1), whose components
+    ``make_cobb_douglas`` builds from the exponents and gamma. Case "b":
     outer-composed CES with exponent rho = (sigma-1)/sigma for sigma > 0,
     sigma != 1. Case "c": two log-power components ln(x_i)^mu_i with
     mu_2 = -mu_1 (sigma = 1); the constructor enforces the reciprocal-sum
@@ -234,11 +238,7 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
     if case == "a":
         if alphas is None:
             raise ValidationError("case a needs the exponent list")
-        inner = [PowFn(gamma=float(gamma), beta=0.0, alpha=float(alphas[0]))]
-        inner.extend(PowFn(gamma=1.0, beta=0.0, alpha=float(a)) for a in alphas[1:])
-        if gamma <= 0.0:
-            raise ValidationError("case a needs gamma > 0")
-        return Composite(outer, tuple(inner))
+        return Composite(outer, make_cobb_douglas(gamma, alphas).components)
     if case == "b":
         if sigma is None:
             raise ValidationError("case b needs sigma")

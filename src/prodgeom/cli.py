@@ -88,7 +88,7 @@ def _load_points(source: str, n: int) -> list:
                         raise ValidationError(
                             f"{source}:{lineno}: non-finite coordinate in {line!r}")
                     points.append(point)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ValidationError(f"cannot read points file {source}: {e}") from None
     if not points:
         raise ValidationError(f"points source {source!r} produced no points")
@@ -103,7 +103,7 @@ def _load_spec(path: str, relax_rho: bool) -> FunctionSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read spec file {path}: {e}") from None
     return parse_spec(text, relax_rho=relax_rho)
 
@@ -138,8 +138,9 @@ def _writer(header: list, fmt: str, out):
         json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows)
 
 
-#: Rows per block of ``curvature``: the block kernel's columns stay small,
-#: and each block is encoded to text before the next one is computed.
+#: Rows per block of ``eval``, ``curvature`` and ``elasticity``: the block
+#: kernel's columns stay small, and each block is encoded to text before the
+#: next one is computed.
 BLOCK_ROWS = 2048
 
 
@@ -147,15 +148,16 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
     Points go in blocks of ``BLOCK_ROWS`` to ``measure(block)``. It returns
-    the rows as (cells from ``value`` on, status) up to the first error
-    other than DomainError (no cells, status ``domain_error``), that error
-    or None, and the block's exact gradient and Hessian columns:
-    ``curvature`` takes them from ``gauss_kronecker_batch``; ``eval`` and
-    ``elasticity`` go point by point and fill them from each row's jet under
-    ``--fd-check``. The fd_gap column compares the finite-difference oracle
-    with those columns at the rows with cells (``jets._fd_gaps``); the first
-    row, in input order, whose measure or oracle fails decides the error.
-    Stdout is written once, after the last block.
+    one outcome per row, (cells from ``value`` on, status) or the
+    ProdgeomError the row raised, and the block's exact gradient and Hessian
+    columns: ``curvature`` takes them from ``gauss_kronecker_batch``;
+    ``eval`` and ``elasticity`` go point by point and fill them from each
+    row's jet under ``--fd-check``. Only the block loop reads an error: a
+    DomainError is a row with no cells and status ``domain_error``, and the
+    rows stop at any other. The fd_gap column compares the finite-difference
+    oracle with those columns at the rows with cells (``jets._fd_gaps``);
+    the first row, in input order, whose measure or oracle fails decides the
+    error. Stdout is written once, after the last block.
     """
     columns = []
     if args.command == "curvature":
@@ -165,15 +167,8 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
             blk = gauss_kronecker_batch(spec, block)
             cells = np.stack([blk.value, blk.omega, blk.hessian_det, blk.gk_curvature],
                              axis=1).tolist()
-            rows = []
-            for error, row in zip(blk.errors, cells):
-                if isinstance(error, DomainError):
-                    rows.append((None, "domain_error"))
-                elif error is not None:
-                    return rows, error, blk.gradient, blk.hessian
-                else:
-                    rows.append((row, "ok"))
-            return rows, None, blk.gradient, blk.hessian
+            return ([error or (row, "ok") for error, row in zip(blk.errors, cells)],
+                    blk.gradient, blk.hessian)
     elif args.command == "eval":
         def measure_point(p):
             jet = jet_multivariate(spec, p) if args.fd_check else None
@@ -199,21 +194,19 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
                                 *allen, report.bordered_det], status
     if args.command != "curvature":  # eval and elasticity go point by point
         def measure(block):
-            rows = []
+            outcomes = []
             gradient = np.full((len(block), spec.n), math.nan)
             hessian = np.full((len(block), spec.n, spec.n), math.nan)
             for i, p in enumerate(block):
                 try:
                     jet, cells, status = measure_point(p)
-                except DomainError:
-                    rows.append((None, "domain_error"))
+                except ProdgeomError as e:  # kept without the frames that raised it
+                    outcomes.append(e.with_traceback(None))
                     continue
-                except ProdgeomError as e:
-                    return rows, e, gradient, hessian
                 if args.fd_check:
                     gradient[i], hessian[i] = jet.gradient, jet.hessian
-                rows.append((cells, status))
-            return rows, None, gradient, hessian
+                outcomes.append((cells, status))
+            return outcomes, gradient, hessian
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")
@@ -224,15 +217,22 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start:start + BLOCK_ROWS]
-            rows, error, gradient, hessian = measure(block)
+            outcomes, gradient, hessian = measure(block)
+            rows = []  # the outcomes up to the first error other than DomainError
+            for outcome in outcomes:
+                if isinstance(outcome, DomainError):
+                    outcome = (None, "domain_error")
+                elif isinstance(outcome, ProdgeomError):
+                    break
+                rows.append(outcome)
             checked = [i for i, (cells, _) in enumerate(rows) if cells is not None]
             if args.fd_check and checked:
                 gaps = _fd_gaps(spec, np.array(block, dtype=float)[checked],
                                 gradient[checked], hessian[checked])
                 for i, gap in zip(checked, gaps.tolist()):
                     rows[i][0].append(gap)
-            if error is not None:  # once the rows before it have had their fd_gap
-                raise error
+            if len(rows) < len(outcomes):  # once the rows before it have had their fd_gap
+                raise outcomes[len(rows)]
             write([[*p, *(empty if cells is None else cells), status]
                    for p, (cells, status) in zip(block, rows)])
     out.write(text.getvalue())

@@ -546,7 +546,13 @@ _OUTERS = {o.TAG: o for o in (Identity, Power, Scale, Log)}
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # JSON text can spell NaN, Infinity and 1e400
+        raise ParseError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _check_fields(obj: dict, allowed, path: str) -> None:
@@ -592,6 +598,8 @@ def parse_spec(text: str, *, relax_rho: bool = False) -> FunctionSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # too many digits, or nested too deep
+        raise ParseError(f"cannot decode the spec: {e}") from None
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")
     kind = obj.get("kind")

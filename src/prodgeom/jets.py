@@ -6,11 +6,12 @@ through the product and chain rules, never from finite differences;
 ``fd_jet`` is the independent central-difference route used to cross-check
 that assembly. All arithmetic is 64-bit floating point. The assembly takes
 floats for one point or, in ``_jet_columns``, numpy columns with one entry
-per point (nan where the value pass flags it); it tells them apart by their
-shape and performs the same operations in the same order on both. The
-finite-difference stencil is written once the same way: ``fd_jet`` calls a
-black-box evaluator per stencil point, and ``_fd_columns`` evaluates a spec
-at one stencil point of every row at once (``funcspec._value_columns``).
+per point (nan where the value pass flags it), with the same operations in
+the same order on both; its helpers return Hessian entry rules, which
+``_fill`` alone turns into a matrix, once per jet. The finite-difference
+stencil is written once the same way: ``fd_jet`` calls a black-box evaluator
+per stencil point, and ``_fd_columns`` evaluates a spec at one stencil point
+of every row at once (``funcspec._value_columns``).
 """
 
 from __future__ import annotations
@@ -75,12 +76,24 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
         raise NumericalError(f"1-D jet overflowed at x = {x!r}") from None
 
 
+def _fill(n, shape, rules):
+    """The (n, n) + ``shape`` Hessian with entry rules ``(diag, off)``: entry
+    (i, i) is ``diag(i)``, and for i < j ``off(i, j)``, computed once (i
+    ascending, then j) and stored at (i, j) and (j, i), so symmetry is exact."""
+    diag, off = rules
+    hess = np.zeros((n, n) + shape)
+    for i in range(n):
+        hess[i, i] = diag(i)
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = off(i, j)
+    return hess
+
+
 def _product_parts(jets, vals):
-    """Gradient (a list) and Hessian of the product of the factor jets, whose
-    values are ``vals``: floats, or (m,) columns over m points, whose Hessian
-    is then (n, n, m)."""
+    """Gradient (a list) and Hessian entry rules (for ``_fill``) of the
+    product of the factor jets, whose values are ``vals``: floats, or (m,)
+    columns over m points, whose entries are then (m,) columns."""
     n = len(jets)
-    shape = getattr(vals[0], "shape", ())
 
     def prod_except(skip):
         p = 1.0
@@ -90,20 +103,14 @@ def _product_parts(jets, vals):
         return p
 
     du = [jets[i].d1 * prod_except((i,)) for i in range(n)]
-    d2u = np.zeros((n, n) + shape)
-    for i in range(n):
-        d2u[i, i] = jets[i].d2 * prod_except((i,))
-        for j in range(i + 1, n):
-            d2u[i, j] = d2u[j, i] = jets[i].d1 * jets[j].d1 * prod_except((i, j))
-    return du, d2u
+    return du, (lambda i: jets[i].d2 * prod_except((i,)),
+                lambda i, j: jets[i].d1 * jets[j].d1 * prod_except((i, j)))
 
 
 def _acms_parts(spec: Acms, pt, s, pw=pow):
-    """Gradient and Hessian of the CES core g = gamma * s^(d/rho), from the
+    """Gradient and Hessian rules of the CES core g = gamma * s^(d/rho), from the
     sum s (a float or a column, as in ``_product_parts``; ``pw`` computes ``**``)."""
     rho, q = spec.rho, spec.d / spec.rho
-    shape = getattr(s, "shape", ())
-    n = spec.n
     ds = []
     d2s = []
     for b, x in zip(spec.betas, pt):
@@ -113,26 +120,18 @@ def _acms_parts(spec: Acms, pt, s, pw=pow):
     c1 = spec.gamma * q * pw(s, q - 1.0)
     coeff = q * (q - 1.0)
     c2 = spec.gamma * coeff * pw(s, q - 2.0) if coeff != 0.0 else 0.0
-    dg = [c1 * ds[i] for i in range(n)]
-    d2g = np.zeros((n, n) + shape)
-    for i in range(n):
-        d2g[i, i] = c2 * ds[i] * ds[i] + c1 * d2s[i]
-        for j in range(i + 1, n):
-            d2g[i, j] = d2g[j, i] = c2 * ds[i] * ds[j]
-    return dg, d2g
+    dg = [c1 * d for d in ds]
+    return dg, (lambda i: c2 * ds[i] * ds[i] + c1 * d2s[i],
+                lambda i, j: c2 * ds[i] * ds[j])
 
 
-def _chain(f1, f2, du, d2u):
-    """Gradient and Hessian of F(u(x)) from the derivatives of u and
-    F'(u) = f1, F''(u) = f2 (floats or columns, as in ``_product_parts``)."""
-    n = len(du)
-    grad = [f1 * du[i] for i in range(n)]
-    hess = np.zeros(d2u.shape)
-    for i in range(n):
-        hess[i, i] = f2 * du[i] * du[i] + f1 * d2u[i, i]
-        for j in range(i + 1, n):
-            hess[i, j] = hess[j, i] = f2 * du[i] * du[j] + f1 * d2u[i, j]
-    return grad, hess
+def _chain(f1, f2, du, rules):
+    """Gradient and Hessian rules of F(u(x)) from those of u (composed, not
+    filled) and F'(u) = f1, F''(u) = f2 (floats or columns, as in ``_product_parts``)."""
+    diag, off = rules
+    grad = [f1 * du[i] for i in range(len(du))]
+    return grad, (lambda i: f2 * du[i] * du[i] + f1 * diag(i),
+                  lambda i, j: f2 * du[i] * du[j] + f1 * off(i, j))
 
 
 def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
@@ -149,13 +148,14 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
     factors = None
     try:
         if isinstance(spec, Acms):
-            grad, hess = _acms_parts(spec, pt, parts)
+            grad, rules = _acms_parts(spec, pt, parts)
         else:
             factors = tuple(_factor_jet(c, x, v) for c, x, v in zip(spec.components, pt, parts))
-            grad, hess = _product_parts(factors, parts)
+            grad, rules = _product_parts(factors, parts)
         if not isinstance(spec, Homothetical):
             factors = None
-            grad, hess = _chain(*spec.outer.derivs(u), grad, hess)
+            grad, rules = _chain(*spec.outer.derivs(u), grad, rules)
+        hess = _fill(spec.n, (), rules)
     except (OverflowError, ZeroDivisionError):
         raise NumericalError(f"jet assembly overflowed at {tuple(pt)!r}") from None
     gradient = np.array(grad, dtype=float)
@@ -190,7 +190,7 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     factors = None
     ok = ~failed
     if isinstance(spec, Acms):
-        grad, hess = _acms_parts(spec, pt, parts, _column_pow)
+        grad, rules = _acms_parts(spec, pt, parts, _column_pow)
     else:
         vals = list(parts.T)
         factors = []
@@ -198,12 +198,12 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
             d1, d2 = derivs(c.derivs, x, v)
             factors.append(Jet1(v, d1, d2))
             ok &= np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2)
-        grad, hess = _product_parts(factors, vals)
+        grad, rules = _product_parts(factors, vals)
     if not isinstance(spec, Homothetical):
         factors = None
-        grad, hess = _chain(*derivs(spec.outer.derivs, u), grad, hess)
+        grad, rules = _chain(*derivs(spec.outer.derivs, u), grad, rules)
     gradient = np.stack(grad, axis=1)
-    hessian = hess.transpose(2, 0, 1)
+    hessian = _fill(spec.n, value.shape, rules).transpose(2, 0, 1)
     ok &= np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))
     return value, gradient, hessian, factors, ok
 

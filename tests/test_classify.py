@@ -137,6 +137,17 @@ def test_make_thm41_case_b_validates_sum():
         make_thm41_family("b", alphas=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("make, case, kwargs", [
+    (make_thm41_family, "b", {"alphas": []}),
+    (make_thm51_family, "a", {"alphas": []}),
+    (make_thm51_family, "a", {"alphas": (0.5, 0.0)}),
+    (make_thm51_family, "a", {"alphas": (0.5, 0.5), "gamma": 0.0}),
+], ids=["thm41-b-empty", "thm51-a-empty", "thm51-a-zero-exponent", "thm51-a-zero-gamma"])
+def test_family_constructors_reject_bad_exponents(make, case, kwargs):
+    with pytest.raises(ValidationError):
+        make(case, **kwargs)
+
+
 def test_classify_ces_families():
     assert classify_ces(make_cobb_douglas(1.0, (0.3, 0.7))).family == "thm51_a"
     composite_cd = Composite(Power(3.0), (PowFn(1.0, 0.0, 1 / 3), PowFn(1.0, 0.0, 2 / 3)))

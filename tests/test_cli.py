@@ -39,6 +39,10 @@ def test_grid_descriptor_errors():
         _parse_grid("grid:0..1x2:0")
     with pytest.raises(ValidationError):
         _parse_grid("grid:zero..1:3")
+    with pytest.raises(ValidationError, match="'two' is not an integer"):
+        _parse_grid("grid:0..1x0..1:two")
+    with pytest.raises(ValidationError, match="grid axis '1' must look like"):
+        _parse_grid("grid:0..1x1:2")
 
 
 def test_eval_csv(capsys):
@@ -86,10 +90,12 @@ def test_elasticity_pairs_flag(capsys):
 
 
 def test_bad_pairs_exit_2(capsys):
-    code, _, err = _run(capsys, "elasticity", "--spec", DATA / "acms_rho_half.json",
-                        "--points", DATA / "pts.csv", "--pairs", "1,7")
-    assert code == 2
-    assert "(1,7)" in err
+    for pairs, message in [("1,7", "(1,7)"), ("1-2", "pair '1-2' must look like i,j"),
+                           ("a,b", "pair 'a,b' has non-integer indices")]:
+        code, _, err = _run(capsys, "elasticity", "--spec", DATA / "acms_rho_half.json",
+                            "--points", DATA / "pts.csv", "--pairs", pairs)
+        assert code == 2
+        assert message in err
 
 
 def test_repeated_pair_exit_2(capsys):
@@ -121,6 +127,61 @@ def test_missing_spec_file(capsys):
     code, _, err = _run(capsys, "classify", "--spec", DATA / "no_such.json")
     assert code == 2
     assert "no_such.json" in err
+
+
+@pytest.mark.parametrize("which", ["spec", "points"])
+def test_file_not_utf8_exits_2(capsys, tmp_path, which):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff1.0,2.0\n")
+    files = {"spec": DATA / "cobb_douglas_crs.json", "points": DATA / "pts.csv", which: bad}
+    code, out, err = _run(capsys, "eval", "--spec", files["spec"], "--points", files["points"])
+    assert code == 2 and out == ""
+    assert f"error: cannot read {which} file {bad}: 'utf-8' codec can't decode" in err
+
+
+def test_non_finite_spec_number_exits_2(capsys, tmp_path):
+    spec = tmp_path / "nan_alpha.json"
+    spec.write_text('{"kind":"homothetical","components":['
+                    '{"type":"pow","gamma":1,"beta":0,"alpha":NaN},'
+                    '{"type":"pow","gamma":1,"beta":0,"alpha":0.5}]}')
+    code, out, err = _run(capsys, "classify", "--spec", spec)
+    assert code == 2 and out == ""
+    assert err == "error: components[0].alpha: expected a finite number, got nan\n"
+
+
+def test_points_file_blank_lines_skipped(capsys, tmp_path):
+    points = tmp_path / "pts.csv"
+    points.write_text("\n1.0,2.0\n\n  \n0.5,0.5\n")
+    code, out, _ = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",
+                        "--points", points)
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["1.0", "2.0"],
+                                                                      ["0.5", "0.5"]]
+
+
+@pytest.mark.parametrize("contents, message", [
+    (None, "cannot read points file"),  # the path is a directory
+    ("", "produced no points"),
+    ("\n \n", "produced no points"),
+], ids=["unreadable", "empty", "blank"])
+def test_points_file_without_points_exits_2(capsys, tmp_path, contents, message):
+    points = tmp_path
+    if contents is not None:
+        points = tmp_path / "pts.csv"
+        points.write_text(contents)
+    code, out, err = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",
+                          "--points", points)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_elasticity_needs_two_variables(capsys, tmp_path):
+    spec = tmp_path / "one.json"
+    spec.write_text('{"kind":"homothetical","components":['
+                    '{"type":"pow","gamma":1,"beta":0,"alpha":1}]}')
+    code, out, err = _run(capsys, "elasticity", "--spec", spec, "--points", "grid:1..2:2")
+    assert code == 2 and out == ""
+    assert "needs a spec with >= 2 variables" in err
 
 
 def test_wrong_point_arity(capsys):
@@ -218,6 +279,13 @@ def test_relax_rho_flag(capsys, tmp_path):
                         "--relax-rho")
     assert code == 0
     assert out.splitlines()[1] == "1.0,1.0,3.0,ok"
+
+
+def test_classify_composite_spec(capsys):
+    code, out, _ = _run(capsys, "classify", "--spec", DATA / "ratio.json")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()] == [
+        ["classifier", "family"], ["allen_singular", "thm41_b"], ["ces", "thm51_a"]]
 
 
 def test_classify_outputs_one_row_per_classifier(capsys):

@@ -100,6 +100,31 @@ def test_parse_rejects_bool_as_number():
         parse_spec(text)
 
 
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400", "9" * 401],
+                         ids=["nan", "minus-infinity", "1e400", "long-integer"])
+@pytest.mark.parametrize("template, field", [
+    ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":0,"alpha":@}]}',
+     "components[0].alpha"),
+    ('{"kind":"acms","gamma":1,"betas":[1,@],"rho":0.5,"d":1,"outer":{"type":"identity"}}',
+     "betas[1]"),
+    ('{"kind":"acms","gamma":1,"betas":[1,1],"rho":@,"d":1,"outer":{"type":"identity"}}',
+     "rho"),
+    ('{"kind":"composite","outer":{"type":"power","d":@},'
+     '"components":[{"type":"exp","gamma":1,"lambda":1}]}', "outer.d"),
+], ids=["component", "betas", "rho", "outer"])
+def test_parse_rejects_non_finite_number(template, field, number):
+    with pytest.raises(ParseError) as info:
+        parse_spec(template.replace("@", number))
+    assert str(info.value).startswith(f"{field}: expected a finite number, got ")
+
+
+@pytest.mark.parametrize("text", ['{"kind":' + "1" * 5000 + "}", "[" * 100_000],
+                         ids=["integer-digit-limit", "nesting-depth"])
+def test_parse_undecodable_json_is_parse_error(text):
+    with pytest.raises(ParseError, match="cannot decode the spec"):
+        parse_spec(text)
+
+
 def test_parse_unknown_kind():
     with pytest.raises(ParseError, match="kind"):
         parse_spec('{"kind":"mystery"}')

@@ -27,6 +27,7 @@ from prodgeom import (
     make_acms,
     make_cobb_douglas,
 )
+from prodgeom import jets
 from prodgeom.jets import _fd_columns, _jet_columns
 from prodgeom.sampling import (
     points_loguniform,
@@ -244,6 +245,21 @@ def test_hessian_symmetry_exact():
         assert (h == h.T).all()
 
 
+@pytest.mark.parametrize("spec", [
+    make_cobb_douglas(1.0, (0.3, 0.7, 0.5)),
+    Composite(Power(2.0), (PowFn(1.0, 0.0, 0.5), ExpFn(1.0, 0.3), PowFn(1.0, 0.0, 2.0))),
+    make_acms(1.0, (1.0, 2.0, 0.5), 0.5, 1.0),
+], ids=["homothetical", "composite", "acms"])
+def test_one_hessian_fill_per_jet(monkeypatch, spec):
+    fills = []
+    fill = jets._fill
+    monkeypatch.setattr(jets, "_fill", lambda n, shape, rules: fills.append((n, shape))
+                        or fill(n, shape, rules))
+    jet_multivariate(spec, (1.0, 1.5, 2.0))
+    _jet_columns(spec, np.array([(1.0, 1.5, 2.0), (0.5, 1.0, 3.0)]))
+    assert fills == [(3, ()), (3, (2,))]
+
+
 def test_point_arity_checked():
     spec = make_cobb_douglas(1.0, (1.0, 2.0))
     with pytest.raises(ValidationError):
@@ -279,6 +295,19 @@ def test_fd_jet_stencil_leaving_domain():
 
     with pytest.raises(NumericalError):
         fd_jet(half_line, (1.0,))
+
+
+@pytest.mark.parametrize("blow_up, message", [
+    (lambda: math.exp(1e6), "evaluator overflowed at"),
+    (lambda: math.inf, "evaluator returned non-finite value at"),
+], ids=["overflow-error", "inf"])
+def test_fd_jet_evaluator_blowing_up_is_numerical_error(blow_up, message):
+    # the first stencil point, x + 6e-6, is already past the edge
+    def edge(p):
+        return blow_up() if p[0] > 1.0 + 1e-6 else p[0]
+
+    with pytest.raises(NumericalError, match=message):
+        fd_jet(edge, (1.0,))
 
 
 def test_fd_jet_non_finite_stencil_sum_is_numerical_error():
