@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -26,11 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .classify import classify_allen_singular, classify_ces, classify_developable
-from .elasticity import elasticity_report
+from .elasticity import _report_from_jet, elasticity_report
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
 from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
 from .geometry import gauss_kronecker_batch
-from .jets import _fd_gaps, jet_multivariate
+from .jets import Jet2N, _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
 
 
@@ -60,10 +61,7 @@ def _parse_grid(desc: str) -> list:
         if not all(map(math.isfinite, [lo, hi, *values])):
             raise ValidationError(f"grid axis {axis!r} gives non-finite coordinates")
         axes.append(values)
-    points = [()]
-    for axis in axes:
-        points = [p + (v,) for p in points for v in axis]
-    return points
+    return list(itertools.product(*axes))
 
 
 def _load_points(source: str, n: int) -> list:
@@ -144,20 +142,29 @@ def _writer(header: list, fmt: str, out):
 BLOCK_ROWS = 2048
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the ProdgeomError it raised without its frames."""
+    try:
+        return fn(*args)
+    except ProdgeomError as e:
+        return e.with_traceback(None)
+
+
 def _run_points(args, spec: FunctionSpec, points, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
     Points go in blocks of ``BLOCK_ROWS`` to ``measure(block)``. It returns
     one outcome per row, (cells from ``value`` on, status) or the
     ProdgeomError the row raised, and the block's exact gradient and Hessian
-    columns: ``curvature`` takes them from ``gauss_kronecker_batch``;
-    ``eval`` and ``elasticity`` go point by point and fill them from each
-    row's jet under ``--fd-check``. Only the block loop reads an error: a
-    DomainError is a row with no cells and status ``domain_error``, and the
-    rows stop at any other. The fd_gap column compares the finite-difference
-    oracle with those columns at the rows with cells (``jets._fd_gaps``);
-    the first row, in input order, whose measure or oracle fails decides the
-    error. Stdout is written once, after the last block.
+    columns: from ``gauss_kronecker_batch`` for ``curvature``, else from one
+    ``jets._jet_columns`` call, whose flagged rows go through the per-point
+    ``elasticity_report`` or ``jet_multivariate`` for their errors (plain
+    ``eval`` forms no jet). Only the block loop reads an error: a DomainError
+    is a row with no cells and status ``domain_error``, and the rows stop at
+    any other. The fd_gap column compares the finite-difference oracle with
+    those columns at the rows with cells (``jets._fd_gaps``); the first row,
+    in input order, whose measure or oracle fails decides the error. Stdout
+    is written once, after the last block.
     """
     columns = []
     if args.command == "curvature":
@@ -170,9 +177,13 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
             return ([error or (row, "ok") for error, row in zip(blk.errors, cells)],
                     blk.gradient, blk.hessian)
     elif args.command == "eval":
-        def measure_point(p):
-            jet = jet_multivariate(spec, p) if args.fd_check else None
-            return jet, [evaluate(spec, p) if jet is None else jet.value], "ok"
+        def measure(block):
+            if not args.fd_check:  # no jet: one value pass per point
+                return [_outcome(lambda: ([evaluate(spec, p)], "ok")) for p in block], None, None
+            value, gradient, hessian, _, ok = _jet_columns(spec, np.array(block, dtype=float))
+            return ([([v], "ok") if good else _outcome(jet_multivariate, spec, p)
+                     for p, v, good in zip(block, value.tolist(), ok.tolist())],
+                    gradient, hessian)
     else:
         pairs = _parse_pairs(args.pairs, spec.n) if args.pairs else None
         if spec.n < 2:
@@ -182,31 +193,24 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
         columns = ([f"hicks_{i}_{j}" for i, j in pairs] + [f"allen_{i}_{j}" for i, j in pairs]
                    + ["bordered_det"])
 
-        def measure_point(p):
-            report = elasticity_report(spec, p)
+        def row(report):
             hicks = [float(report.hicks[i - 1, j - 1]) for i, j in pairs]
             # nan marks an undefined pair
             status = ("hicks_undefined" if any(h != h for h in hicks)
                       else "allen_undefined" if report.allen is None else "ok")
             allen = ([None] * len(pairs) if report.allen is None
                      else [float(report.allen[i - 1, j - 1]) for i, j in pairs])
-            return report.jet, [report.value, *(None if h != h else h for h in hicks),
-                                *allen, report.bordered_det], status
-    if args.command != "curvature":  # eval and elasticity go point by point
+            return [report.value, *(None if h != h else h for h in hicks),
+                    *allen, report.bordered_det], status
+
         def measure(block):
-            outcomes = []
-            gradient = np.full((len(block), spec.n), math.nan)
-            hessian = np.full((len(block), spec.n, spec.n), math.nan)
-            for i, p in enumerate(block):
-                try:
-                    jet, cells, status = measure_point(p)
-                except ProdgeomError as e:  # kept without the frames that raised it
-                    outcomes.append(e.with_traceback(None))
-                    continue
-                if args.fd_check:
-                    gradient[i], hessian[i] = jet.gradient, jet.hessian
-                outcomes.append((cells, status))
-            return outcomes, gradient, hessian
+            value, gradient, hessian, _, ok = _jet_columns(spec, np.array(block, dtype=float))
+            ok &= np.min(block, axis=1) > 0.0  # the positivity guard outranks any jet error
+            reports = [_outcome(_report_from_jet, Jet2N(v, g, h), p) if good else
+                       _outcome(elasticity_report, spec, p) for p, v, g, h, good
+                       in zip(block, value.tolist(), gradient, hessian, ok.tolist())]
+            return ([r if isinstance(r, ProdgeomError) else row(r) for r in reports],
+                    gradient, hessian)
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")

@@ -174,13 +174,17 @@ class ElasticityReport:
 # numpy's overflow warnings are silenced: a non-finite result raises NumericalError
 @np.errstate(all="ignore")
 def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityReport:
-    """Assemble the full Hicks/Allen report at a point.
+    """Assemble the full Hicks/Allen report at a point from one jet.
 
     Raises NumericalError where the bordered determinant or an Allen entry
     is not finite or a Hicks entry is infinite (nan marks an undefined pair).
     """
     pt = _positive_point(spec, point)
-    jet = jet_multivariate(spec, pt)
+    return _report_from_jet(jet_multivariate(spec, pt), pt)
+
+
+def _report_from_jet(jet: Jet2N, pt) -> ElasticityReport:
+    """``elasticity_report`` at the positive point ``pt``, read from its jet."""
     n = jet.n
     border, det = _bordered_from_jet(jet)
     if not math.isfinite(det):

@@ -42,6 +42,19 @@ def _is_nonneg_int(a: float) -> bool:
     return a >= 0.0 and float(a).is_integer()
 
 
+def _check_finite(obj, label: str) -> None:
+    """Reject a nan or infinite number among the fields of a component, outer
+    map or CES spec (tuple fields entry by entry), naming ``label`` and the
+    field by its wire name (``WIRE``, where the class has one)."""
+    members = fields(obj)
+    for name, member in zip(getattr(obj, "WIRE", [m.name for m in members]), members):
+        value = getattr(obj, member.name)
+        for k, v in enumerate(value) if isinstance(value, tuple) else [(None, value)]:
+            if isinstance(v, (int, float)) and not math.isfinite(v):
+                where = name if k is None else f"{name}[{k}]"
+                raise ValidationError(f"{label}: {where} must be finite, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # 1-D component families
 
@@ -58,6 +71,7 @@ class PowFn:
     alpha: float
 
     def __post_init__(self):
+        _check_finite(self, "pow component")
         if self.gamma == 0.0:
             raise ValidationError("pow component: gamma must be nonzero")
         if self.alpha == 0.0:
@@ -96,6 +110,7 @@ class ExpFn:
     lam: float
 
     def __post_init__(self):
+        _check_finite(self, "exp component")
         if self.gamma == 0.0:
             raise ValidationError("exp component: gamma must be nonzero")
         if self.lam == 0.0:
@@ -121,6 +136,7 @@ class LogPowFn:
     m: float
 
     def __post_init__(self):
+        _check_finite(self, "logpow component")
         if self.b == 0.0:
             raise ValidationError("logpow component: b must be nonzero")
         if self.m == 0.0:
@@ -179,6 +195,7 @@ class Power:
     d: float
 
     def __post_init__(self):
+        _check_finite(self, "power outer")
         if self.d == 0.0:
             raise ValidationError("power outer: d must be nonzero")
 
@@ -205,6 +222,7 @@ class Scale:
     gamma: float
 
     def __post_init__(self):
+        _check_finite(self, "scale outer")
         if self.gamma <= 0.0:
             raise ValidationError("scale outer: gamma must be positive")
 
@@ -299,6 +317,7 @@ class Acms:
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        _check_finite(self, "acms")
         if self.gamma <= 0.0:
             raise ValidationError("acms: gamma must be positive")
         if len(self.betas) < 1:
@@ -512,12 +531,16 @@ def homogeneity_degree(spec: FunctionSpec, probe_points=None,
     """Estimate the homogeneity degree by scaling probe points.
 
     Default probes are 5 seeded log-uniform points in [0.5, 2]^n. Raises
-    DomainError when scaling pushes a probe out of the spec's domain.
+    ValidationError for no probe points, no t values or a t <= 0 or = 1,
+    and DomainError when scaling pushes a probe out of the spec's domain.
     """
     if probe_points is None:
         from .sampling import points_loguniform  # sampling imports this module
 
         probe_points = points_loguniform(spec.n, 5, seed)
+    probe_points, t_values = list(probe_points), list(t_values)
+    if not probe_points or not t_values:  # the degree is a mean over their pairs
+        raise ValidationError("homogeneity probe needs at least one point and one t value")
     estimates = []
     for x in probe_points:
         pt = _point(spec, x)

@@ -271,8 +271,8 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
         for i in np.flatnonzero(failed).tolist():
             try:
                 rec = gauss_kronecker(spec, x[i])
-            except ProdgeomError as e:
-                errors[i] = e
+            except ProdgeomError as e:  # kept without the frames that raised it
+                errors[i] = e.with_traceback(None)
                 continue
             value[i], gradient[i], hessian[i] = rec.value, rec.jet.gradient, rec.jet.hessian
             omega[i], det[i], gk[i] = rec.omega, rec.hessian_det, rec.gk_curvature

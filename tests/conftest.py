@@ -1,8 +1,13 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the hypothesis profile of the CLI fuzz."""
 
 import pytest
+from hypothesis import settings
 
 from prodgeom import funcspec, jets
+
+# ``--hypothesis-profile=fuzz`` runs every property without an explicit
+# example count, the CLI fuzz among them, at 10,000 examples
+settings.register_profile("fuzz", max_examples=10_000, deadline=None)
 
 
 @pytest.fixture

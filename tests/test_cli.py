@@ -13,7 +13,7 @@ import pytest
 import prodgeom
 from prodgeom import cli, fd_jet, gauss_kronecker
 from prodgeom.cli import BLOCK_ROWS, _parse_grid, run
-from prodgeom.jets import norm_rel_gaps
+from prodgeom.jets import _jet_columns, norm_rel_gaps
 from prodgeom.verify import run_checks
 
 DATA = Path(__file__).parent / "data"
@@ -471,11 +471,13 @@ def _count_method_calls(monkeypatch, classes, name) -> list:
 @pytest.mark.parametrize("argv, jets, jet1ds, evaluates", [
     # curvature rows come from the block kernel, which forms the jets as
     # columns (no jet_multivariate call) and runs the closed-form determinant
-    # on its own factor jets; the value slot is the jet's
+    # on its own factor jets; the value slot is the jet's. elasticity and
+    # eval --fd-check read the same column jets
     (["curvature", "--spec", DATA / "cobb_douglas_crs.json"], 0, 0, 0),
-    (["elasticity", "--spec", DATA / "acms_rho_half.json"], 1, 0, 0),
+    (["elasticity", "--spec", DATA / "acms_rho_half.json"], 0, 0, 0),
     # the FD stencil evaluates the spec; the exact side is the row's own jet
     (["curvature", "--fd-check", "--spec", DATA / "acms_rho_half.json"], 0, 0, None),
+    (["eval", "--fd-check", "--spec", DATA / "cobb_douglas_crs.json"], 0, 0, None),
 ])
 def test_one_jet_per_row(capsys, monkeypatch, argv, jets, jet1ds, evaluates):
     counts = [_count_calls(monkeypatch, fn) for fn in
@@ -509,6 +511,38 @@ def test_curvature_kernel_runs_once_per_block(capsys, monkeypatch):
     # each component's value and derivatives run once per row
     spec = prodgeom.parse_spec((DATA / "cobb_douglas_crs.json").read_text())
     assert Counter(values) == Counter(derivs) == {c: 2116 for c in spec.components}
+
+
+@pytest.mark.parametrize("command", [["elasticity"], ["eval", "--fd-check"]])
+def test_jet_columns_run_once_per_block(capsys, monkeypatch, tmp_path, command):
+    blocks = _count_calls(monkeypatch, _jet_columns)
+    reports = _count_calls(monkeypatch, prodgeom.elasticity_report)
+    jet_calls = _count_calls(monkeypatch, prodgeom.jet_multivariate)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_BLOCK_SPECS["homothetical"])
+    # 2,116 rows: one full block and a short one. x2 < 0 is outside the jet's
+    # domain; x1 <= 0 only outside elasticity's positive orthant, and at
+    # x1 = -1e200 the value overflows too, which the orthant guard outranks
+    points = _block_points()[:2116]
+    points[100], points[2100] = (0.0, 1.5), (-0.5, 1.0)
+    if command == ["elasticity"]:
+        points[2110] = (-1e200, 1.0)
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
+    code, out, err = _run(capsys, *command, "--spec", spec_path, "--points", points_path,
+                          "--fd-check", "--format", "jsonl")
+    assert (code, err) == (0, "")
+    assert [len(args[1]) for args in blocks] == [BLOCK_ROWS, 2116 - BLOCK_ROWS]
+    # only the rows the columns flag go through the per-point function
+    outside = [p for p in points if min(p) <= 0.0]
+    jet_outside = [p for p in points if p[1] <= 0.0]
+    if command == ["elasticity"]:
+        assert [args[1] for args in reports] == outside and jet_calls == []
+    else:
+        assert reports == [] and [args[1] for args in jet_calls] == jet_outside
+    statuses = [json.loads(line)["status"] for line in out.splitlines()]
+    assert [p for p, status in zip(points, statuses) if status == "domain_error"] == (
+        outside if command == ["elasticity"] else jet_outside)
 
 
 _BLOCK_SPECS = {

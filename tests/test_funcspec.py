@@ -32,6 +32,7 @@ from prodgeom import (
     serialize_spec,
 )
 from prodgeom.funcspec import _value_columns, _values
+from prodgeom.jets import _jet_columns, jet_multivariate
 from prodgeom.sampling import points_loguniform, random_homothetical
 
 
@@ -214,6 +215,48 @@ def test_make_acms_rho_gate():
         make_acms(1.0, (1.0, -1.0), 0.5, 1.0)
 
 
+_NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                      ids=["nan", "inf", "-inf"])
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("cls, args, label, k", [
+    pytest.param(cls, args, label, k, id=f"{cls.TAG}.{cls.WIRE[k]}")
+    for cls, args, label in [(PowFn, (1.0, 0.0, 0.5), "pow component"),
+                             (ExpFn, (1.0, 0.5), "exp component"),
+                             (LogPowFn, (1.0, 1.0, 0.5), "logpow component"),
+                             (Power, (2.0,), "power outer"),
+                             (Scale, (2.0,), "scale outer")]
+    for k in range(len(args))
+])
+def test_components_and_outers_reject_non_finite_parameters(cls, args, label, k, bad):
+    with pytest.raises(ValidationError) as e:
+        cls(*args[:k], bad, *args[k + 1:])
+    assert str(e.value) == f"{label}: {cls.WIRE[k]} must be finite, got {bad!r}"
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", ["gamma", "betas[1]", "rho", "d"])
+def test_acms_rejects_non_finite_parameters(field, bad):
+    kwargs = {"gamma": 1.0, "betas": [1.0, 2.0], "rho": 0.5, "d": 1.0}
+    if field == "betas[1]":
+        kwargs["betas"] = [1.0, bad]
+    else:
+        kwargs[field] = bad
+    # before make_acms's own rho < 1 gate, which nan would pass
+    for build in (Acms, make_acms):
+        with pytest.raises(ValidationError) as e:
+            build(**kwargs)
+        assert str(e.value) == f"acms: {field} must be finite, got {bad!r}"
+
+
+def test_cobb_douglas_rejects_non_finite_exponent():
+    with pytest.raises(ValidationError, match="pow component: alpha must be finite, got nan"):
+        make_cobb_douglas(1.0, [math.nan, 0.5])
+    with pytest.raises(ValidationError, match="pow component: gamma must be finite, got inf"):
+        make_cobb_douglas(math.inf, [0.5, 0.5])
+
+
 def test_acms_domain_error_outside_positive_orthant():
     spec = make_acms(1.0, (1.0, 1.0), 0.5, 1.0)
     with pytest.raises(DomainError, match="x2"):
@@ -283,6 +326,16 @@ def test_homogeneity_domain_error_when_scaling_exits():
         homogeneity_degree(spec, probe_points=[(0.7,)], t_values=(0.5,))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"probe_points": []}, "needs at least one point and one t value"),
+    ({"t_values": ()}, "needs at least one point and one t value"),
+    ({"t_values": (1.0,)}, "needs t > 0, t != 1; got 1.0"),
+], ids=["no-points", "no-t", "t-one"])
+def test_homogeneity_rejects_empty_or_degenerate_probes(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        homogeneity_degree(make_cobb_douglas(1.0, (0.5, 0.5)), **kwargs)
+
+
 def test_spec_equality_is_structural():
     a = make_cobb_douglas(1.0, (0.5, 0.5))
     b = make_cobb_douglas(1.0, (0.5, 0.5))
@@ -322,6 +375,16 @@ def _bits(floats) -> list:
     return [float(v).hex() for v in floats]
 
 
+def _edge_spec(rng, kind, outer, n):
+    if kind == "homothetical":
+        return Homothetical([_edge_component(rng) for _ in range(n)])
+    if kind == "composite":
+        return Composite(_EDGE_OUTERS[outer](rng), [_edge_component(rng) for _ in range(n)])
+    return make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                     rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
+                     rng.uniform(0.5, 2.0), _EDGE_OUTERS[outer](rng), relax_rho=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
@@ -331,14 +394,7 @@ def test_value_columns_bitwise_equal_values(seed, kind, outer, n, m):
     # every row has the bits of the scalar value pass (sign of zero
     # included), and a row is flagged exactly where that pass raises
     rng = random.Random(seed)
-    if kind == "homothetical":
-        spec = Homothetical([_edge_component(rng) for _ in range(n)])
-    elif kind == "composite":
-        spec = Composite(_EDGE_OUTERS[outer](rng), [_edge_component(rng) for _ in range(n)])
-    else:
-        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
-                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
-                         rng.uniform(0.5, 2.0), _EDGE_OUTERS[outer](rng), relax_rho=True)
+    spec = _edge_spec(rng, kind, outer, n)
     points = np.array([[rng.choice(_EDGE_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
                         for _ in range(n)] for _ in range(m)])
     parts, u, value, failed = _value_columns(spec, points)
@@ -352,6 +408,40 @@ def test_value_columns_bitwise_equal_values(seed, kind, outer, n, m):
         assert not failed[i]
         assert _bits([*np.ravel(parts[i]), u[i], value[i]]) == \
             _bits([*np.ravel(expected[0]), *expected[1:]])
+
+
+# coordinates whose powers stay finite in the value but underflow or
+# overflow in a derivative (1e-160 squared, 1e77 cubed), and 1e150
+_JET_COORDS = _EDGE_COORDS + (1e-160, 1e77, 1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)),
+       n=st.integers(1, 10), m=st.integers(1, 12))
+def test_jet_columns_bitwise_equal_jet_multivariate(seed, kind, outer, n, m):
+    # a row is flagged exactly where jet_multivariate raises, and every other
+    # row has its bits (value, gradient, Hessian, factor jets; sign of zero
+    # included): the contract the CLI's block routes read rows under
+    rng = random.Random(seed)
+    spec = _edge_spec(rng, kind, outer, n)
+    points = np.array([[rng.choice(_JET_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
+                        for _ in range(n)] for _ in range(m)])
+    with np.errstate(all="ignore"):  # a flagged row's numbers are discarded
+        value, gradient, hessian, factors, ok = _jet_columns(spec, points)
+    for i, row in enumerate(points.tolist()):
+        try:
+            jet = jet_multivariate(spec, row)
+        except ProdgeomError as e:
+            assert not ok[i], f"row {i}: jet_multivariate raises {e!r}"
+            continue
+        assert ok[i]
+        assert _bits([value[i], *gradient[i], *np.ravel(hessian[i])]) == \
+            _bits([jet.value, *jet.gradient, *np.ravel(jet.hessian)])
+        assert (factors is None) == (jet.factors is None)
+        assert [_bits([f.value[i], f.d1[i], f.d2[i]]) for f in factors or ()] == \
+            [_bits([f.value, f.d1, f.d2]) for f in jet.factors or ()]
 
 
 def test_value_columns_makes_no_scalar_call(scalar_value_calls):

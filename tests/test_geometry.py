@@ -379,6 +379,15 @@ def test_batch_errors_per_row_and_shape_check():
         gauss_kronecker_batch(spec, [1.0, 1.0])
 
 
+def test_batch_errors_keep_no_frames():
+    # a stored error carries no traceback, so a block does not keep the
+    # frames of its failing rows' per-point calls alive
+    spec = make_cobb_douglas(1.0, (0.3, 0.7))
+    block = gauss_kronecker_batch(spec, [(1.0, 1.0), (-1.0, 1.0), (1e-300, 1.0), (0.5, -2.0)])
+    errors = [e for e in block.errors if e is not None]
+    assert len(errors) == 3 and all(e.__traceback__ is None for e in errors)
+
+
 def test_batch_of_no_rows():
     block = gauss_kronecker_batch(make_cobb_douglas(1.0, (0.3, 0.7)), np.zeros((0, 2)))
     assert block.errors == ()
