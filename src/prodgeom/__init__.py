@@ -53,11 +53,13 @@ from .geometry import (
 )
 from .elasticity import (
     CesVerdict,
+    ElasticityBlock,
     ElasticityReport,
     allen,
     bordered_hessian,
     ces_probe,
     elasticity_report,
+    elasticity_report_batch,
     hicks,
 )
 from .classify import (

@@ -43,8 +43,8 @@ from .funcspec import (
     PowFn,
     make_cobb_douglas,
 )
-from .geometry import det_scale, gauss_kronecker
-from .elasticity import _bordered_from_jet, _positive_point
+from .geometry import det_scale, gauss_kronecker, plu_det
+from .elasticity import _bordered, _positive_point
 from .sampling import points_loguniform
 
 #: Absolute tolerance for symbolic parameter constraints (sum of exponents).
@@ -303,7 +303,7 @@ def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
         rec = gauss_kronecker(spec, p)
         _positive_point(spec, p)  # the bordered matrix lives on the positive orthant
         max_gk = max(max_gk, abs(rec.gk_curvature))
-        border, det = _bordered_from_jet(rec.jet)
+        border, det = _bordered(rec.jet.gradient, rec.jet.hessian, plu_det)
         scale = det_scale(border)
         rel = abs(det) / scale if scale > 0.0 else 0.0
         max_rel_det = max(max_rel_det, rel)

@@ -27,11 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .classify import classify_allen_singular, classify_ces, classify_developable
-from .elasticity import _report_from_jet, elasticity_report
+from .elasticity import elasticity_report_batch
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
 from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
 from .geometry import gauss_kronecker_batch
-from .jets import Jet2N, _fd_gaps, _jet_columns, jet_multivariate
+from .jets import _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
 
 
@@ -156,15 +156,15 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     Points go in blocks of ``BLOCK_ROWS`` to ``measure(block)``. It returns
     one outcome per row, (cells from ``value`` on, status) or the
     ProdgeomError the row raised, and the block's exact gradient and Hessian
-    columns: from ``gauss_kronecker_batch`` for ``curvature``, else from one
-    ``jets._jet_columns`` call, whose flagged rows go through the per-point
-    ``elasticity_report`` or ``jet_multivariate`` for their errors (plain
-    ``eval`` forms no jet). Only the block loop reads an error: a DomainError
-    is a row with no cells and status ``domain_error``, and the rows stop at
-    any other. The fd_gap column compares the finite-difference oracle with
-    those columns at the rows with cells (``jets._fd_gaps``); the first row,
-    in input order, whose measure or oracle fails decides the error. Stdout
-    is written once, after the last block.
+    columns: from the block kernels ``gauss_kronecker_batch`` (``curvature``)
+    and ``elasticity_report_batch`` (``elasticity``), or for ``eval --fd-check``
+    from one ``jets._jet_columns`` call, whose flagged rows go through
+    ``jet_multivariate`` for their errors (plain ``eval`` forms no jet). Only
+    the block loop reads an error: a DomainError is a row with no cells and
+    status ``domain_error``, and the rows stop at any other. The fd_gap column
+    compares the finite-difference oracle with those columns at the rows with
+    cells (``jets._fd_gaps``); the first row, in input order, whose measure or
+    oracle fails decides the error. Stdout is written once, after the last block.
     """
     columns = []
     if args.command == "curvature":
@@ -185,32 +185,29 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
                      for p, v, good in zip(block, value.tolist(), ok.tolist())],
                     gradient, hessian)
     else:
-        pairs = _parse_pairs(args.pairs, spec.n) if args.pairs else None
+        pairs = _parse_pairs(args.pairs, spec.n) if args.pairs is not None else None
         if spec.n < 2:
             raise ValidationError("the elasticity subcommand needs a spec with >= 2 variables")
         if pairs is None:
             pairs = [(i, j) for i in range(1, spec.n + 1) for j in range(i + 1, spec.n + 1)]
         columns = ([f"hicks_{i}_{j}" for i, j in pairs] + [f"allen_{i}_{j}" for i, j in pairs]
                    + ["bordered_det"])
+        a, b = np.array(pairs).T - 1
 
-        def row(report):
-            hicks = [float(report.hicks[i - 1, j - 1]) for i, j in pairs]
+        def row(value, hicks, allen, singular, det):
             # nan marks an undefined pair
             status = ("hicks_undefined" if any(h != h for h in hicks)
-                      else "allen_undefined" if report.allen is None else "ok")
-            allen = ([None] * len(pairs) if report.allen is None
-                     else [float(report.allen[i - 1, j - 1]) for i, j in pairs])
-            return [report.value, *(None if h != h else h for h in hicks),
-                    *allen, report.bordered_det], status
+                      else "allen_undefined" if singular else "ok")
+            return [value, *(None if h != h else h for h in hicks),
+                    *([None] * len(pairs) if singular else allen), det], status
 
         def measure(block):
-            value, gradient, hessian, _, ok = _jet_columns(spec, np.array(block, dtype=float))
-            ok &= np.min(block, axis=1) > 0.0  # the positivity guard outranks any jet error
-            reports = [_outcome(_report_from_jet, Jet2N(v, g, h), p) if good else
-                       _outcome(elasticity_report, spec, p) for p, v, g, h, good
-                       in zip(block, value.tolist(), gradient, hessian, ok.tolist())]
-            return ([r if isinstance(r, ProdgeomError) else row(r) for r in reports],
-                    gradient, hessian)
+            blk = elasticity_report_batch(spec, block)
+            cells = zip(blk.value.tolist(), blk.hicks[:, a, b].tolist(),
+                        blk.allen[:, a, b].tolist(), blk.singular.tolist(),
+                        blk.bordered_det.tolist())
+            return ([error or row(*cell) for error, cell in zip(blk.errors, cells)],
+                    blk.gradient, blk.hessian)
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")

@@ -16,26 +16,26 @@ where H^B has a zero corner, the gradient as border row/column and the
 Hessian as inner block. The n^2 inner cofactors come from one stacked
 partial-pivot elimination over all minors (``plu_dets``), which matches a
 per-minor ``plu_det`` bit for bit. For two variables the two measures
-coincide; both are invariant under smooth monotone outer transforms with
-nonzero slope (for A_ij this is claimed here only for n = 2, where it
-follows from the coincidence). Indices are 1-based. All elasticity operations restrict to the
-strictly positive orthant.
+coincide; both are invariant under smooth monotone outer transforms F(u) with
+nonzero slope, for every n (C_ij / det(H^B) scales by 1/F', the weight by F').
+Indices are 1-based; elasticities live on the strictly positive orthant.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (AllenUndefined, DomainError, HicksUndefined, NumericalError,
-                     ValidationError, ZeroGradientError)
-from .funcspec import FunctionSpec, _point
+                     ProdgeomError, ValidationError, ZeroGradientError)
+from .funcspec import FunctionSpec, _point, _point_rows
 from .geometry import det_scale, plu_det, plu_dets
-from .jets import Jet2N, jet_multivariate
+from .jets import Jet2N, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
 
 #: Denominators and bordered determinants are declared zero below this,
@@ -60,25 +60,36 @@ def _pair(spec: FunctionSpec, i: int, j: int):
     return i - 1, j - 1
 
 
+def _hicks_parts(xa, xb, fa, fb, faa, fab, fbb, div=operator.truediv):
+    """(num, den, undefined) of H_ab = -num / den, where ``undefined`` is the zero test:
+    on floats a zero product raises ZeroDivisionError, on columns ``div`` gives nan."""
+    num = div(1.0, xa * fa) + div(1.0, xb * fb)
+    t1 = div(faa, fa * fa)
+    t2 = div(2.0 * fab, fa * fb)
+    t3 = div(fbb, fb * fb)
+    den = t1 - t2 + t3
+    return num, den, abs(den) <= SINGULARITY_REL * (abs(t1) + abs(t2) + abs(t3))
+
+
+def _allen_entry(weight, xa, xb, cofactor, det):
+    # A_ab from the weight sum_k x_k f_k, on floats or columns as in _hicks_parts
+    return weight / (xa * xb) * cofactor / det
+
+
 def _hicks_from_jet(jet: Jet2N, pt, a: int, b: int) -> float:
     # canonical ordering makes H_ij == H_ji bit for bit
     a, b = (a, b) if a < b else (b, a)
-    fa = float(jet.gradient[a])
-    fb = float(jet.gradient[b])
-    if fa == 0.0:
-        raise ZeroGradientError(f"partial derivative {a + 1} vanishes at {tuple(pt)!r}")
-    if fb == 0.0:
-        raise ZeroGradientError(f"partial derivative {b + 1} vanishes at {tuple(pt)!r}")
+    fa, fb = float(jet.gradient[a]), float(jet.gradient[b])
+    for k, f in ((a, fa), (b, fb)):
+        if f == 0.0:
+            raise ZeroGradientError(f"partial derivative {k + 1} vanishes at {tuple(pt)!r}")
     try:
-        num = 1.0 / (pt[a] * fa) + 1.0 / (pt[b] * fb)
-        t1 = float(jet.hessian[a, a]) / (fa * fa)
-        t2 = 2.0 * float(jet.hessian[a, b]) / (fa * fb)
-        t3 = float(jet.hessian[b, b]) / (fb * fb)
+        num, den, undefined = _hicks_parts(pt[a], pt[b], fa, fb, float(jet.hessian[a, a]),
+                                           float(jet.hessian[a, b]), float(jet.hessian[b, b]))
     except ZeroDivisionError:  # the partials are nonzero but their products underflow
         raise ZeroGradientError(
             f"partial derivatives {a + 1} and {b + 1} underflow at {tuple(pt)!r}") from None
-    den = t1 - t2 + t3
-    if abs(den) <= SINGULARITY_REL * (abs(t1) + abs(t2) + abs(t3)):
+    if undefined:
         raise HicksUndefined(
             f"denominator vanishes for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
     return -num / den
@@ -95,13 +106,12 @@ def hicks(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     return _hicks_from_jet(jet_multivariate(spec, pt), pt, a, b)
 
 
-def _bordered_from_jet(jet: Jet2N):
-    n = jet.n
-    border = np.zeros((n + 1, n + 1))
-    border[0, 1:] = jet.gradient
-    border[1:, 0] = jet.gradient
-    border[1:, 1:] = jet.hessian
-    return border, plu_det(border)
+def _bordered(gradient: np.ndarray, hessian: np.ndarray, det):
+    # the bordered matrix, or an (m, n+1, n+1) stack of them, and det of it
+    border = np.zeros(gradient.shape[:-1] + (gradient.shape[-1] + 1,) * 2)
+    border[..., 0, 1:] = border[..., 1:, 0] = gradient
+    border[..., 1:, 1:] = hessian
+    return border, det(border)
 
 
 def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
@@ -110,8 +120,8 @@ def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
     Row and column 0 hold (0, f_1, ..., f_n); the inner block is the Hessian.
     The determinant uses partial-pivot elimination.
     """
-    pt = _positive_point(spec, point)
-    return _bordered_from_jet(jet_multivariate(spec, pt))
+    jet = jet_multivariate(spec, _positive_point(spec, point))
+    return _bordered(jet.gradient, jet.hessian, plu_det)
 
 
 @functools.lru_cache(maxsize=16)
@@ -126,12 +136,18 @@ def _minor_index(n: int):
     return keep[:, None, :, None], keep[None, :, None, :], signs
 
 
+#: Most minors per ``plu_dets`` call, 4 rows' at n = 10: a 2,048-row block's would take 164 MB.
+COFACTOR_STACK = 400
+
+
 def _inner_cofactors(border: np.ndarray) -> np.ndarray:
-    # all n^2 minors in one gather, one stacked elimination, then the sign
-    # (-1)^((a+1)+(b+1)); bit for bit the per-minor plu_det route
-    n = border.shape[0] - 1
+    # the signed inner cofactors of an (m, n+1, n+1) stack, bit for bit per-minor plu_det
+    n = border.shape[-1] - 1
     rows, cols, signs = _minor_index(n)
-    return signs * plu_dets(border[rows, cols].reshape(n * n, n, n)).reshape(n, n)
+    step = max(1, COFACTOR_STACK // (n * n))
+    dets = [plu_dets(border[s:s + step, rows, cols].reshape(-1, n, n))
+            for s in range(0, len(border), step)]
+    return signs * np.concatenate([np.empty(0), *dets]).reshape(-1, n, n)
 
 
 def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
@@ -180,13 +196,9 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
     is not finite or a Hicks entry is infinite (nan marks an undefined pair).
     """
     pt = _positive_point(spec, point)
-    return _report_from_jet(jet_multivariate(spec, pt), pt)
-
-
-def _report_from_jet(jet: Jet2N, pt) -> ElasticityReport:
-    """``elasticity_report`` at the positive point ``pt``, read from its jet."""
+    jet = jet_multivariate(spec, pt)
     n = jet.n
-    border, det = _bordered_from_jet(jet)
+    border, det = _bordered(jet.gradient, jet.hessian, plu_det)
     if not math.isfinite(det):
         raise NumericalError(f"non-finite bordered determinant at {tuple(pt)!r}")
     hicks_m = np.full((n, n), math.nan)
@@ -199,9 +211,8 @@ def _report_from_jet(jet: Jet2N, pt) -> ElasticityReport:
             if math.isinf(h):
                 raise NumericalError(
                     f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
-            hicks_m[a, b] = h
-            hicks_m[b, a] = h
-    cof = _inner_cofactors(border)
+            hicks_m[a, b] = hicks_m[b, a] = h
+    cof = _inner_cofactors(border[None])[0]
     singular = abs(det) <= SINGULARITY_REL * det_scale(border)
     allen_m = None
     if not singular:
@@ -210,17 +221,73 @@ def _report_from_jet(jet: Jet2N, pt) -> ElasticityReport:
         for a in range(n):
             for b in range(a + 1, n):
                 try:
-                    v = weight / (pt[a] * pt[b]) * cof[a, b] / det
+                    v = _allen_entry(weight, pt[a], pt[b], cof[a, b], det)
                 except ZeroDivisionError:
                     raise NumericalError(
                         f"x{a + 1} * x{b + 1} underflows to 0 at {tuple(pt)!r}") from None
                 if not math.isfinite(v):
                     raise NumericalError(
                         f"non-finite Allen elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
-                allen_m[a, b] = v
-                allen_m[b, a] = v
+                allen_m[a, b] = allen_m[b, a] = v
     return ElasticityReport(hicks=hicks_m, allen=allen_m, bordered_det=det,
                             cofactors=cof, jet=jet)
+
+
+class ElasticityBlock(NamedTuple):
+    """Row i has the bits of ``elasticity_report(spec, points[i])`` (``allen`` nan where
+    ``singular``, the report's None), or is nan with the report's error in ``errors[i]``."""
+
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+    hicks: np.ndarray
+    allen: np.ndarray
+    singular: np.ndarray
+    bordered_det: np.ndarray
+    cofactors: np.ndarray
+    errors: tuple
+
+
+@np.errstate(all="ignore")  # rows that go non-finite are redone one by one
+def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
+    """``elasticity_report`` at every row of an (m, n) point sequence, bit for bit, from one
+    ``jets._jet_columns`` pass and the report's formulas on (m, pairs) columns. A row they
+    flag (where the report raises) goes through ``elasticity_report`` itself, in order."""
+    x, n = _point_rows(spec, points), spec.n
+    value, gradient, hessian, _, ok = _jet_columns(spec, x)
+    ok &= np.min(x, axis=1) > 0.0  # the positivity guard outranks any jet error
+    a, b = np.triu_indices(n, 1)
+    border, det = _bordered(gradient, hessian, plu_dets)
+    num, den, undefined = _hicks_parts(x[:, a], x[:, b], gradient[:, a], gradient[:, b],
+                                       hessian[:, a, a], hessian[:, a, b], hessian[:, b, b],
+                                       lambda p, q: np.where(q == 0.0, math.nan, p / q))
+    hicks_p = np.where(undefined, math.nan, -num / den)
+    failed = ~(ok & np.isfinite(det)) | np.isinf(hicks_p).any(axis=1)
+    cof = _inner_cofactors(border)
+    singular = np.abs(det) <= SINGULARITY_REL * det_scale(border)
+    # math.fsum raises on +inf and -inf, so only where the report sums too
+    weight = np.array([math.fsum((xi * g).tolist()) if good else math.nan
+                       for xi, g, good in zip(x, gradient, (~failed & ~singular).tolist())])
+    allen_p = _allen_entry(weight[:, None], x[:, a], x[:, b], cof[:, a, b], det[:, None])
+    failed |= ~(singular | np.isfinite(allen_p).all(axis=1))
+    hicks_m, allen_m = np.full((2, len(x), n, n), math.nan)
+    hicks_m[:, a, b] = hicks_m[:, b, a] = hicks_p
+    allen_m[:, a, b] = allen_m[:, b, a] = allen_p
+    singular &= ~failed
+    for column in (value, gradient, hessian, hicks_m, allen_m, det, cof):
+        column[failed] = math.nan
+    errors = [None] * len(x)
+    for i in np.flatnonzero(failed).tolist():
+        try:
+            r = elasticity_report(spec, points[i])
+        except ProdgeomError as e:  # kept without the frames that raised it
+            errors[i] = e.with_traceback(None)
+            continue
+        value[i], hicks_m[i], det[i], cof[i] = r.value, r.hicks, r.bordered_det, r.cofactors
+        gradient[i], hessian[i], singular[i] = r.jet.gradient, r.jet.hessian, r.allen is None
+        allen_m[i] = math.nan if singular[i] else r.allen
+    return ElasticityBlock(value, gradient, hessian, hicks_m, allen_m, singular, det, cof,
+                           tuple(errors))
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,15 @@ def _point(spec: FunctionSpec, point: Sequence[float]) -> list:
     return pt
 
 
+def _point_rows(spec: FunctionSpec, points) -> np.ndarray:
+    # the block kernels' check: points as an (m, n) float array
+    x = np.array(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != spec.n:
+        raise ValidationError(f"points must form an (m, {spec.n}) array for a spec with "
+                              f"{spec.n} variables, got shape {x.shape}")
+    return x
+
+
 def _values(spec: FunctionSpec, pt: list):
     """The value pass shared by ``evaluate`` and the jets: (parts, u, value).
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
-from .funcspec import FunctionSpec, Homothetical, _column_pow, _point
+from .funcspec import FunctionSpec, Homothetical, _column_pow, _point, _point_rows
 from .jets import Jet2N, _jet_columns, jet1d, jet_multivariate
 from .sampling import points_loguniform
 
@@ -56,46 +56,46 @@ def plu_dets(stack: np.ndarray) -> np.ndarray:
     Each matrix goes through the same first-max pivots, full-row swaps and
     floating-point operations, in the same order, as a ``plu_det`` call on it
     alone, so ``plu_dets(stack)[i]`` has the bits of ``plu_det(stack[i])``
-    (0.0 for a matrix that meets a zero pivot). The Python loop runs over
-    elimination steps rather than matrices, which pays off for many minors
-    of one matrix; for a single matrix ``plu_det`` is faster.
+    (0.0 for a matrix that meets a zero pivot), whatever its neighbours hold.
+    The Python loop runs over elimination steps, each updating one (m, m, k)
+    copy with the stack axis last in place, which pays off for many minors.
     """
-    m = np.array(stack, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValidationError(f"stacked determinant needs a (k, m, m) array, got {m.shape}")
-    n = m.shape[1]
-    rows = np.arange(m.shape[0])
-    det = np.ones(m.shape[0])
-    live = np.ones(m.shape[0], dtype=bool)
+    s = np.asarray(stack, dtype=float)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise ValidationError(f"stacked determinant needs a (k, m, m) array, got {s.shape}")
+    count, n = s.shape[:2]
+    m = s.transpose(1, 2, 0).copy()
+    stacked, det = np.arange(count), np.ones(count)
+    scratch = np.empty_like(m[1:, 1:])
     for k in range(n):
-        p = k + np.argmax(np.abs(m[:, k:, k]), axis=1)
-        dead = m[rows, p, k] == 0.0
-        if dead.any():
-            # zeroing a finished matrix keeps its later steps free of inf/nan
-            m[dead] = 0.0
-            live &= ~dead
+        p = k + np.argmax(np.abs(m[k:, k]), axis=0)
+        pivot = m[p, k, stacked]
+        if not pivot.all():  # det 0.0, and the matrix runs on as the identity
+            dead = pivot == 0.0
+            m[:, :, dead] = np.eye(n)[:, :, None]
+            det[dead], pivot[dead] = 0.0, 1.0
         swap = p != k
-        top = m[:, k].copy()
-        m[:, k] = m[rows, p]
-        m[rows, p] = top
-        det[swap] = -det[swap]
-        det *= m[:, k, k]
+        if swap.any():
+            top = m[p, :, stacked]
+            m[p, :, stacked] = m[k].T
+            m[k] = top.T
+            np.negative(det, out=det, where=swap)
+        det *= pivot
         if k + 1 < n:
-            pivot = np.where(live, m[:, k, k], 1.0)
-            m[:, k + 1:, k + 1:] -= (m[:, k + 1:, k] / pivot[:, None])[:, :, None] \
-                * m[:, k, None, k + 1:]
-    det[~live] = 0.0
+            update = scratch[:n - k - 1, :n - k - 1]
+            np.multiply((m[k + 1:, k] / pivot)[:, None], m[k, None, k + 1:], out=update)
+            np.subtract(m[k + 1:, k + 1:], update, out=m[k + 1:, k + 1:])
     return det
 
 
-def det_scale(matrix: np.ndarray) -> float:
+def det_scale(matrix: np.ndarray):
     """Magnitude scale for a determinant: product of the row max-norms.
 
     Zero tests on determinants are taken relative to this scale, which bounds
-    the magnitude of any single expansion term.
+    the magnitude of any single expansion term. A (k, m, m) stack gives k scales.
     """
-    m = np.asarray(matrix, dtype=float)
-    return float(np.prod(np.max(np.abs(m), axis=1)))
+    scale = np.prod(np.max(np.abs(np.asarray(matrix, dtype=float)), axis=-1), axis=-1)
+    return float(scale) if scale.ndim == 0 else scale
 
 
 def hessian(spec: FunctionSpec, point: Sequence[float]) -> np.ndarray:
@@ -247,12 +247,7 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
     and goes back through ``gauss_kronecker`` itself, in input order, which
     gives its result or its error.
     """
-    x = np.array(points, dtype=float)
-    n = spec.n
-    if x.ndim != 2 or x.shape[1] != n:
-        raise ValidationError(
-            f"points must form an (m, {n}) array for a spec with {n} variables, "
-            f"got shape {x.shape}")
+    x, n = _point_rows(spec, points), spec.n
     errors = [None] * len(x)
     with np.errstate(all="ignore"):  # rows that go non-finite are redone one by one
         value, gradient, hessian, factors, ok = _jet_columns(spec, x)

@@ -91,7 +91,8 @@ def test_elasticity_pairs_flag(capsys):
 
 def test_bad_pairs_exit_2(capsys):
     for pairs, message in [("1,7", "(1,7)"), ("1-2", "pair '1-2' must look like i,j"),
-                           ("a,b", "pair 'a,b' has non-integer indices")]:
+                           ("a,b", "pair 'a,b' has non-integer indices"),
+                           ("", "pair '' must look like i,j")]:
         code, _, err = _run(capsys, "elasticity", "--spec", DATA / "acms_rho_half.json",
                             "--points", DATA / "pts.csv", "--pairs", pairs)
         assert code == 2
@@ -516,6 +517,7 @@ def test_curvature_kernel_runs_once_per_block(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [["elasticity"], ["eval", "--fd-check"]])
 def test_jet_columns_run_once_per_block(capsys, monkeypatch, tmp_path, command):
     blocks = _count_calls(monkeypatch, _jet_columns)
+    kernels = _count_calls(monkeypatch, prodgeom.elasticity_report_batch)
     reports = _count_calls(monkeypatch, prodgeom.elasticity_report)
     jet_calls = _count_calls(monkeypatch, prodgeom.jet_multivariate)
     spec_path = tmp_path / "spec.json"
@@ -537,6 +539,8 @@ def test_jet_columns_run_once_per_block(capsys, monkeypatch, tmp_path, command):
     outside = [p for p in points if min(p) <= 0.0]
     jet_outside = [p for p in points if p[1] <= 0.0]
     if command == ["elasticity"]:
+        # one kernel call per block, which forms that block's jets
+        assert [len(args[1]) for args in kernels] == [BLOCK_ROWS, 2116 - BLOCK_ROWS]
         assert [args[1] for args in reports] == outside and jet_calls == []
     else:
         assert reports == [] and [args[1] for args in jet_calls] == jet_outside

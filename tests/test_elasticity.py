@@ -17,26 +17,34 @@ from prodgeom import (
     Homothetical,
     Identity,
     Log,
+    LogPowFn,
     NumericalError,
     PowFn,
     Power,
+    ProdgeomError,
+    Scale,
     ValidationError,
     ZeroGradientError,
     allen,
     bordered_hessian,
     ces_probe,
     elasticity_report,
+    elasticity_report_batch,
     hicks,
+    jet_multivariate,
     make_acms,
     make_cobb_douglas,
 )
-from prodgeom.geometry import plu_det
+from prodgeom import elasticity
+from prodgeom.elasticity import SINGULARITY_REL
+from prodgeom.geometry import det_scale, plu_det
 from prodgeom.sampling import (
     points_loguniform,
     random_composite,
     random_homothetical,
     random_outer,
 )
+from test_funcspec import _EDGE_OUTERS, _JET_COORDS, _edge_spec
 
 EXP_TIMES_LINEAR = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
 PRODUCT = Homothetical((PowFn(1.0, 0.0, 1.0), PowFn(1.0, 0.0, 1.0)))
@@ -169,6 +177,26 @@ def test_outer_invariance_of_hicks():
             assert abs(hicks(wrapped, point, 1, 2) - base) <= 1e-8 * max(1.0, abs(base))
 
 
+def test_outer_invariance_of_allen_for_every_n():
+    # A_ij of F(u) equals A_ij of u at n = 3..5, for each kind of outer map
+    rng = random.Random(31)
+    compared = 0
+    for _ in range(100):
+        inner = random_homothetical(rng, n_range=(3, 5), positive=True)
+        point = points_loguniform(inner.n, 1, rng)[0]
+        base = elasticity_report(inner, point).allen
+        if base is None:
+            continue
+        for outer in (Identity(), Power(rng.uniform(0.4, 2.0) * rng.choice((1.0, -1.0))),
+                      Scale(rng.uniform(0.5, 2.0)), Log()):
+            wrapped = elasticity_report(Composite(outer, inner.components), point).allen
+            assert wrapped is not None
+            off = ~np.eye(inner.n, dtype=bool)
+            assert np.all(np.abs(wrapped - base)[off] <= 1e-12 * np.fmax(1.0, np.abs(base[off])))
+            compared += 1
+    assert compared >= 200
+
+
 def test_allen_symmetry():
     rng = random.Random(21)
     compared = 0
@@ -262,6 +290,11 @@ def test_elasticity_report_singular_bordered():
     (Homothetical((PowFn(1.0, 1.0, 1.0), PowFn(1.0, 0.0, 1.0))), (5e-324, 1.0), "Hicks"),
     # e^(400 x1) * (1 - x2): H_12 is finite, the Allen weight / (x1 x2) is not
     (Homothetical((ExpFn(1.0, 400.0), PowFn(-1.0, -1.0, 1.0))), (0.5, 1e-300), "Allen"),
+    # (ln-powers * x3^-3)^5: x_k f_k holds +inf and -inf, where math.fsum
+    # would raise ValueError, so the weight waits for a finite determinant
+    (Composite(Power(5.0), (LogPowFn(1.0, 1.0, 10.0), LogPowFn(1.0, 1.0, 50.0),
+                            PowFn(1.0, 0.0, -3.0))),
+     (3.762130500498239e+286, 83.52795540877054, 14.327961673382125), "bordered determinant"),
 ])
 def test_elasticity_report_non_finite_is_numerical_error(spec, point, message):
     with pytest.raises(NumericalError, match=message):
@@ -309,3 +342,174 @@ def test_report_cofactors_bitwise_equal_per_minor_route(seed, kind, n):
         expected_allen = float(weight / (point[0] * point[n - 1]) * expected[0, n - 1] / det)
         assert allen(spec, point, 1, n).hex() == expected_allen.hex()
         assert allen(spec, point, n, 1).hex() == expected_allen.hex()
+
+
+# the jets' edge coordinates, a zero of (x - 1)-type factors, and 1e300
+_BATCH_COORDS = _JET_COORDS + (1.0, 1e300)
+
+
+def _report_bits(value, gradient, hessian, hicks_m, det, cofactors, allen_m) -> list:
+    return [float(v).hex() for v in (value, det, *gradient, *np.ravel(hessian),
+                                     *np.ravel(hicks_m), *np.ravel(cofactors),
+                                     *np.ravel(allen_m))]
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)),
+       n=st.integers(2, 10), m=st.integers(1, 9))
+def test_batch_bitwise_equals_elasticity_report(seed, kind, outer, n, m):
+    # every row has the bits of elasticity_report at its point (sign of zero
+    # included), Allen's absence included, or that call's error
+    rng = random.Random(seed)
+    spec = _edge_spec(rng, kind, outer, n)
+    points = [tuple(rng.choice(_BATCH_COORDS) if rng.random() < 0.5 / n
+                    else rng.uniform(0.3, 3.0) for _ in range(n)) for _ in range(m)]
+    block = elasticity_report_batch(spec, points)
+    for i, point in enumerate(points):
+        try:
+            rep = elasticity_report(spec, point)
+        except ProdgeomError as e:
+            assert type(block.errors[i]) is type(e) and str(block.errors[i]) == str(e)
+            continue
+        assert block.errors[i] is None and block.singular[i] == (rep.allen is None)
+        assert _report_bits(block.value[i], block.gradient[i], block.hessian[i],
+                            block.hicks[i], block.bordered_det[i], block.cofactors[i],
+                            block.allen[i] if rep.allen is not None else ()) == \
+            _report_bits(rep.value, rep.jet.gradient, rep.jet.hessian, rep.hicks,
+                         rep.bordered_det, rep.cofactors, rep.allen if rep.allen is not None
+                         else ())
+        if rep.allen is None:
+            assert np.isnan(block.allen[i]).all()
+
+
+def test_batch_rows_and_errors(monkeypatch):
+    # (x1 - 1)^2 * x2: the zero partial at x1 = 1 makes H_12 nan in the
+    # columns, as per point; only the rows outside the orthant go per point
+    spec = Homothetical((PowFn(1.0, -1.0, 2.0), PowFn(1.0, 0.0, 1.0)))
+    points = [(1.0, 2.0), (2.0, 3.0), (-1.0, 2.0), (2.0, 0.0)]
+    reports = []
+    real = elasticity.elasticity_report
+
+    def counted(spec, point):
+        reports.append(point)
+        return real(spec, point)
+
+    monkeypatch.setattr(elasticity, "elasticity_report", counted)
+    block = elasticity_report_batch(spec, points)
+    assert reports == points[2:]
+    assert math.isnan(block.hicks[0, 0, 1]) and block.errors[:2] == (None, None)
+    assert block.hicks[1, 0, 1] == elasticity_report(spec, points[1]).hicks[0, 1]
+    errors = block.errors[2:]
+    assert all(isinstance(e, DomainError) and e.__traceback__ is None for e in errors)
+    assert math.isnan(block.value[2]) and not block.singular[2]
+    # x1 / x2 is Allen-singular everywhere, but a row that raises is not singular
+    block = elasticity_report_batch(RATIO, [(-1.0, 1.0), (1.0, 1.0)])
+    assert isinstance(block.errors[0], DomainError) and block.singular.tolist() == [False, True]
+    # e^(400 x1) * (1 - x2): a non-finite Allen entry raises the report's error
+    block = elasticity_report_batch(Homothetical((ExpFn(1.0, 400.0), PowFn(-1.0, -1.0, 1.0))),
+                                    [(0.5, 1e-300), (0.5, 0.5)])
+    assert "non-finite Allen" in str(block.errors[0]) and block.errors[1] is None
+    # (x1 + 1) e^-x2: x1 f_1 underflows to 0, so H_12 is undefined (no
+    # infinite Hicks entry) while A_12 is finite, per point and in columns
+    spec = Homothetical((PowFn(1.0, 1.0, 1.0), ExpFn(1.0, -1.0)))
+    block = elasticity_report_batch(spec, [(1e-300, 69.0)])
+    rep = elasticity_report(spec, (1e-300, 69.0))
+    assert math.isnan(rep.hicks[0, 1]) and math.isnan(block.hicks[0, 0, 1])
+    assert block.allen[0, 0, 1] == rep.allen[0, 1] == 1e300
+    with pytest.raises(ValidationError):
+        elasticity_report_batch(spec, [(1.0, 1.0, 1.0)])
+    empty = elasticity_report_batch(spec, np.zeros((0, 2)))
+    assert empty.errors == () and empty.cofactors.shape == (0, 2, 2)
+    # a flagged row where the report returns gets the report's result, not a nan row
+    columns = elasticity._jet_columns
+    for spec in (Homothetical((PowFn(1.0, 0.0, 0.5), PowFn(1.0, 1.0, 2.0))), RATIO):
+        points = [(0.5, 2.0), (3.0, 0.25), (-1.0, 1.0)]
+        expected = elasticity_report_batch(spec, points)
+        with monkeypatch.context() as patch:
+            patch.setattr(elasticity, "_jet_columns", lambda spec, x: (
+                *columns(spec, x)[:4], np.zeros(len(x), dtype=bool)))
+            flagged = elasticity_report_batch(spec, points)
+        assert reports[-3:] == points
+        for got, want in zip(flagged[:-1], expected[:-1]):
+            assert [float(v).hex() for v in np.ravel(got)] == \
+                [float(v).hex() for v in np.ravel(want)]
+        assert [type(e) for e in flagged.errors] == [type(e) for e in expected.errors]
+
+
+def _loop_report(spec, point):
+    """The report by the per-pair loops on Python floats that its column
+    formulas replaced: (Hicks, Allen or None, bordered det, cofactors)."""
+    border, det = bordered_hessian(spec, point)  # the orthant guard and the plu_det route
+    pt = [float(x) for x in point]
+    jet = jet_multivariate(spec, pt)
+    n = spec.n
+    if not math.isfinite(det):
+        raise NumericalError(f"non-finite bordered determinant at {tuple(pt)!r}")
+    hicks_m = np.full((n, n), math.nan)
+    for a in range(n):
+        for b in range(a + 1, n):
+            fa, fb = float(jet.gradient[a]), float(jet.gradient[b])
+            try:
+                num = 1.0 / (pt[a] * fa) + 1.0 / (pt[b] * fb)
+                t1 = float(jet.hessian[a, a]) / (fa * fa)
+                t2 = 2.0 * float(jet.hessian[a, b]) / (fa * fb)
+                t3 = float(jet.hessian[b, b]) / (fb * fb)
+            except ZeroDivisionError:
+                continue
+            den = t1 - t2 + t3
+            if abs(den) <= SINGULARITY_REL * (abs(t1) + abs(t2) + abs(t3)):
+                continue
+            if math.isinf(h := -num / den):
+                raise NumericalError(
+                    f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
+            hicks_m[a, b] = hicks_m[b, a] = h
+    cof = _cofactors_by_minor(border)
+    if abs(det) <= SINGULARITY_REL * det_scale(border):
+        return hicks_m, None, det, cof
+    weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
+    allen_m = np.full((n, n), math.nan)
+    for a in range(n):
+        for b in range(a + 1, n):
+            try:
+                v = weight / (pt[a] * pt[b]) * cof[a, b] / det
+            except ZeroDivisionError:
+                raise NumericalError(
+                    f"x{a + 1} * x{b + 1} underflows to 0 at {tuple(pt)!r}") from None
+            if not math.isfinite(v):
+                raise NumericalError(
+                    f"non-finite Allen elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
+            allen_m[a, b] = allen_m[b, a] = v
+    return hicks_m, allen_m, det, cof
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)),
+       n=st.integers(1, 10), m=st.integers(1, 3))
+def test_report_bitwise_equals_per_pair_loops(seed, kind, outer, n, m):
+    # the report's one set of column formulas against the float loops: every
+    # number has their bits, or the report raises their error
+    rng = random.Random(seed)
+    spec = _edge_spec(rng, kind, outer, n)
+    for _ in range(m):
+        point = [rng.choice(_BATCH_COORDS) if rng.random() < 0.5 / n else rng.uniform(0.3, 3.0)
+                 for _ in range(n)]
+        with np.errstate(all="ignore"):
+            try:
+                hicks_m, allen_m, det, cof = _loop_report(spec, point)
+            except ProdgeomError as e:
+                with pytest.raises(type(e)) as raised:
+                    elasticity_report(spec, point)
+                assert str(raised.value) == str(e)
+                continue
+        rep = elasticity_report(spec, point)
+        assert (rep.allen is None) == (allen_m is None)
+        assert [float(v).hex() for v in (rep.bordered_det, *np.ravel(rep.hicks),
+                                         *np.ravel(rep.cofactors))] == \
+            [float(v).hex() for v in (det, *np.ravel(hicks_m), *np.ravel(cof))]
+        if allen_m is not None:
+            assert [v.hex() for v in np.ravel(rep.allen).tolist()] == \
+                [v.hex() for v in np.ravel(allen_m).tolist()]

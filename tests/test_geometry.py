@@ -266,6 +266,30 @@ def test_plu_dets_special_cases_bitwise():
     assert dets[3] == -1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10), count=st.integers(1, 1500))
+def test_plu_dets_bitwise_on_long_stacks(seed, size, count):
+    # zero pivots at every step, signed zeros, nan and +-inf among many
+    # regular matrices: each determinant (and det_scale) has the bits of its
+    # matrix on its own, whatever its neighbours are
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(count, size, size))
+    for j in rng.choice(count, size=count // 8, replace=False):
+        step = rng.integers(size)
+        stack[j, step:, :step + 1] = rng.choice([0.0, -0.0])  # zero pivot at this step
+    special = rng.choice(count, size=count // 8, replace=False)
+    for j, entry in zip(special, rng.choice([math.nan, math.inf, -math.inf], size=len(special))):
+        stack[j, rng.integers(size), rng.integers(size)] = entry
+    with np.errstate(all="ignore"):
+        expected = [plu_det(m).hex() for m in stack]
+        assert [float(d).hex() for d in plu_dets(stack)] == expected
+        assert [float(d).hex() for d in plu_dets(stack[::-1])] == expected[::-1]
+        # det_scale multiplies the row max-norms in row order, per matrix as stacked
+        assert [float(d).hex() for d in det_scale(stack)] == \
+            [det_scale(m).hex() for m in stack] == \
+            [math.prod(np.max(np.abs(m), axis=1).tolist()).hex() for m in stack]
+
+
 def test_plu_dets_rejects_non_square_stack():
     with pytest.raises(ValidationError):
         plu_dets(np.zeros((2, 3, 4)))
