@@ -114,6 +114,16 @@ def _bordered(gradient: np.ndarray, hessian: np.ndarray, det):
     return border, det(border)
 
 
+@np.errstate(all="ignore")  # a determinant or scale that overflows comes out inf
+def _bordered_dets(gradient: np.ndarray, hessian: np.ndarray) -> tuple:
+    # the det and det_scale of the bordered matrix of each row of (m, n)
+    # gradients and (m, n, n) Hessians, as lists, bit for bit plu_det's
+    border, det = _bordered(gradient, hessian, plu_dets)
+    return det.tolist(), det_scale(border).tolist()
+
+
+# numpy's overflow warnings are silenced: a determinant that overflows comes out inf
+@np.errstate(all="ignore")
 def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
     """Bordered Hessian and its determinant: ((n+1)x(n+1) matrix, det).
 

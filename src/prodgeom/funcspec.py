@@ -396,11 +396,29 @@ def _point(spec: FunctionSpec, point: Sequence[float]) -> list:
 
 def _point_rows(spec: FunctionSpec, points) -> np.ndarray:
     # the block kernels' check: points as an (m, n) float array
-    x = np.array(points, dtype=float)
-    if x.ndim != 2 or x.shape[1] != spec.n:
+    try:
+        x = np.array(points, dtype=float)
+    except ValueError:  # ragged rows, or an entry that is not a number
+        x = None
+    if x is None or x.ndim != 2 or x.shape[1] != spec.n:
+        got = "ragged rows or a non-number" if x is None else f"shape {x.shape}"
         raise ValidationError(f"points must form an (m, {spec.n}) array for a spec with "
-                              f"{spec.n} variables, got shape {x.shape}")
+                              f"{spec.n} variables, got {got}")
     return x
+
+
+def _sample_rows(spec: FunctionSpec, points) -> tuple:
+    """A per-point loop's points for a block kernel: ``(x, late)``, the points
+    before the first one ``_point`` rejects, as an (m, n) array, and the error
+    ``_point`` raises for that one (None where it takes every point). A loop
+    that runs those rows as a block raises ``late`` after their own errors."""
+    rows = []
+    for p in points:
+        try:
+            rows.append(_point(spec, p))
+        except (ValidationError, TypeError, ValueError, OverflowError) as e:
+            return np.array(rows, dtype=float).reshape(-1, spec.n), e
+    return np.array(rows, dtype=float).reshape(-1, spec.n), None
 
 
 def _values(spec: FunctionSpec, pt: list):

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
-from .funcspec import FunctionSpec, Homothetical, _column_pow, _point, _point_rows
+from .funcspec import FunctionSpec, Homothetical, _column_pow, _point, _point_rows, _sample_rows
 from .jets import Jet2N, _jet_columns, jet1d, jet_multivariate
 from .sampling import points_loguniform
 
@@ -217,6 +217,11 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
     return CurvatureRecord(omega=omega, hessian_det=det, gk_curvature=gk, n=n, jet=jet)
 
 
+def _squared_norms(gradient: np.ndarray) -> np.ndarray:
+    # g . g of every row of an (m, n) array, with the bits of float(np.dot(g, g))
+    return np.matmul(gradient[:, None, :], gradient[:, :, None])[:, 0, 0]
+
+
 class CurvatureBlock(NamedTuple):
     """Curvature quantities of a spec at m points, one row per point.
 
@@ -251,7 +256,7 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
     errors = [None] * len(x)
     with np.errstate(all="ignore"):  # rows that go non-finite are redone one by one
         value, gradient, hessian, factors, ok = _jet_columns(spec, x)
-        omega = np.sqrt(1.0 + np.matmul(gradient[:, None, :], gradient[:, :, None])[:, 0, 0])
+        omega = np.sqrt(1.0 + _squared_norms(gradient))
         if factors is None:
             det = plu_dets(hessian)
         else:
@@ -278,12 +283,20 @@ def is_developable(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
                    seed: int = 42):
     """(max |G| over samples <= tol, that max).
 
-    Default samples are 50 seeded log-uniform points in [0.5, 2]^n.
+    Default samples are 50 seeded log-uniform points in [0.5, 2]^n. The
+    curvatures come from one ``gauss_kronecker_batch`` call, bit for bit as
+    ``gauss_kronecker`` point by point, and the error raised is the one that
+    per-point loop raises first.
     """
     if sample_points is None:
         sample_points = points_loguniform(spec.n, 50, seed)
     sample_points = list(sample_points)
     if not sample_points:
         raise ValidationError("developability test needs at least one sample point")
-    max_g = max(abs(gauss_kronecker(spec, p).gk_curvature) for p in sample_points)
+    x, late = _sample_rows(spec, sample_points)
+    block = gauss_kronecker_batch(spec, x)
+    for error in (*block.errors, late):
+        if error is not None:
+            raise error
+    max_g = max(abs(gk) for gk in block.gk_curvature.tolist())
     return max_g <= tol, max_g

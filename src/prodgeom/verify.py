@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
-from .elasticity import _hicks_from_jet, bordered_hessian, ces_probe, elasticity_report, hicks
+from .elasticity import (_bordered_dets, _hicks_from_jet, bordered_hessian, ces_probe,
+                         elasticity_report, hicks)
 from .errors import HicksUndefined, ZeroGradientError
 from .funcspec import (
     Acms,
@@ -26,19 +27,22 @@ from .funcspec import (
     LogPowFn,
     PowFn,
     Power,
+    _sample_rows,
     evaluate,
     make_acms,
     make_cobb_douglas,
 )
 from .geometry import (
+    _squared_norms,
     det_scale,
     gauss_kronecker,
+    gauss_kronecker_batch,
     hessian_det_closed,
     hessian_det_direct,
     is_developable,
-    plu_det,
+    plu_dets,
 )
-from .jets import fd_jet, jet_multivariate, norm_rel_gaps
+from .jets import _jet_columns, fd_jet, jet_multivariate, norm_rel_gaps
 from .sampling import points_loguniform, random_component, random_composite, random_homothetical, random_outer
 
 
@@ -91,6 +95,7 @@ def _random_unit_sum_alphas(rng: random.Random, n: int, target: float = 1.0):
             return head + [last]
 
 
+@np.errstate(all="ignore")  # a determinant or scale that overflows comes out inf
 def _flatness_evidence(spec, points):
     """(max |G| via both determinant routes, max scale-relative LU residual).
 
@@ -99,19 +104,53 @@ def _flatness_evidence(spec, points):
     the scale of the Hessian itself. The last carries the honest elimination
     noise floor (a few units of machine epsilon) that a sub-float tolerance
     is expected to trip over.
+
+    The points run as one block through ``gauss_kronecker_batch`` and
+    ``plu_dets``, bit for bit as ``gauss_kronecker`` and ``plu_det`` point by
+    point, and raise the error that per-point loop raises first.
     """
+    x, late = _sample_rows(spec, points)
+    block = gauss_kronecker_batch(spec, x)
+    norms = _squared_norms(block.gradient).tolist()
+    dets = plu_dets(block.hessian).tolist()
+    scales = det_scale(block.hessian).tolist()
+    power = (spec.n + 2) / 2.0
     worst_g = 0.0
     worst_rel = 0.0
-    for p in points:
-        rec = gauss_kronecker(spec, p)
-        jet = rec.jet
-        det_lu = plu_det(jet.hessian)
-        omega_pow = (1.0 + float(np.dot(jet.gradient, jet.gradient))) ** ((jet.n + 2) / 2.0)
-        worst_g = max(worst_g, abs(rec.gk_curvature), abs(det_lu) / omega_pow)
-        scale = det_scale(jet.hessian)
+    for gk, det_lu, norm2, scale, error in zip(block.gk_curvature.tolist(), dets, norms, scales,
+                                               block.errors):
+        if error is not None:
+            raise error
+        omega_pow = (1.0 + norm2) ** power
+        worst_g = max(worst_g, abs(gk), abs(det_lu) / omega_pow)
         if scale > 0.0:
             worst_rel = max(worst_rel, abs(det_lu) / scale)
+    if late is not None:
+        raise late
     return worst_g, worst_rel
+
+
+@np.errstate(all="ignore")  # as _flatness_evidence; a flagged row's numbers are not read
+def _singular_evidence(spec, points) -> float:
+    """Max scale-relative |det H^B| over the points, bit for bit as
+    ``bordered_hessian`` point by point, with its first error: one
+    ``_jet_columns`` pass and one ``plu_dets`` call on the bordered stack; a
+    row the columns or the positivity guard flag goes through
+    ``bordered_hessian`` itself."""
+    points = list(points)
+    x, late = _sample_rows(spec, points)
+    _, gradient, hessian, _, ok = _jet_columns(spec, x)
+    ok &= np.min(x, axis=1) > 0.0  # the positivity guard outranks any jet error
+    dets, scales = _bordered_dets(gradient, hessian)
+    worst = 0.0
+    for p, det, scale, good in zip(points, dets, scales, ok.tolist()):
+        if not good:
+            border, det = bordered_hessian(spec, p)
+            scale = det_scale(border)
+        worst = max(worst, abs(det) / scale)
+    if late is not None:
+        raise late
+    return worst
 
 
 def check_developable_certificates(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -267,9 +306,7 @@ def check_allen_singular_certificates(seed: int = 42, tol: float = 1e-8) -> Chec
             spec = make_thm41_family("b", alphas=_random_unit_sum_alphas(rng, n, target=0.0),
                                      betas=[rng.uniform(0.0, 1.0) for _ in range(n)],
                                      gamma=rng.uniform(0.5, 2.0), outer=random_outer(rng))
-        for p in points_loguniform(spec.n, 20, rng):
-            border, det = bordered_hessian(spec, p)
-            worst = max(worst, abs(det) / det_scale(border))
+        worst = max(worst, _singular_evidence(spec, points_loguniform(spec.n, 20, rng)))
     control = Composite(Identity(), (PowFn(1.0, 0.0, 1.0), PowFn(1.0, 0.0, 1.0)))
     _, det = bordered_hessian(control, (1.0, 1.0))
     control_ok = abs(det - 2.0) <= 1e-12 * 2.0

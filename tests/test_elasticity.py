@@ -131,6 +131,15 @@ def test_bordered_hessian_sqrt():
     assert det == pytest.approx(0.25, rel=1e-12)
 
 
+def test_bordered_hessian_overflow_is_inf_without_a_warning():
+    # e^x1 * x2 at (360, 1e-5): the entries are finite, the determinant
+    # overflows in the elimination's product; the suite turns a numpy
+    # RuntimeWarning into a failure
+    border, det = bordered_hessian(Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))),
+                                   (360.0, 1e-5))
+    assert np.isfinite(border).all() and det == math.inf
+
+
 def test_allen_product_equals_hicks():
     assert allen(PRODUCT, (1.0, 1.0), 1, 2) == pytest.approx(1.0, rel=1e-12)
 

@@ -23,6 +23,7 @@ from prodgeom import (
     Scale,
     SpecError,
     ValidationError,
+    elasticity_report_batch,
     gauss_kronecker,
     gauss_kronecker_batch,
     hessian,
@@ -401,6 +402,16 @@ def test_batch_errors_per_row_and_shape_check():
         gauss_kronecker_batch(spec, [(1.0, 1.0, 1.0)])
     with pytest.raises(ValidationError):
         gauss_kronecker_batch(spec, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("kernel", [gauss_kronecker_batch, elasticity_report_batch])
+@pytest.mark.parametrize("points", [[[1.0, 2.0], [1.0]], [(1.0, 2.0), (1.0, 2.0, 3.0)],
+                                    [[1.0, "x"]]], ids=["short", "long", "non-number"])
+def test_batch_rejects_ragged_points(kernel, points):
+    # a ValidationError, not numpy's ValueError about an inhomogeneous shape
+    with pytest.raises(ValidationError, match=r"points must form an \(m, 2\) array for a spec "
+                                              r"with 2 variables, got ragged rows or a non-number"):
+        kernel(make_cobb_douglas(1.0, (0.3, 0.7)), points)
 
 
 def test_batch_errors_keep_no_frames():
