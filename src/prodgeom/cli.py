@@ -127,13 +127,14 @@ def _parse_pairs(text: str, n: int) -> list:
 def _writer(header: list, fmt: str, out):
     """A function writing rows to ``out`` as CSV (after a header line, written
     now) or JSONL. Floats print as their repr in both (``str`` is ``repr`` for
-    a float) and None as an empty CSV cell or JSON null."""
+    a float) and None as an empty CSV cell or JSON null. A JSONL row has the
+    bytes of ``json.dumps(..., separators=(",", ":"))``, from one encoder."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         return writer.writerows
-    return lambda rows: out.writelines(
-        json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    return lambda rows: out.writelines(encode(dict(zip(header, row))) + "\n" for row in rows)
 
 
 #: Rows per block of ``eval``, ``curvature`` and ``elasticity``: the block

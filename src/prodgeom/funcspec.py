@@ -498,38 +498,52 @@ def _term_column(spec: FunctionSpec, k: int, col: np.ndarray) -> np.ndarray:
     return _map_rows(spec.components[k].value, col)
 
 
-def _value_columns(spec: FunctionSpec, points: np.ndarray, terms=None):
+def _term_core(spec: FunctionSpec, terms) -> np.ndarray:
+    """The column part of the value pass: the product of the axes' term
+    columns for a product kind (u), their CES sum s otherwise, in the order
+    of ``_values``."""
+    if isinstance(spec, Acms):
+        parts = 0.0
+        for t in terms:
+            parts = parts + t
+        return parts
+    u = 1.0
+    for v in terms:
+        u = u * v
+    return u
+
+
+def _core_value(spec: FunctionSpec, core: np.ndarray) -> tuple:
+    """The row-map part of the value pass: (u, value) from ``_term_core``'s
+    column, the CES core gamma * s^(d/rho) and the outer map's ``value`` run
+    row by row on Python floats."""
+    u = spec.gamma * _column_pow(core, spec.d / spec.rho) if isinstance(spec, Acms) else core
+    return u, u if isinstance(spec, Homothetical) else _map_rows(spec.outer.value, u)
+
+
+def _value_columns(spec: FunctionSpec, points: np.ndarray):
     """``_values`` at every row of an (m, n) point array, as columns.
 
     Returns ``(parts, u, value, failed)``: ``parts`` is (m, n) for a product
     kind and the (m,) CES sum otherwise, u and value are (m,), and ``failed``
     (m,) marks the rows where ``_values`` raises. Every other row has the
-    bits of ``_values`` at its point. ``terms`` may pass in each axis's
-    ``_term_column`` at ``points``, for axes a caller has already evaluated.
+    bits of ``_values`` at its point.
 
     Each component's and outer map's own ``value`` runs row by row on Python
-    floats; the product and the CES sum run on whole columns, with the
-    operations of ``_values`` in its order. A guard that fails or a ``value``
-    that raises leaves nan, which every later step keeps; each caller sends
-    the flagged rows through its own per-point function (``gauss_kronecker``,
-    ``fd_jet``), whose error class, message and guard order are exact.
+    floats (``_term_column``, ``_core_value``); the product and the CES sum
+    run on whole columns (``_term_core``), with the operations of ``_values``
+    in its order. A guard that fails or a ``value`` that raises leaves nan,
+    which every later step keeps; each caller sends the flagged rows through
+    its own per-point function (``gauss_kronecker``, ``fd_jet``), whose
+    error class, message and guard order are exact.
     """
     if not isinstance(spec, (Homothetical, Composite, Acms)):
         raise ValidationError(f"unknown spec kind {spec!r}")
     with np.errstate(all="ignore"):
-        if terms is None:
-            terms = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
-        if isinstance(spec, Acms):
-            parts = 0.0
-            for t in terms:
-                parts = parts + t
-            u = spec.gamma * _column_pow(parts, spec.d / spec.rho)
-        else:
-            u = 1.0
-            for v in terms:
-                u = u * v
-            parts = np.stack(terms, axis=1)
-        value = u if isinstance(spec, Homothetical) else _map_rows(spec.outer.value, u)
+        terms = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
+        core = _term_core(spec, terms)
+        u, value = _core_value(spec, core)
+    parts = core if isinstance(spec, Acms) else np.stack(terms, axis=1)
     return parts, u, value, ~np.isfinite(value)
 
 

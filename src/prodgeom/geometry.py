@@ -88,6 +88,7 @@ def plu_dets(stack: np.ndarray) -> np.ndarray:
     return det
 
 
+@np.errstate(all="ignore")  # a product that overflows is inf, quietly
 def det_scale(matrix: np.ndarray):
     """Magnitude scale for a determinant: product of the row max-norms.
 

@@ -11,7 +11,7 @@ the same order on both; its helpers return Hessian entry rules, which
 ``_fill`` alone turns into a matrix, once per jet. The finite-difference
 stencil is written once the same way: ``fd_jet`` calls a black-box evaluator
 per stencil point, and ``_fd_columns`` evaluates a spec at one stencil point
-of every row at once (``funcspec._value_columns``).
+of every row at once, from each axis's term columns formed once per block.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .funcspec import (Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow, _map_rows,
-                       _point, _term_column, _value_columns, _values, evaluate)
+from .funcspec import (Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow, _core_value,
+                       _map_rows, _point, _term_column, _term_core, _value_columns, _values,
+                       evaluate)
 
 
 @dataclass(frozen=True)
@@ -221,25 +222,28 @@ def _fd_parts(f, pt, mx=max):
     ``f(deltas)`` is the function at ``pt`` moved by ``(axis, step)`` pairs
     (``()`` for ``pt`` itself); it is called in a fixed order: f0, the
     +-h pair of each axis, then for each axis i its +-h pair and the four
-    corners with each later axis j. ``pt`` holds floats, or (k,) columns
-    with ``mx`` taking the elementwise maximum.
+    corners with each later axis j. Each axis's four moves (+-h for first
+    and for second derivatives) are formed once, so every call that moves
+    an axis by a step hands ``f`` the same pair object. ``pt`` holds floats,
+    or (k,) columns with ``mx`` taking the elementwise maximum.
     """
     n = len(pt)
     shape = getattr(pt[0], "shape", ())
+
+    def moves(rel):  # (h, (i, h), (i, -h)) of each axis i
+        return [(h, (i, h), (i, -h)) for i, h in enumerate([rel * mx(1.0, abs(x)) for x in pt])]
+
+    first, second = moves(FD_REL_FIRST), moves(FD_REL_SECOND)
     f0 = f(())
-    grad = []
-    for i in range(n):
-        h = FD_REL_FIRST * mx(1.0, abs(pt[i]))
-        grad.append((f(((i, h),)) - f(((i, -h),))) / (2.0 * h))
+    grad = [(f((up,)) - f((down,))) / (2.0 * h) for h, up, down in first]
     hess = np.zeros((n, n) + shape)
-    for i in range(n):
-        h = FD_REL_SECOND * mx(1.0, abs(pt[i]))
-        hess[i, i] = (f(((i, h),)) - 2.0 * f0 + f(((i, -h),))) / (h * h)
+    for i, (h, up, down) in enumerate(second):
+        hess[i, i] = (f((up,)) - 2.0 * f0 + f((down,))) / (h * h)
         for j in range(i + 1, n):
-            hj = FD_REL_SECOND * mx(1.0, abs(pt[j]))
-            hess[i, j] = hess[j, i] = (f(((i, h), (j, hj))) - f(((i, h), (j, -hj)))
-                                       - f(((i, -h), (j, hj)))
-                                       + f(((i, -h), (j, -hj)))) / (4.0 * h * hj)
+            hj, up_j, down_j = second[j]
+            hess[i, j] = hess[j, i] = (f((up, up_j)) - f((up, down_j))
+                                       - f((down, up_j))
+                                       + f((down, down_j))) / (4.0 * h * hj)
     return f0, grad, hess
 
 
@@ -282,21 +286,28 @@ def _fd_columns(spec: FunctionSpec, points: np.ndarray):
     point array, as columns: (value (k,), gradient (k, n), Hessian (k, n, n),
     failed (k,)).
 
-    Each stencil point is one value pass over all rows
-    (``funcspec._value_columns``) that re-evaluates only the terms of the
-    one or two axes it moves, so memory stays O(k n) apart from the
+    Each axis's term column (``funcspec._term_column``) is evaluated five
+    times per block: at the points and at each of its four moved
+    coordinates, x_i +- h for first and for second derivatives (a moved
+    coordinate is the same add whichever stencil asks for it). Each stencil
+    point then combines the cached columns of all rows at once
+    (``funcspec._term_core``) and finishes its own row map
+    (``funcspec._core_value``), so memory stays O(k n) apart from the
     Hessian. ``failed`` marks the rows with a gradient or Hessian entry that
     is not finite, which is where that ``fd_jet`` call raises: every stencil
     value enters some entry, so a stencil point that fails the value pass
     (nan) makes one so too. Every other row has its bits.
     """
+    moved = {}  # id of an (axis, step) pair of _fd_parts -> its term column
+
     def ev(deltas):
-        q = points.copy()
         terms = list(base)
-        for idx, dh in deltas:
-            q[:, idx] += dh
-            terms[idx] = _term_column(spec, idx, q[:, idx])
-        return _value_columns(spec, q, terms)[2]
+        for move in deltas:
+            idx, dh = move
+            if id(move) not in moved:  # _fd_parts keeps each pair alive
+                moved[id(move)] = _term_column(spec, idx, points[:, idx] + dh)
+            terms[idx] = moved[id(move)]
+        return _core_value(spec, _term_core(spec, terms))[1]
 
     with np.errstate(all="ignore"):  # a failed row's numbers are discarded
         base = [_term_column(spec, k, col) for k, col in enumerate(points.T)]

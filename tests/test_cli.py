@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -712,3 +713,18 @@ def test_fd_check_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, 
                               "--format", fmt, "--fd-check")
         assert (code, out) == (3, "")
         assert err == f"error: {first.value}\n"
+
+
+def test_jsonl_writer_bytes_equal_json_dumps():
+    # one encoder per writer gives each row the bytes json.dumps gives it
+    header = ["x1", "value", "fd_gap", "status"]
+    rows = [[1.0, None, -0.0, "ok"],
+            [math.inf, -math.inf, math.nan, "domain_error"],
+            [1e300, 5e-324, -1e300, "hicks_undefined"],
+            [0.1, 2.0000000000000004, None, "allen_undefined"]]
+    text = io.StringIO()
+    cli._writer(header, "jsonl", text)(rows)
+    cli._writer(header, "jsonl", text)(rows[::-1])
+    assert text.getvalue() == "".join(
+        json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+        for row in rows + rows[::-1])

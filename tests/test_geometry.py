@@ -36,6 +36,7 @@ from prodgeom import (
 )
 from prodgeom import geometry
 from prodgeom.cli import run
+from prodgeom.elasticity import bordered_hessian
 from prodgeom.geometry import det_scale, plu_det, plu_dets
 from prodgeom.sampling import points_loguniform, random_homothetical
 
@@ -205,6 +206,17 @@ def test_plu_det_singular():
     m = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert plu_det(m) == pytest.approx(0.0, abs=1e-15)
     assert det_scale(m) == 8.0
+
+
+def test_det_scale_overflow_is_inf_without_a_warning():
+    # the bordered matrix of e^x1 * x2 at (360, 1e-5): finite row max-norms
+    # whose product overflows; the suite turns a numpy RuntimeWarning into a
+    # failure. A zero row times an infinite one is nan, also quietly.
+    border, _ = bordered_hessian(Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))),
+                                 (360.0, 1e-5))
+    assert np.isfinite(border).all() and det_scale(border) == math.inf
+    assert det_scale(np.stack([border, np.eye(3)])).tolist() == [math.inf, 1.0]
+    assert math.isnan(det_scale(np.array([[0.0, 0.0], [math.inf, 1.0]])))
 
 
 def _bits(values) -> list:

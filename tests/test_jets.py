@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from prodgeom import (
     make_acms,
     make_cobb_douglas,
 )
-from prodgeom import jets
+from prodgeom import cli, funcspec, jets
 from prodgeom.jets import _fd_columns, _jet_columns
 from prodgeom.sampling import (
     points_loguniform,
@@ -348,22 +349,29 @@ def test_fd_agreement_property():
 _FD_COORDS = _EXTREME_COORDS + (-0.0, 1e-5)
 
 
-@settings(max_examples=150, deadline=None)
+def _fd_spec(rng, kind, n):
+    if kind == "homothetical":
+        return random_homothetical(rng, n=n)
+    if kind == "composite":
+        return random_composite(rng, n=n)
+    return make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                     rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
+                     rng.uniform(0.5, 2.0), random_outer(rng), relax_rho=True)
+
+
+# at least 150 examples, and the loaded profile's count where it is larger
+# (the CI fuzz step's 10,000)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
-       n=st.integers(1, 6), m=st.integers(1, 8))
+       n=st.integers(1, 10), m=st.integers(1, 40))
 def test_fd_columns_bitwise_equal_fd_jet(seed, kind, n, m):
     # every row has the bits of fd_jet on evaluate at its point (value,
-    # gradient and Hessian), and is flagged exactly where that call raises
+    # gradient and Hessian), and is flagged exactly where that call raises;
+    # rows and axes differ in their steps, so a term column cached under the
+    # wrong row, axis or step shows up here
     rng = random.Random(seed)
-    if kind == "homothetical":
-        spec = random_homothetical(rng, n=n)
-    elif kind == "composite":
-        spec = random_composite(rng, n=n)
-    else:
-        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
-                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
-                         rng.uniform(0.5, 2.0), random_outer(rng), relax_rho=True)
+    spec = _fd_spec(rng, kind, n)
     points = [[rng.choice(_FD_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
                for _ in range(n)] for _ in range(m)]
     value, gradient, hessian, failed = _fd_columns(spec, np.array(points))
@@ -376,3 +384,37 @@ def test_fd_columns_bitwise_equal_fd_jet(seed, kind, n, m):
         assert not failed[i]
         assert [float(v).hex() for v in (value[i], *gradient[i], *np.ravel(hessian[i]))] == \
             [float(v).hex() for v in (jet.value, *jet.gradient, *np.ravel(jet.hessian))]
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+@pytest.mark.parametrize("kind", ["composite", "acms"])
+def test_fd_columns_forms_five_term_columns_per_axis(monkeypatch, kind, n):
+    # one block: each axis's terms at the points and at x_i +- h for the
+    # first and the second derivatives, whatever the number of stencils
+    spec = _fd_spec(random.Random(n), kind, n)
+    calls = []
+    real = funcspec._term_column
+
+    def counted(spec, k, col):
+        calls.append(k)
+        return real(spec, k, col)
+
+    for module in (funcspec, jets):
+        monkeypatch.setattr(module, "_term_column", counted)
+    _fd_columns(spec, np.array(points_loguniform(n, 7, 3)))
+    assert sorted(calls) == sorted(list(range(n)) * 5)
+
+
+@pytest.mark.parametrize("kind", ["composite", "acms"])
+def test_fd_columns_memory_stays_per_stencil(kind):
+    # n = 10 and one CLI block of rows: the block's columns and Hessian
+    # (3.5 MB traced), not one row-map pass over every stencil at once (37 MB)
+    spec = _fd_spec(random.Random(1), kind, 10)
+    points = np.array(points_loguniform(10, cli.BLOCK_ROWS, 5))
+    tracemalloc.start()
+    try:
+        _fd_columns(spec, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
