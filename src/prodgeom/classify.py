@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import SpecError, ValidationError
 from .funcspec import (
     Acms,
@@ -45,7 +47,7 @@ from .funcspec import (
     make_cobb_douglas,
 )
 from .geometry import gauss_kronecker_batch
-from .elasticity import _bordered_dets, _positive_point
+from .elasticity import _bordered_ratios, _positive_point
 from .sampling import points_loguniform
 
 #: Absolute tolerance for symbolic parameter constraints (sum of exponents).
@@ -286,11 +288,11 @@ def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
 
     Applies to product specs with at least one exponential component (the
     regime where one component log-derivative ratio is constant). Evaluates
-    |G| <= tol and scale-relative |det H^B| <= tol at every sample and
-    reports whether the two predicates agree. The samples run as one block
-    (``gauss_kronecker_batch``, then the bordered determinants on the stack),
-    bit for bit as point by point, and the error raised is the one the
-    per-point loop raises first.
+    |G| <= tol and the scale-relative |det H^B| (``geometry._det_ratios``)
+    <= tol at every sample and reports whether the two predicates agree.
+    The samples run as one block (``gauss_kronecker_batch``, then the
+    bordered determinants on the stack), bit for bit as point by point, and
+    the error raised is the one the per-point loop raises first.
     """
     if not isinstance(spec, Homothetical):
         raise SpecError(f"this check needs a homothetical spec, got {spec.kind}")
@@ -303,21 +305,15 @@ def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
         raise ValidationError("needs at least one sample point")
     x, late = _sample_rows(spec, sample_points)
     block = gauss_kronecker_batch(spec, x)
-    dets, scales = _bordered_dets(block.gradient, block.hessian)
-    positive = (x.min(axis=1) > 0.0).tolist()
-    max_gk = 0.0
-    max_rel_det = 0.0
-    for p, gk, det, scale, good, error in zip(sample_points, block.gk_curvature.tolist(),
-                                              dets, scales, positive, block.errors):
+    for p, good, error in zip(sample_points, (x.min(axis=1) > 0.0).tolist(), block.errors):
         if error is not None:
             raise error
         if not good:
             _positive_point(spec, p)  # the bordered matrix lives on the positive orthant
-        max_gk = max(max_gk, abs(gk))
-        rel = abs(det) / scale if scale > 0.0 else 0.0
-        max_rel_det = max(max_rel_det, rel)
     if late is not None:
         raise late
+    max_gk = float(np.max(np.abs(block.gk_curvature), initial=0.0))
+    max_rel_det = float(np.max(_bordered_ratios(block.gradient, block.hessian), initial=0.0))
     gk_zero = max_gk <= tol
     allen_singular = max_rel_det <= tol
     return Corollary42Report(gk_all_zero=gk_zero, allen_all_singular=allen_singular,

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (AllenUndefined, DomainError, HicksUndefined, NumericalError,
                      ProdgeomError, ValidationError, ZeroGradientError)
 from .funcspec import FunctionSpec, _point, _point_rows
-from .geometry import det_scale, plu_det, plu_dets
+from .geometry import _det_ratios, plu_det, plu_dets
 from .jets import Jet2N, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
 
@@ -114,12 +114,12 @@ def _bordered(gradient: np.ndarray, hessian: np.ndarray, det):
     return border, det(border)
 
 
-@np.errstate(all="ignore")  # a determinant or scale that overflows comes out inf
-def _bordered_dets(gradient: np.ndarray, hessian: np.ndarray) -> tuple:
-    # the det and det_scale of the bordered matrix of each row of (m, n)
-    # gradients and (m, n, n) Hessians, as lists, bit for bit plu_det's
+@np.errstate(all="ignore")  # a determinant that overflows comes out inf
+def _bordered_ratios(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    # the _det_ratios of the bordered matrix of each row of (m, n) gradients
+    # and (m, n, n) Hessians, bit for bit those of plu_det's determinants
     border, det = _bordered(gradient, hessian, plu_dets)
-    return det.tolist(), det_scale(border).tolist()
+    return _det_ratios(det, border)
 
 
 # numpy's overflow warnings are silenced: a determinant that overflows comes out inf
@@ -165,7 +165,7 @@ def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     ``elasticity_report`` entry, so A_ij == A_ji exactly.
 
     Raises AllenUndefined when the bordered determinant is zero relative to
-    the matrix scale.
+    the matrix scale (``geometry._det_ratios``).
     """
     a, b = _pair(spec, i, j)
     report = elasticity_report(spec, point)
@@ -180,10 +180,10 @@ class ElasticityReport:
 
     ``hicks`` has nan on the diagonal and at pairs where it is undefined (a
     vanishing denominator or a vanishing partial of the pair); ``allen`` is
-    None exactly when the bordered determinant is below the singularity
-    threshold. ``cofactors`` holds the signed cofactors of the inner
-    (Hessian) entries of the bordered matrix. ``jet`` is the one jet the
-    report was read from; ``value`` is its value slot.
+    None exactly when the bordered determinant's ``geometry._det_ratios``
+    is at most ``SINGULARITY_REL``. ``cofactors`` holds the signed cofactors
+    of the inner (Hessian) entries of the bordered matrix. ``jet`` is the
+    one jet the report was read from; ``value`` is its value slot.
     """
 
     hicks: np.ndarray
@@ -223,7 +223,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                     f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
             hicks_m[a, b] = hicks_m[b, a] = h
     cof = _inner_cofactors(border[None])[0]
-    singular = abs(det) <= SINGULARITY_REL * det_scale(border)
+    singular = _det_ratios(det, border) <= SINGULARITY_REL
     allen_m = None
     if not singular:
         weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
@@ -274,7 +274,7 @@ def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
     hicks_p = np.where(undefined, math.nan, -num / den)
     failed = ~(ok & np.isfinite(det)) | np.isinf(hicks_p).any(axis=1)
     cof = _inner_cofactors(border)
-    singular = np.abs(det) <= SINGULARITY_REL * det_scale(border)
+    singular = _det_ratios(det, border) <= SINGULARITY_REL
     # math.fsum raises on +inf and -inf, so only where the report sums too
     weight = np.array([math.fsum((xi * g).tolist()) if good else math.nan
                        for xi, g, good in zip(x, gradient, (~failed & ~singular).tolist())])

@@ -22,7 +22,8 @@ derivatives ``derivs(x, value)``, and its wire-format ``TAG`` and ``WIRE``
 field names (in dataclass field order). Each outer map likewise has a guarded
 ``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``. ``evaluate`` and the jets
 share one value pass, so every domain guard runs before any derivative;
-``_value_columns`` runs that pass over many points at once, bit for bit.
+``_term_column``, ``_term_core`` and ``_core_value`` run that pass over many
+points at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -519,32 +520,6 @@ def _core_value(spec: FunctionSpec, core: np.ndarray) -> tuple:
     row by row on Python floats."""
     u = spec.gamma * _column_pow(core, spec.d / spec.rho) if isinstance(spec, Acms) else core
     return u, u if isinstance(spec, Homothetical) else _map_rows(spec.outer.value, u)
-
-
-def _value_columns(spec: FunctionSpec, points: np.ndarray):
-    """``_values`` at every row of an (m, n) point array, as columns.
-
-    Returns ``(parts, u, value, failed)``: ``parts`` is (m, n) for a product
-    kind and the (m,) CES sum otherwise, u and value are (m,), and ``failed``
-    (m,) marks the rows where ``_values`` raises. Every other row has the
-    bits of ``_values`` at its point.
-
-    Each component's and outer map's own ``value`` runs row by row on Python
-    floats (``_term_column``, ``_core_value``); the product and the CES sum
-    run on whole columns (``_term_core``), with the operations of ``_values``
-    in its order. A guard that fails or a ``value`` that raises leaves nan,
-    which every later step keeps; each caller sends the flagged rows through
-    its own per-point function (``gauss_kronecker``, ``fd_jet``), whose
-    error class, message and guard order are exact.
-    """
-    if not isinstance(spec, (Homothetical, Composite, Acms)):
-        raise ValidationError(f"unknown spec kind {spec!r}")
-    with np.errstate(all="ignore"):
-        terms = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
-        core = _term_core(spec, terms)
-        u, value = _core_value(spec, core)
-    parts = core if isinstance(spec, Acms) else np.stack(terms, axis=1)
-    return parts, u, value, ~np.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

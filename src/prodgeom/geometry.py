@@ -92,11 +92,30 @@ def plu_dets(stack: np.ndarray) -> np.ndarray:
 def det_scale(matrix: np.ndarray):
     """Magnitude scale for a determinant: product of the row max-norms.
 
-    Zero tests on determinants are taken relative to this scale, which bounds
-    the magnitude of any single expansion term. A (k, m, m) stack gives k scales.
+    It bounds the magnitude of any single expansion term; every zero test on
+    a determinant reads it through ``_det_ratios``. A (k, m, m) stack gives
+    k scales.
     """
     scale = np.prod(np.max(np.abs(np.asarray(matrix, dtype=float)), axis=-1), axis=-1)
     return float(scale) if scale.ndim == 0 else scale
+
+
+def _det_ratios(det, matrix):
+    """|det| / ``det_scale(matrix)``, the package's one zero test on
+    determinants: a float for one matrix, a (k,) array for a (k, m, m) stack.
+    An exact-zero det reads 0.0, a zero (underflowed) scale gives inf, and a
+    nan ratio (det and scale both overflow) reads inf: it shows no zero."""
+    scale = det_scale(matrix)
+    if isinstance(scale, float):  # one matrix: Python floats, not numpy scalars
+        if det == 0.0:
+            return 0.0
+        ratio = abs(det) / scale if scale != 0.0 else math.inf
+        return ratio if ratio == ratio else math.inf
+    with np.errstate(all="ignore"):  # x / 0 and inf / inf come out inf and nan, quietly
+        ratio = np.abs(det) / scale
+    ratio[np.isnan(ratio)] = math.inf
+    ratio[det == 0.0] = 0.0
+    return ratio
 
 
 def hessian(spec: FunctionSpec, point: Sequence[float]) -> np.ndarray:

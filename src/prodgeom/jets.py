@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .funcspec import (Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow, _core_value,
-                       _map_rows, _point, _term_column, _term_core, _value_columns, _values,
-                       evaluate)
+                       _map_rows, _point, _term_column, _term_core, _values, evaluate)
 
 
 @dataclass(frozen=True)
@@ -174,14 +173,21 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     and ``ok`` (m,). Where ``ok`` holds, a row has the bits of
     ``jet_multivariate`` at its point; elsewhere that call raises.
 
-    The value pass is ``funcspec._value_columns``, so every guard runs
-    first; a row it flags gets nan coordinates and u before any ``derivs``
-    or ``**`` runs (a power of a negative base would be complex), so its
-    derivatives come out nan. Derivatives run through each component's and
-    outer map's own scalar ``derivs``. Only + - * / run on whole columns, in
-    the order of the scalar assembly, which is shared.
+    The value pass runs first, so every guard does too: each axis's term
+    column (``funcspec._term_column``), their product or CES sum
+    (``funcspec._term_core``) and the row maps (``funcspec._core_value``),
+    bit for bit as ``funcspec._values``. A row whose value is not finite
+    (where ``_values`` raises) gets nan coordinates and u before any
+    ``derivs`` or ``**`` runs (a power of a negative base would be complex),
+    so its derivatives come out nan. Derivatives run through each
+    component's and outer map's own scalar ``derivs``. Only + - * / run on
+    whole columns, in the order of the scalar assembly, which is shared.
     """
-    parts, u, value, failed = _value_columns(spec, points)
+    with np.errstate(all="ignore"):
+        terms = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
+        core = _term_core(spec, terms)
+        u, value = _core_value(spec, core)
+    failed = ~np.isfinite(value)
     pt = list(np.where(failed[:, None], math.nan, points).T)
     u = np.where(failed, math.nan, u)
 
@@ -191,15 +197,14 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     factors = None
     ok = ~failed
     if isinstance(spec, Acms):
-        grad, rules = _acms_parts(spec, pt, parts, _column_pow)
+        grad, rules = _acms_parts(spec, pt, core, _column_pow)
     else:
-        vals = list(parts.T)
         factors = []
-        for c, x, v in zip(spec.components, pt, vals):
+        for c, x, v in zip(spec.components, pt, terms):
             d1, d2 = derivs(c.derivs, x, v)
             factors.append(Jet1(v, d1, d2))
             ok &= np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2)
-        grad, rules = _product_parts(factors, vals)
+        grad, rules = _product_parts(factors, terms)
     if not isinstance(spec, Homothetical):
         factors = None
         grad, rules = _chain(*derivs(spec.outer.derivs, u), grad, rules)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
-from .elasticity import (_bordered_dets, _hicks_from_jet, bordered_hessian, ces_probe,
+from .elasticity import (_bordered_ratios, _hicks_from_jet, bordered_hessian, ces_probe,
                          elasticity_report, hicks)
-from .errors import HicksUndefined, ZeroGradientError
+from .errors import HicksUndefined, NumericalError, ZeroGradientError
 from .funcspec import (
     Acms,
     Composite,
@@ -27,14 +27,15 @@ from .funcspec import (
     LogPowFn,
     PowFn,
     Power,
+    _column_pow,
     _sample_rows,
     evaluate,
     make_acms,
     make_cobb_douglas,
 )
 from .geometry import (
+    _det_ratios,
     _squared_norms,
-    det_scale,
     gauss_kronecker,
     gauss_kronecker_batch,
     hessian_det_closed,
@@ -55,8 +56,6 @@ class CheckResult:
 
 def _random_acms(rng: random.Random, n: int = 2) -> Acms:
     rho = rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75)) + rng.uniform(-0.05, 0.05)
-    if abs(rho) < 0.1:
-        rho = 0.25
     return Acms(gamma=rng.uniform(0.5, 2.0),
                 betas=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
                 rho=rho, d=rng.uniform(0.5, 2.0), outer=random_outer(rng))
@@ -95,62 +94,55 @@ def _random_unit_sum_alphas(rng: random.Random, n: int, target: float = 1.0):
             return head + [last]
 
 
-@np.errstate(all="ignore")  # a determinant or scale that overflows comes out inf
+@np.errstate(all="ignore")  # a determinant that overflows comes out inf
 def _flatness_evidence(spec, points):
     """(max |G| via both determinant routes, max scale-relative LU residual).
 
     A flat certificate must hold three ways: the closed-form curvature, the
     LU-oracle curvature, and the LU determinant read as numerically zero at
-    the scale of the Hessian itself. The last carries the honest elimination
-    noise floor (a few units of machine epsilon) that a sub-float tolerance
-    is expected to trip over.
+    the scale of the Hessian itself (``geometry._det_ratios``). The last
+    carries the honest elimination noise floor (a few units of machine
+    epsilon) that a sub-float tolerance is expected to trip over.
 
     The points run as one block through ``gauss_kronecker_batch`` and
     ``plu_dets``, bit for bit as ``gauss_kronecker`` and ``plu_det`` point by
-    point, and raise the error that per-point loop raises first.
+    point. The error raised is the one that per-point loop raises first:
+    ``gauss_kronecker``'s, or a NumericalError naming the point where
+    (1 + g.g)^((n+2)/2) overflows although omega^(n+2) did not.
     """
     x, late = _sample_rows(spec, points)
     block = gauss_kronecker_batch(spec, x)
-    norms = _squared_norms(block.gradient).tolist()
-    dets = plu_dets(block.hessian).tolist()
-    scales = det_scale(block.hessian).tolist()
     power = (spec.n + 2) / 2.0
-    worst_g = 0.0
-    worst_rel = 0.0
-    for gk, det_lu, norm2, scale, error in zip(block.gk_curvature.tolist(), dets, norms, scales,
-                                               block.errors):
-        if error is not None:
-            raise error
-        omega_pow = (1.0 + norm2) ** power
-        worst_g = max(worst_g, abs(gk), abs(det_lu) / omega_pow)
-        if scale > 0.0:
-            worst_rel = max(worst_rel, abs(det_lu) / scale)
+    omega_pow = _column_pow(1.0 + _squared_norms(block.gradient), power)
+    for i in np.flatnonzero(np.isnan(omega_pow)).tolist():  # error rows have nan gradients
+        if block.errors[i] is not None:
+            raise block.errors[i]
+        raise NumericalError(f"(1 + g.g)^{power} overflowed at {tuple(x[i].tolist())!r}")
     if late is not None:
         raise late
-    return worst_g, worst_rel
+    abs_dets = np.abs(plu_dets(block.hessian))
+    worst_g = np.max(np.maximum(np.abs(block.gk_curvature), abs_dets / omega_pow), initial=0.0)
+    return float(worst_g), float(np.max(_det_ratios(abs_dets, block.hessian), initial=0.0))
 
 
 @np.errstate(all="ignore")  # as _flatness_evidence; a flagged row's numbers are not read
 def _singular_evidence(spec, points) -> float:
-    """Max scale-relative |det H^B| over the points, bit for bit as
-    ``bordered_hessian`` point by point, with its first error: one
-    ``_jet_columns`` pass and one ``plu_dets`` call on the bordered stack; a
-    row the columns or the positivity guard flag goes through
-    ``bordered_hessian`` itself."""
+    """Max scale-relative |det H^B| (``geometry._det_ratios``) over the
+    points, bit for bit as ``bordered_hessian`` point by point, with its
+    first error: one ``_jet_columns`` pass and one ``plu_dets`` call on the
+    bordered stack; a row the columns or the positivity guard flag goes
+    through ``bordered_hessian`` itself."""
     points = list(points)
     x, late = _sample_rows(spec, points)
     _, gradient, hessian, _, ok = _jet_columns(spec, x)
     ok &= np.min(x, axis=1) > 0.0  # the positivity guard outranks any jet error
-    dets, scales = _bordered_dets(gradient, hessian)
-    worst = 0.0
-    for p, det, scale, good in zip(points, dets, scales, ok.tolist()):
-        if not good:
-            border, det = bordered_hessian(spec, p)
-            scale = det_scale(border)
-        worst = max(worst, abs(det) / scale)
+    ratios = _bordered_ratios(gradient, hessian)
+    for i in np.flatnonzero(~ok).tolist():
+        border, det = bordered_hessian(spec, points[i])
+        ratios[i] = _det_ratios(det, border)
     if late is not None:
         raise late
-    return worst
+    return float(np.max(ratios, initial=0.0))
 
 
 def check_developable_certificates(seed: int = 42, tol: float = 1e-8) -> CheckResult:

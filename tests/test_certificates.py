@@ -3,8 +3,9 @@
 ``check_corollary42``, ``verify._flatness_evidence``, ``is_developable`` and
 ``verify._singular_evidence`` each take a spec's sample points as one block
 through the batch kernels. The per-point loops they replaced are kept here as
-the references: every returned number must have their bits, and every raised
-error their type and message.
+the references, with the one scale-relative determinant rule spelled out
+(``_scale_relative``): every returned number must have their bits, and every
+raised error their type and message.
 """
 
 import math
@@ -18,12 +19,30 @@ from hypothesis import strategies as st
 from prodgeom import geometry, jets, verify
 from prodgeom.classify import Corollary42Report, _exp_indices, check_corollary42
 from prodgeom.elasticity import _bordered, _positive_point, bordered_hessian
-from prodgeom.errors import ProdgeomError, SpecError, ValidationError
-from prodgeom.funcspec import Composite, ExpFn, Homothetical, PowFn, Power
+from prodgeom.errors import NumericalError, ProdgeomError, SpecError, ValidationError
+from prodgeom.funcspec import Composite, ExpFn, Homothetical, Identity, PowFn, Power
 from prodgeom.geometry import det_scale, gauss_kronecker, is_developable, plu_det
 from prodgeom.sampling import points_loguniform
 from test_cli import _count_calls
 from test_funcspec import _EDGE_OUTERS, _JET_COORDS, _edge_component
+
+
+def _scale_relative(det, matrix):
+    # |det| / det_scale(matrix): 0.0 for an exact-zero det, inf for a zero
+    # scale, and inf in place of nan (det and scale both overflowed)
+    if det == 0.0:
+        return 0.0
+    scale = det_scale(matrix)
+    if scale == 0.0:
+        return math.inf
+    rel = abs(det) / scale
+    return math.inf if math.isnan(rel) else rel
+
+
+def _max(values):
+    # np.max(values, initial=0.0): the largest, or nan where one is nan
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def _loop_corollary42(spec, sample_points, tol):
@@ -35,16 +54,14 @@ def _loop_corollary42(spec, sample_points, tol):
     sample_points = list(sample_points)
     if not sample_points:
         raise ValidationError("needs at least one sample point")
-    max_gk = 0.0
-    max_rel_det = 0.0
+    gks, rels = [], []
     for p in sample_points:
         rec = gauss_kronecker(spec, p)
         _positive_point(spec, p)
-        max_gk = max(max_gk, abs(rec.gk_curvature))
+        gks.append(abs(rec.gk_curvature))
         border, det = _bordered(rec.jet.gradient, rec.jet.hessian, plu_det)
-        scale = det_scale(border)
-        rel = abs(det) / scale if scale > 0.0 else 0.0
-        max_rel_det = max(max_rel_det, rel)
+        rels.append(_scale_relative(det, border))
+    max_gk, max_rel_det = _max(gks), _max(rels)
     gk_zero = max_gk <= tol
     allen_singular = max_rel_det <= tol
     return Corollary42Report(gk_all_zero=gk_zero, allen_all_singular=allen_singular,
@@ -54,18 +71,21 @@ def _loop_corollary42(spec, sample_points, tol):
 
 def _loop_flatness(spec, points):
     # verify._flatness_evidence before it ran its points as a block
-    worst_g = 0.0
-    worst_rel = 0.0
+    gs, rels = [], []
     for p in points:
         rec = gauss_kronecker(spec, p)
         jet = rec.jet
         det_lu = plu_det(jet.hessian)
-        omega_pow = (1.0 + float(np.dot(jet.gradient, jet.gradient))) ** ((jet.n + 2) / 2.0)
-        worst_g = max(worst_g, abs(rec.gk_curvature), abs(det_lu) / omega_pow)
-        scale = det_scale(jet.hessian)
-        if scale > 0.0:
-            worst_rel = max(worst_rel, abs(det_lu) / scale)
-    return worst_g, worst_rel
+        power = (jet.n + 2) / 2.0
+        try:
+            omega_pow = (1.0 + float(np.dot(jet.gradient, jet.gradient))) ** power
+        except OverflowError:
+            raise NumericalError(
+                f"(1 + g.g)^{power} overflowed at {tuple(map(float, p))!r}") from None
+        gs.append(max(abs(rec.gk_curvature), abs(det_lu) / omega_pow)
+                  if det_lu == det_lu else math.nan)
+        rels.append(_scale_relative(det_lu, jet.hessian))
+    return _max(gs), _max(rels)
 
 
 def _loop_developable(spec, sample_points, tol):
@@ -79,18 +99,16 @@ def _loop_developable(spec, sample_points, tol):
 
 def _loop_singular(spec, points):
     # check_allen_singular_certificates' loop over one spec's points
-    worst = 0.0
-    for p in points:
-        border, det = bordered_hessian(spec, p)
-        worst = max(worst, abs(det) / det_scale(border))
-    return worst
+    return _max(_scale_relative(det, border)
+                for border, det in (bordered_hessian(spec, p) for p in points))
 
 
 def _outcome(fn, *args):
-    # float.hex of every number a call returns (bools as themselves), or its error
+    # float.hex of every number a call returns (bools as themselves), or its
+    # error; a bare Python exception is not caught, so it fails the test
     try:
         result = fn(*args)
-    except (ProdgeomError, ArithmeticError) as e:
+    except ProdgeomError as e:
         return type(e), str(e)
     if isinstance(result, Corollary42Report):
         result = (result.gk_all_zero, result.allen_all_singular, result.equivalent,
@@ -167,26 +185,37 @@ def test_certificate_loops_raise_the_first_error_in_input_order(points):
 
 def test_flatness_evidence_raises_the_loops_overflow_of_omega_pow():
     # c x1 x2 x3 at (0.25, 1, 1): omega^5 stays finite, so gauss_kronecker
-    # returns, but (1 + g.g)^2.5 overflows on Python floats and raises
+    # returns, but (1 + g.g)^2.5 overflows on Python floats: a NumericalError
+    # that names the point, at that row's place in the order
     spec = Homothetical((PowFn(4.220528630999172e+61, 0.0, 1.0), PowFn(1.0, 0.0, 1.0),
                          PowFn(1.0, 0.0, 1.0)))
     gauss_kronecker(spec, (0.25, 1.0, 1.0))
     for points in ([(0.25, 1.0, 1.0)], [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0)]):
         expected = _outcome(_loop_flatness, spec, points)
-        assert expected[0] is OverflowError
+        assert expected == (NumericalError, "(1 + g.g)^2.5 overflowed at (0.25, 1.0, 1.0)")
         assert _outcome(verify._flatness_evidence, spec, points) == expected
 
 
-def test_singular_evidence_skips_a_nan_ratio():
+def test_singular_evidence_reads_a_nan_ratio_as_inf():
     # e^x1 * x2 at (360, 1e-5): the bordered det and its scale overflow to
-    # inf, so |det| / scale is nan, which max(worst, nan) skips, as the loop does
+    # inf, so |det| / scale is nan, which does not show a zero: it reads inf
     spec = Composite(_EDGE_OUTERS["identity"](None), (ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
     border, det = bordered_hessian(spec, (360.0, 1e-5))
     assert det == det_scale(border) == math.inf
     for points in ([(360.0, 1e-5)], [(2.0, 3.0), (360.0, 1e-5)], [(360.0, 1e-5), (2.0, 3.0)]):
-        expected = _loop_singular(spec, points)
-        assert verify._singular_evidence(spec, points).hex() == expected.hex()
-    assert verify._singular_evidence(spec, [(360.0, 1e-5)]) == 0.0
+        assert verify._singular_evidence(spec, points) == _loop_singular(spec, points) == math.inf
+
+
+def test_zero_gradient_reads_as_singular():
+    # at a zero gradient the bordered matrix has a zero row and column, so its
+    # det is exactly 0 and so is its scale: the ratio reads 0.0
+    for spec in (Composite(Identity(), (PowFn(1.0, -1.0, 2.0), PowFn(1.0, -1.0, 2.0))),
+                 Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, -1.0, 2.0)))):
+        border, det = bordered_hessian(spec, (1.0, 1.0))
+        assert det == det_scale(border) == 0.0
+        assert verify._singular_evidence(spec, [(1.0, 1.0)]) == 0.0
+    report = check_corollary42(spec, [(1.0, 1.0)])
+    assert report.max_rel_bordered_det == report.max_abs_gk == 0.0 and report.equivalent
 
 
 def test_singular_evidence_keeps_the_result_of_a_flagged_row(monkeypatch):

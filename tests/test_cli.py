@@ -354,6 +354,10 @@ def test_non_finite_coordinates_exit_2(capsys, tmp_path, command):
     code, _, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json",
                         "--points", points)
     assert code == 2 and f"{points}:1:" in err
+    points.write_text("1.0,1.0\n\n1.0,x\n")
+    code, out, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json",
+                          "--points", points)
+    assert code == 2 and out == "" and f"{points}:3: non-numeric coordinate in '1.0,x'" in err
     # a non-finite bound, and finite bounds whose step overflows
     for grid in ("grid:0.5..infx0.5..2.0:3", "grid:-1e308..1e308x0.5..2.0:3"):
         code, out, err = _run(capsys, command, "--spec", DATA / "cobb_douglas_crs.json",

@@ -271,6 +271,11 @@ def test_ces_probe_needs_two_variables():
         ces_probe(Homothetical((PowFn(1.0, 0.0, 2.0),)))
 
 
+def test_ces_probe_needs_two_sample_points():
+    with pytest.raises(ValidationError, match="needs >= 2 sample points"):
+        ces_probe(make_cobb_douglas(1.0, (0.5, 0.5)), sample_points=[(1.0, 1.0)])
+
+
 def test_elasticity_report_regular_point():
     report = elasticity_report(make_cobb_douglas(1.0, (0.5, 0.5)), (1.0, 1.0))
     assert report.hicks[0, 1] == report.hicks[1, 0] == pytest.approx(1.0, rel=1e-12)

@@ -31,7 +31,7 @@ from prodgeom import (
     parse_spec,
     serialize_spec,
 )
-from prodgeom.funcspec import _value_columns, _values
+from prodgeom.funcspec import _core_value, _term_column, _term_core, _values
 from prodgeom.jets import _jet_columns, jet_multivariate
 from prodgeom.sampling import points_loguniform, random_homothetical
 
@@ -319,6 +319,14 @@ def test_homogeneity_rejects_exp_component():
     assert report.max_deviation > 1e-3
 
 
+def test_homogeneity_undecided_at_a_zero_value():
+    # x1 * x2 vanishes on x1 = 0, where no exponent estimate exists
+    report = homogeneity_degree(make_cobb_douglas(1.0, (1.0, 1.0)),
+                                probe_points=[(1.0, 2.0), (0.0, 1.0)])
+    assert not report.is_homogeneous
+    assert math.isnan(report.degree) and report.max_deviation == math.inf
+
+
 def test_homogeneity_domain_error_when_scaling_exits():
     spec = Homothetical((LogPowFn(a=0.5, b=1.0, m=0.5),))
     # admissible at 0.7 but 0.5 * 0.7 drops a + ln x below zero
@@ -391,13 +399,19 @@ def _edge_spec(rng, kind, outer, n):
        outer=st.sampled_from(sorted(_EDGE_OUTERS)),
        n=st.integers(1, 6), m=st.integers(1, 20))
 def test_value_columns_bitwise_equal_values(seed, kind, outer, n, m):
-    # every row has the bits of the scalar value pass (sign of zero
-    # included), and a row is flagged exactly where that pass raises
+    # the value pass in columns (term columns, their product or CES sum, the
+    # row maps): every row has the bits of the scalar value pass (sign of
+    # zero included), and its value is not finite exactly where that pass raises
     rng = random.Random(seed)
     spec = _edge_spec(rng, kind, outer, n)
     points = np.array([[rng.choice(_EDGE_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
                         for _ in range(n)] for _ in range(m)])
-    parts, u, value, failed = _value_columns(spec, points)
+    with np.errstate(all="ignore"):  # a flagged row's numbers are discarded
+        terms = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
+        core = _term_core(spec, terms)
+        u, value = _core_value(spec, core)
+    parts = core if kind == "acms" else np.stack(terms, axis=1)
+    failed = ~np.isfinite(value)
     assert parts.shape == ((m,) if kind == "acms" else (m, n))
     for i, row in enumerate(points.tolist()):
         try:
@@ -415,7 +429,9 @@ def test_value_columns_bitwise_equal_values(seed, kind, outer, n, m):
 _JET_COORDS = _EDGE_COORDS + (1e-160, 1e77, 1e150)
 
 
-@settings(max_examples=300, deadline=None)
+# at least 300 examples, and the loaded profile's count where it is larger
+# (the CI fuzz step's 10,000)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
        outer=st.sampled_from(sorted(_EDGE_OUTERS)),
@@ -447,7 +463,7 @@ def test_jet_columns_bitwise_equal_jet_multivariate(seed, kind, outer, n, m):
 def test_value_columns_makes_no_scalar_call(scalar_value_calls):
     # flagged rows are left to the caller's own per-point function
     spec = make_cobb_douglas(1.0, (0.3, 0.7))
-    _, _, value, failed = _value_columns(spec, np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -2.0]]))
-    assert failed.tolist() == [False, True, True]
+    value, _, _, _, ok = _jet_columns(spec, np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -2.0]]))
+    assert ok.tolist() == [True, False, False]
     assert value[0] == 1.0
     assert scalar_value_calls == []

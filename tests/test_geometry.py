@@ -402,6 +402,25 @@ def test_batch_zero_factor_rows_take_lu(monkeypatch):
                                           hessian_det_direct(spec, points[2])]
 
 
+def test_batch_keeps_the_result_of_a_flagged_row(monkeypatch):
+    # a row the columns flag goes through gauss_kronecker, and where that
+    # returns, its numbers are written back: flagging every row changes no bit
+    points = [(0.5, 2.0), (3.0, 0.25), (-1.0, 1.0)]
+    columns = geometry._jet_columns
+    for spec in (Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 0.5))),
+                 Composite(Power(2.0), (ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 0.5)))):
+        expected = gauss_kronecker_batch(spec, points)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_jet_columns", lambda spec, x: (
+                *columns(spec, x)[:4], np.zeros(len(x), dtype=bool)))
+            flagged = gauss_kronecker_batch(spec, points)
+        assert expected.errors[:2] == (None, None)
+        for got, want in zip(flagged[:-1], expected[:-1]):
+            assert [float(v).hex() for v in np.ravel(got)] == \
+                [float(v).hex() for v in np.ravel(want)]
+        assert [type(e) for e in flagged.errors] == [type(e) for e in expected.errors]
+
+
 def test_batch_errors_per_row_and_shape_check():
     spec = make_cobb_douglas(1.0, (0.3, 0.7))
     # f'' of the first factor, 1e-300^-1.7, overflows

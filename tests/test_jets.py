@@ -29,7 +29,7 @@ from prodgeom import (
     make_cobb_douglas,
 )
 from prodgeom import cli, funcspec, jets
-from prodgeom.jets import _fd_columns, _jet_columns
+from prodgeom.jets import _fd_columns, _fd_gaps, _jet_columns
 from prodgeom.sampling import (
     points_loguniform,
     random_composite,
@@ -384,6 +384,26 @@ def test_fd_columns_bitwise_equal_fd_jet(seed, kind, n, m):
         assert not failed[i]
         assert [float(v).hex() for v in (value[i], *gradient[i], *np.ravel(hessian[i]))] == \
             [float(v).hex() for v in (jet.value, *jet.gradient, *np.ravel(jet.hessian))]
+
+
+def test_fd_gaps_keeps_the_result_of_a_flagged_row(monkeypatch):
+    # a row the FD columns flag goes through fd_jet, and where that returns,
+    # its gap is written back: flagging every row (nan, as a failed stencil
+    # leaves it) changes no bit
+    spec = _fd_spec(random.Random(2), "composite", 3)
+    points = np.array(points_loguniform(3, 6, 4))
+    _, gradient, hessian, _, _ = _jet_columns(spec, points)
+    expected = _fd_gaps(spec, points, gradient, hessian)
+    columns = jets._fd_columns
+
+    def flag_every_row(spec, x):
+        value, fd_gradient, fd_hessian, _ = columns(spec, x)
+        return (value, np.full_like(fd_gradient, math.nan), np.full_like(fd_hessian, math.nan),
+                np.ones(len(x), dtype=bool))
+
+    monkeypatch.setattr(jets, "_fd_columns", flag_every_row)
+    got = _fd_gaps(spec, points, gradient, hessian)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
 
 
 @pytest.mark.parametrize("n", [1, 5, 10])
