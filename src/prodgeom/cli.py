@@ -5,7 +5,9 @@ Subcommands: ``eval``, ``curvature``, ``elasticity``, ``classify``,
 descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
 per axis, inclusive endpoints, row-major order). Rows are emitted in input
 order, CSV or JSONL, with identical numeric values in both encodings; stdout
-is written once, after the last row.
+is written once, after the last row. A CSV cell follows ``csv.writer``'s
+QUOTE_MINIMAL rule (``_csv_cell``) and grid coordinates are formatted once
+per axis value.
 
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
 failure. Singular points in a batch never fail the run; they are reported in
@@ -16,7 +18,6 @@ the per-row ``status`` column (``ok``, ``hicks_undefined``,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -35,7 +36,9 @@ from .jets import _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
 
 
-def _parse_grid(desc: str) -> list:
+def _parse_grid(desc: str) -> tuple:
+    """The points of a ``grid:`` descriptor in row-major order, and each
+    axis's values as CSV text, formatted once per axis value."""
     body = desc[len("grid:"):]
     axes_part, sep, count_part = body.rpartition(":")
     if not sep:
@@ -61,12 +64,15 @@ def _parse_grid(desc: str) -> list:
         if not all(map(math.isfinite, [lo, hi, *values])):
             raise ValidationError(f"grid axis {axis!r} gives non-finite coordinates")
         axes.append(values)
-    return list(itertools.product(*axes))
+    return list(itertools.product(*axes)), [list(map(repr, values)) for values in axes]
 
 
-def _load_points(source: str, n: int) -> list:
+def _load_points(source: str, n: int) -> tuple:
+    """The points of a grid descriptor or a points file, and for a grid its
+    axes' text (``_parse_grid``; None for a file)."""
+    texts = None
     if source.startswith("grid:"):
-        points = _parse_grid(source)
+        points, texts = _parse_grid(source)
     else:
         points = []
         try:
@@ -94,7 +100,7 @@ def _load_points(source: str, n: int) -> list:
         if len(p) != n:
             raise ValidationError(
                 f"point {idx + 1} has {len(p)} coordinates but the spec has {n} variables")
-    return points
+    return points, texts
 
 
 def _load_spec(path: str, relax_rho: bool) -> FunctionSpec:
@@ -124,17 +130,49 @@ def _parse_pairs(text: str, n: int) -> list:
     return pairs
 
 
+def _csv_cell(v) -> str:
+    """A float, None or text as csv.writer(lineterminator="\\n") writes it (its
+    QUOTE_MINIMAL rule): a float as its repr, None as an empty cell, text as
+    itself, or quoted with each ``"`` doubled if it holds ``,``, ``"`` or a
+    newline (a ``\\r`` is not quoted)."""
+    if v.__class__ is float:
+        return repr(v)
+    if v is None:
+        return ""
+    if "," in v or '"' in v or "\n" in v:
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
 def _writer(header: list, fmt: str, out):
-    """A function writing rows to ``out`` as CSV (after a header line, written
-    now) or JSONL. Floats print as their repr in both (``str`` is ``repr`` for
-    a float) and None as an empty CSV cell or JSON null. A JSONL row has the
-    bytes of ``json.dumps(..., separators=(",", ":"))``, from one encoder."""
+    """A function ``write(rows, lead=None)`` writing rows to ``out`` as CSV
+    (after a header line, written now) or JSONL.
+
+    ``lead``, where given, holds each row's leading cells: for CSV their
+    text, already encoded (``_run_points`` formats grid coordinates once per
+    axis value), for JSONL a tuple of cells. Floats print as their repr in
+    both (``str`` is ``repr`` for a float) and None as an empty CSV cell or
+    JSON null. A CSV line is the ``",".join`` of its cells' ``_csv_cell``
+    texts, the bytes of ``csv.writer(out, lineterminator="\\n")``, and a JSONL
+    row has the bytes of ``json.dumps(..., separators=(",", ":"))``, from one
+    encoder."""
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        return writer.writerows
+        out.write(",".join(map(_csv_cell, header)) + "\n")
+
+        def write(rows, lead=None):
+            if lead is None:
+                out.writelines([",".join(map(_csv_cell, row)) + "\n" for row in rows])
+            else:
+                out.writelines([f"{cells},{','.join(map(_csv_cell, row))}\n"
+                                for cells, row in zip(lead, rows)])
+        return write
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    return lambda rows: out.writelines(encode(dict(zip(header, row))) + "\n" for row in rows)
+
+    def write(rows, lead=None):
+        if lead is not None:
+            rows = ((*cells, *row) for cells, row in zip(lead, rows))
+        out.writelines([encode(dict(zip(header, row))) + "\n" for row in rows])
+    return write
 
 
 #: Rows per block of ``eval``, ``curvature`` and ``elasticity``: the block
@@ -151,7 +189,7 @@ def _outcome(fn, *args):
         return e.with_traceback(None)
 
 
-def _run_points(args, spec: FunctionSpec, points, out) -> int:
+def _run_points(args, spec: FunctionSpec, points, texts, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
     Points go in blocks of ``BLOCK_ROWS`` to ``measure(block)``. It returns
@@ -165,7 +203,10 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
     status ``domain_error``, and the rows stop at any other. The fd_gap column
     compares the finite-difference oracle with those columns at the rows with
     cells (``jets._fd_gaps``); the first row, in input order, whose measure or
-    oracle fails decides the error. Stdout is written once, after the last block.
+    oracle fails decides the error. Each row's coordinates lead it: in CSV
+    their text, for a grid joined from ``texts`` (each axis value formatted
+    once, ``_parse_grid``) a block at a time, for a file formatted row by row;
+    in JSONL the point's floats. Stdout is written once, after the last block.
     """
     columns = []
     if args.command == "curvature":
@@ -214,6 +255,12 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
         header.append("fd_gap")
     header.append("status")
     empty = [None] * (len(header) - spec.n - 1)
+    if args.format == "jsonl":
+        coords = iter(points)
+    elif texts is not None:  # a grid's coordinate text, a block at a time
+        coords = map(",".join, itertools.product(*texts))
+    else:
+        coords = (",".join(map(repr, p)) for p in points)
     text = io.StringIO()
     write = _writer(header, args.format, text)
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
@@ -235,8 +282,8 @@ def _run_points(args, spec: FunctionSpec, points, out) -> int:
                     rows[i][0].append(gap)
             if len(rows) < len(outcomes):  # once the rows before it have had their fd_gap
                 raise outcomes[len(rows)]
-            write([[*p, *(empty if cells is None else cells), status]
-                   for p, (cells, status) in zip(block, rows)])
+            write([[*(empty if cells is None else cells), status] for cells, status in rows],
+                  itertools.islice(coords, len(rows)))
     out.write(text.getvalue())
     return 0
 
@@ -323,8 +370,8 @@ def run(argv: Sequence[str]) -> int:
         spec = _load_spec(args.spec, args.relax_rho)
         if args.command == "classify":
             return _run_classify(spec, args.format, out)
-        points = _load_points(args.points, spec.n)
-        return _run_points(args, spec, points, out)
+        points, texts = _load_points(args.points, spec.n)
+        return _run_points(args, spec, points, texts, out)
     except ProdgeomError as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, (ParseError, ValidationError, SpecError)):

@@ -514,12 +514,20 @@ def _term_core(spec: FunctionSpec, terms) -> np.ndarray:
     return u
 
 
+#: Outer maps whose ``value`` (u, gamma * u) is exact on a whole column and
+#: whose ``derivs`` are constants; the other outer maps run row by row.
+_LINEAR_OUTER = (Identity, Scale)
+
+
 def _core_value(spec: FunctionSpec, core: np.ndarray) -> tuple:
     """The row-map part of the value pass: (u, value) from ``_term_core``'s
-    column, the CES core gamma * s^(d/rho) and the outer map's ``value`` run
-    row by row on Python floats."""
+    column, the CES core gamma * s^(d/rho) and the outer map's ``value``, run
+    row by row on Python floats unless the map is linear."""
     u = spec.gamma * _column_pow(core, spec.d / spec.rho) if isinstance(spec, Acms) else core
-    return u, u if isinstance(spec, Homothetical) else _map_rows(spec.outer.value, u)
+    if isinstance(spec, Homothetical):
+        return u, u
+    outer = spec.outer
+    return u, outer.value(u) if isinstance(outer, _LINEAR_OUTER) else _map_rows(outer.value, u)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .funcspec import (Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow, _core_value,
-                       _map_rows, _point, _term_column, _term_core, _values, evaluate)
+from .funcspec import (_LINEAR_OUTER, Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow,
+                       _core_value, _map_rows, _point, _term_column, _term_core, _values,
+                       evaluate)
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,8 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     (where ``_values`` raises) gets nan coordinates and u before any
     ``derivs`` or ``**`` runs (a power of a negative base would be complex),
     so its derivatives come out nan. Derivatives run through each
-    component's and outer map's own scalar ``derivs``. Only + - * / run on
+    component's and outer map's own scalar ``derivs``; a linear outer map's
+    constant pair is read once and filled into columns. Only + - * / run on
     whole columns, in the order of the scalar assembly, which is shared.
     """
     with np.errstate(all="ignore"):
@@ -207,7 +209,10 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
         grad, rules = _product_parts(factors, terms)
     if not isinstance(spec, Homothetical):
         factors = None
-        grad, rules = _chain(*derivs(spec.outer.derivs, u), grad, rules)
+        outer = spec.outer
+        outer_derivs = ([np.full(u.shape, d) for d in outer.derivs(math.nan)]
+                        if isinstance(outer, _LINEAR_OUTER) else derivs(outer.derivs, u))
+        grad, rules = _chain(*outer_derivs, grad, rules)
     gradient = np.stack(grad, axis=1)
     hessian = _fill(spec.n, value.shape, rules).transpose(2, 0, 1)
     ok &= np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))

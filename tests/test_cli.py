@@ -10,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import prodgeom
 from prodgeom import cli, fd_jet, gauss_kronecker
@@ -27,9 +29,11 @@ def _run(capsys, *argv):
 
 
 def test_grid_descriptor_row_major():
-    points = _parse_grid("grid:0.0..1.0x10.0..11.0:2")
+    points, texts = _parse_grid("grid:0.0..1.0x10.0..11.0:2")
     assert points == [(0.0, 10.0), (0.0, 11.0), (1.0, 10.0), (1.0, 11.0)]
-    assert _parse_grid("grid:1.0..2.0:1") == [(1.0,)]
+    # each axis value formatted once, as its repr
+    assert texts == [["0.0", "1.0"], ["10.0", "11.0"]]
+    assert _parse_grid("grid:1.0..2.0:1") == ([(1.0,)], [["1.0"]])
 
 
 def test_grid_descriptor_errors():
@@ -732,3 +736,77 @@ def test_jsonl_writer_bytes_equal_json_dumps():
     assert text.getvalue() == "".join(
         json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
         for row in rows + rows[::-1])
+
+
+# signed zeros, nan, infinities, the smallest subnormal, and the floats
+# whose repr switches to or from exponent notation
+_CSV_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e16, 1e22]
+_csv_text = st.text(st.sampled_from(list('ab1. ,"\n\r')), max_size=6)
+_csv_cell = st.one_of(st.sampled_from(_CSV_FLOATS), st.floats(), st.none(), _csv_text)
+
+
+@given(header=st.lists(_csv_text, min_size=2, max_size=4),
+       rows=st.lists(st.lists(_csv_cell, min_size=2, max_size=4), max_size=4),
+       coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+def test_csv_writer_bytes_equal_csv_writer(header, rows, coords):
+    # the writer's cell rule is csv.writer's QUOTE_MINIMAL at lineterminator
+    # "\n", with a row's leading cells as cells or as text already encoded
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        [header] + rows + [[*coords, *row] for row in rows])
+    text = io.StringIO()
+    write = cli._writer(header, "csv", text)
+    write(rows)
+    write(rows, [",".join(map(repr, coords))] * len(rows))
+    assert text.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("cobb_douglas_crs.json", "grid:0.3..2.2x0.7..1.9:5"),
+    ("log_hole.json", "grid:0.5..2.0x0.3..1.1:4"),  # x1 <= 1 is a domain_error row
+    ("acms_rho_half.json", "grid:0.5..2.0x0.1..3.3:4"),
+], ids=["golden-spec", "log-hole", "acms"])
+@pytest.mark.parametrize("command", ["eval", "curvature", "elasticity"])
+def test_grid_prints_the_bytes_of_its_points_file(capsys, monkeypatch, tmp_path, command,
+                                                   spec, grid):
+    # a grid's coordinate text, formatted once per axis value, crosses block
+    # edges as the per-row text of the same points in a file does
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
+    points, _ = _parse_grid(grid)
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
+    statuses = []
+    for fmt in ("csv", "jsonl"):
+        for extra in ([], ["--fd-check"]):
+            args = (command, "--spec", DATA / spec, "--format", fmt, *extra)
+            code, out, err = _run(capsys, *args, "--points", grid)
+            assert (code, err) == (0, "") and len(out.splitlines()) == len(points) + (fmt == "csv")
+            assert (code, out, err) == _run(capsys, *args, "--points", path)
+            if fmt == "jsonl":
+                statuses += [json.loads(line)["status"] for line in out.splitlines()]
+    assert ("domain_error" in statuses) == (spec == "log_hole.json")
+
+
+@pytest.mark.parametrize("command", ["eval", "curvature", "elasticity"])
+def test_grid_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, command):
+    # (x1 - 1)^2 overflows at the fourth row, x1 = 5e199, in the second block
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_BLOCK_SPECS["homothetical"])
+    grid = "grid:0.5..1e200x0.5..2.0:3"
+    points, _ = _parse_grid(grid)
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
+    for fmt in ("csv", "jsonl"):
+        for extra in ([], ["--fd-check"]):
+            args = (command, "--spec", spec_path, "--format", fmt, *extra)
+            code, out, err = _run(capsys, *args, "--points", grid)
+            assert (code, out) == (3, "") and "overflowed" in err
+            assert (code, out, err) == _run(capsys, *args, "--points", path)
+
+
+def test_classify_csv_matches_golden(capsys):
+    # the JSON certificate is a quoted cell, each of its quotes doubled
+    code, out, _ = _run(capsys, "classify", "--spec", DATA / "thm31a.json")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "classify_thm31a.csv").read_text()

@@ -32,7 +32,7 @@ from prodgeom import (
     serialize_spec,
 )
 from prodgeom.funcspec import _core_value, _term_column, _term_core, _values
-from prodgeom.jets import _jet_columns, jet_multivariate
+from prodgeom.jets import _fd_columns, _jet_columns, jet_multivariate
 from prodgeom.sampling import points_loguniform, random_homothetical
 
 
@@ -458,6 +458,26 @@ def test_jet_columns_bitwise_equal_jet_multivariate(seed, kind, outer, n, m):
         assert (factors is None) == (jet.factors is None)
         assert [_bits([f.value[i], f.d1[i], f.d2[i]]) for f in factors or ()] == \
             [_bits([f.value, f.d1, f.d2]) for f in jet.factors or ()]
+
+
+@pytest.mark.parametrize("outer", [Identity(), Scale(2.5)], ids=["identity", "scale"])
+def test_linear_outer_runs_on_columns(monkeypatch, outer):
+    # u itself and gamma * u run once on the whole column, the constant
+    # derivative pair is read once, and no row goes through either one alone
+    calls = []
+    for name in ("value", "derivs"):
+        def spy(self, u, _method=getattr(type(outer), name), _name=name):
+            calls.append((_name, type(u)))
+            return _method(self, u)
+        monkeypatch.setattr(type(outer), name, spy)
+    spec = Composite(outer, [PowFn(1.0, 0.0, 0.5), ExpFn(1.0, 0.5)])
+    points = np.array([[1.0, 1.0], [0.5, 2.0], [-1.0, 1.0], [2.0, 0.25]])
+    with np.errstate(all="ignore"):
+        _jet_columns(spec, points)
+        assert calls == [("value", np.ndarray), ("derivs", float)]
+        calls.clear()
+        _fd_columns(spec, points)
+    assert calls and set(calls) == {("value", np.ndarray)}
 
 
 def test_value_columns_makes_no_scalar_call(scalar_value_calls):
