@@ -6,8 +6,8 @@ descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
 per axis, inclusive endpoints, row-major order). Rows are emitted in input
 order, CSV or JSONL, with identical numeric values in both encodings; stdout
 is written once, after the last row. A CSV cell follows ``csv.writer``'s
-QUOTE_MINIMAL rule (``_csv_cell``) and grid coordinates are formatted once
-per axis value.
+QUOTE_MINIMAL rule (``_csv_cell``); a block's float columns are encoded a
+column at a time and grid coordinates once per axis value.
 
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
 failure. Singular points in a batch never fail the run; they are reported in
@@ -30,15 +30,17 @@ import numpy as np
 from .classify import classify_allen_singular, classify_ces, classify_developable
 from .elasticity import elasticity_report_batch
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
-from .funcspec import Composite, FunctionSpec, Homothetical, evaluate, parse_spec
+from .funcspec import (Composite, FunctionSpec, Homothetical, _axis_groups, _core_value,
+                       _term_columns, _term_core, evaluate, parse_spec)
 from .geometry import gauss_kronecker_batch
 from .jets import _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
 
 
 def _parse_grid(desc: str) -> tuple:
-    """The points of a ``grid:`` descriptor in row-major order, and each
-    axis's values as CSV text, formatted once per axis value."""
+    """The axes of a ``grid:`` descriptor: each axis's values as a float
+    array, and as CSV text (each value formatted once). The grid's points
+    are the product of the axes in row-major order (``_load_points``)."""
     body = desc[len("grid:"):]
     axes_part, sep, count_part = body.rpartition(":")
     if not sep:
@@ -49,6 +51,7 @@ def _parse_grid(desc: str) -> tuple:
         raise ValidationError(f"grid sample count {count_part!r} is not an integer") from None
     if k < 1:
         raise ValidationError(f"grid sample count must be >= 1, got {k}")
+    too_large = f"grid sample count {k} is too large"
     axes = []
     for axis in axes_part.split("x"):
         lo_s, sep, hi_s = axis.partition("..")
@@ -58,49 +61,65 @@ def _parse_grid(desc: str) -> tuple:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise ValidationError(f"grid axis {axis!r} has non-numeric bounds") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = [lo] if k == 1 else [float(v) for v in np.linspace(lo, hi, k)]
+        try:  # an axis no allocator can grant, or beyond numpy's index range
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.array([lo]) if k == 1 else np.linspace(lo, hi, k)
+        except (MemoryError, ValueError):
+            raise ValidationError(too_large) from None
         # finite bounds far apart can still step to inf or nan
-        if not all(map(math.isfinite, [lo, hi, *values])):
+        if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
             raise ValidationError(f"grid axis {axis!r} gives non-finite coordinates")
         axes.append(values)
-    return list(itertools.product(*axes)), [list(map(repr, values)) for values in axes]
+    if k ** len(axes) > np.iinfo(np.intp).max:  # rows numpy cannot index
+        raise ValidationError(too_large)
+    return axes, [list(map(repr, values.tolist())) for values in axes]
 
 
 def _load_points(source: str, n: int) -> tuple:
-    """The points of a grid descriptor or a points file, and for a grid its
-    axes' text (``_parse_grid``; None for a file)."""
-    texts = None
+    """A grid descriptor or a points file as ``(count, rows, texts)``: the
+    number of points, ``rows(start, stop)`` giving points start to stop - 1
+    as a float array, and for a grid its axes' text (``_parse_grid``; None
+    for a file). A grid block is gathered from the axes by the row-major
+    indices of its row range, so no point exists before its block is
+    formed; a file is read once into an (m, n) array."""
     if source.startswith("grid:"):
-        points, texts = _parse_grid(source)
-    else:
-        points = []
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    cells = line.split(",")
-                    try:
-                        point = tuple(float(c) for c in cells)
-                    except ValueError:
-                        raise ValidationError(
-                            f"{source}:{lineno}: non-numeric coordinate in {line!r}"
-                        ) from None
-                    if not all(map(math.isfinite, point)):
-                        raise ValidationError(
-                            f"{source}:{lineno}: non-finite coordinate in {line!r}")
-                    points.append(point)
-        except (OSError, UnicodeDecodeError) as e:
-            raise ValidationError(f"cannot read points file {source}: {e}") from None
+        axes, texts = _parse_grid(source)
+        if len(axes) != n:
+            raise ValidationError(
+                f"point 1 has {len(axes)} coordinates but the spec has {n} variables")
+        shape = [len(values) for values in axes]
+
+        def grid_rows(start, stop):
+            index = np.unravel_index(np.arange(start, stop), shape)
+            return np.stack([values[i] for values, i in zip(axes, index)], axis=1)
+        return math.prod(shape), grid_rows, texts
+    points = []
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                try:
+                    point = tuple(float(c) for c in cells)
+                except ValueError:
+                    raise ValidationError(
+                        f"{source}:{lineno}: non-numeric coordinate in {line!r}") from None
+                if not all(map(math.isfinite, point)):
+                    raise ValidationError(
+                        f"{source}:{lineno}: non-finite coordinate in {line!r}")
+                points.append(point)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read points file {source}: {e}") from None
     if not points:
         raise ValidationError(f"points source {source!r} produced no points")
     for idx, p in enumerate(points):
         if len(p) != n:
             raise ValidationError(
                 f"point {idx + 1} has {len(p)} coordinates but the spec has {n} variables")
-    return points, texts
+    array = np.array(points, dtype=float)
+    return len(array), lambda start, stop: array[start:stop], None
 
 
 def _load_spec(path: str, relax_rho: bool) -> FunctionSpec:
@@ -145,30 +164,44 @@ def _csv_cell(v) -> str:
 
 
 def _writer(header: list, fmt: str, out):
-    """A function ``write(rows, lead=None)`` writing rows to ``out`` as CSV
-    (after a header line, written now) or JSONL.
+    """A function ``write(columns, flagged=None, lead=None)`` writing a block
+    of rows to ``out`` as CSV (after a header line, written now) or JSONL.
 
-    ``lead``, where given, holds each row's leading cells: for CSV their
-    text, already encoded (``_run_points`` formats grid coordinates once per
-    axis value), for JSONL a tuple of cells. Floats print as their repr in
-    both (``str`` is ``repr`` for a float) and None as an empty CSV cell or
-    JSON null. A CSV line is the ``",".join`` of its cells' ``_csv_cell``
-    texts, the bytes of ``csv.writer(out, lineterminator="\\n")``, and a JSONL
-    row has the bytes of ``json.dumps(..., separators=(",", ":"))``, from one
-    encoder."""
+    ``columns`` holds the cells by column: a float array, or a sequence of
+    text or None cells. ``flagged`` maps a row to the cells that replace its
+    cells in the columns; ``lead`` holds each row's leading cells (CSV: their
+    text, already encoded; JSONL: a sequence of cells). Floats print as
+    their repr, None as an empty CSV cell or JSON null. CSV encodes each
+    float column at the unflagged rows at once (``repr`` over ``tolist()``),
+    and text, None and flagged rows through ``_csv_cell``: the bytes of
+    ``csv.writer(out, lineterminator="\\n")``. A JSONL row has the bytes of
+    ``json.dumps(..., separators=(",", ":"))``, from one encoder."""
     if fmt == "csv":
         out.write(",".join(map(_csv_cell, header)) + "\n")
 
-        def write(rows, lead=None):
-            if lead is None:
-                out.writelines([",".join(map(_csv_cell, row)) + "\n" for row in rows])
-            else:
-                out.writelines([f"{cells},{','.join(map(_csv_cell, row))}\n"
-                                for cells, row in zip(lead, rows)])
+        def write(columns, flagged=None, lead=None):
+            flagged = flagged or {}
+            if flagged:  # the columns are encoded at the other rows only
+                keep = np.ones(len(columns[0]), dtype=bool)
+                keep[list(flagged)] = False
+                columns = [col[keep] if isinstance(col, np.ndarray)
+                           else list(itertools.compress(col, keep.tolist())) for col in columns]
+            lines = list(map(",".join, zip(*[
+                list(map(repr, col.tolist())) if isinstance(col, np.ndarray)
+                else list(map(_csv_cell, col)) for col in columns])))
+            for i in sorted(flagged):  # ascending, so each lands at its own row
+                lines.insert(i, ",".join(map(_csv_cell, flagged[i])))
+            if lead is not None:
+                lines = map(",".join, zip(lead, lines))
+            out.writelines([line + "\n" for line in lines])
         return write
     encode = json.JSONEncoder(separators=(",", ":")).encode
 
-    def write(rows, lead=None):
+    def write(columns, flagged=None, lead=None):
+        rows = list(zip(*[col.tolist() if isinstance(col, np.ndarray) else col
+                          for col in columns]))
+        for i, cells in (flagged or {}).items():
+            rows[i] = cells
         if lead is not None:
             rows = ((*cells, *row) for cells, row in zip(lead, rows))
         out.writelines([encode(dict(zip(header, row))) + "\n" for row in rows])
@@ -189,24 +222,25 @@ def _outcome(fn, *args):
         return e.with_traceback(None)
 
 
-def _run_points(args, spec: FunctionSpec, points, texts, out) -> int:
+def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
-    Points go in blocks of ``BLOCK_ROWS`` to ``measure(block)``. It returns
-    one outcome per row, (cells from ``value`` on, status) or the
-    ProdgeomError the row raised, and the block's exact gradient and Hessian
-    columns: from the block kernels ``gauss_kronecker_batch`` (``curvature``)
-    and ``elasticity_report_batch`` (``elasticity``), or for ``eval --fd-check``
-    from one ``jets._jet_columns`` call, whose flagged rows go through
-    ``jet_multivariate`` for their errors (plain ``eval`` forms no jet). Only
-    the block loop reads an error: a DomainError is a row with no cells and
-    status ``domain_error``, and the rows stop at any other. The fd_gap column
-    compares the finite-difference oracle with those columns at the rows with
-    cells (``jets._fd_gaps``); the first row, in input order, whose measure or
-    oracle fails decides the error. Each row's coordinates lead it: in CSV
-    their text, for a grid joined from ``texts`` (each axis value formatted
-    once, ``_parse_grid``) a block at a time, for a file formatted row by row;
-    in JSONL the point's floats. Stdout is written once, after the last block.
+    Points go in blocks of ``BLOCK_ROWS`` (``rows(start, stop)``) to
+    ``measure(block)``, which returns the cells by column from ``value`` on,
+    the flagged rows ({row: (cells, status) or the ProdgeomError it raised})
+    and the exact gradient and Hessian columns. The columns come from
+    ``gauss_kronecker_batch`` (``curvature``), ``elasticity_report_batch``
+    (``elasticity``), one ``jets._jet_columns`` call (``eval --fd-check``,
+    whose flagged rows go through ``jet_multivariate`` for their errors) or
+    one value pass (plain ``eval``, whose flagged rows go through
+    ``evaluate``). Only the block loop reads an error: a DomainError is a
+    row with no cells and status ``domain_error``, and the rows stop at any
+    other. The fd_gap column compares the finite-difference oracle with the
+    exact columns at the rows with cells (``jets._fd_gaps``); the first row,
+    in input order, whose measure or oracle fails decides the error.
+    Coordinates lead each row: in CSV their text (a grid's joined from each
+    axis value's text), in JSONL the point's floats. Stdout is written once,
+    after the last block.
     """
     columns = []
     if args.command == "curvature":
@@ -214,18 +248,19 @@ def _run_points(args, spec: FunctionSpec, points, texts, out) -> int:
 
         def measure(block):
             blk = gauss_kronecker_batch(spec, block)
-            cells = np.stack([blk.value, blk.omega, blk.hessian_det, blk.gk_curvature],
-                             axis=1).tolist()
-            return ([error or (row, "ok") for error, row in zip(blk.errors, cells)],
+            return ([blk.value, blk.omega, blk.hessian_det, blk.gk_curvature],
+                    {i: error for i, error in enumerate(blk.errors) if error is not None},
                     blk.gradient, blk.hessian)
     elif args.command == "eval":
         def measure(block):
-            if not args.fd_check:  # no jet: one value pass per point
-                return [_outcome(lambda: ([evaluate(spec, p)], "ok")) for p in block], None, None
-            value, gradient, hessian, _, ok = _jet_columns(spec, np.array(block, dtype=float))
-            return ([([v], "ok") if good else _outcome(jet_multivariate, spec, p)
-                     for p, v, good in zip(block, value.tolist(), ok.tolist())],
-                    gradient, hessian)
+            if args.fd_check:
+                value, gradient, hessian, _, ok = _jet_columns(spec, block)
+                return [value], {i: _outcome(jet_multivariate, spec, block[i])
+                                 for i in np.flatnonzero(~ok).tolist()}, gradient, hessian
+            _, terms = _term_columns(spec, _axis_groups(block))
+            value = _core_value(spec, _term_core(spec, terms))[1]
+            return [value], {i: _outcome(lambda p: ([evaluate(spec, p)], "ok"), block[i])
+                             for i in np.flatnonzero(~np.isfinite(value)).tolist()}, None, None
     else:
         pairs = _parse_pairs(args.pairs, spec.n) if args.pairs is not None else None
         if spec.n < 2:
@@ -245,45 +280,57 @@ def _run_points(args, spec: FunctionSpec, points, texts, out) -> int:
 
         def measure(block):
             blk = elasticity_report_batch(spec, block)
-            cells = zip(blk.value.tolist(), blk.hicks[:, a, b].tolist(),
-                        blk.allen[:, a, b].tolist(), blk.singular.tolist(),
-                        blk.bordered_det.tolist())
-            return ([error or row(*cell) for error, cell in zip(blk.errors, cells)],
+            hicks, allen = blk.hicks[:, a, b], blk.allen[:, a, b]
+            flagged = {i: error for i, error in enumerate(blk.errors) if error is not None}
+            for i in np.flatnonzero(np.isnan(hicks).any(axis=1) | blk.singular).tolist():
+                if i not in flagged:  # an undefined pair
+                    flagged[i] = row(blk.value[i].item(), hicks[i].tolist(), allen[i].tolist(),
+                                     bool(blk.singular[i]), blk.bordered_det[i].item())
+            return ([blk.value, *hicks.T, *allen.T, blk.bordered_det], flagged,
                     blk.gradient, blk.hessian)
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")
     header.append("status")
     empty = [None] * (len(header) - spec.n - 1)
-    if args.format == "jsonl":
-        coords = iter(points)
-    elif texts is not None:  # a grid's coordinate text, a block at a time
-        coords = map(",".join, itertools.product(*texts))
-    else:
-        coords = (",".join(map(repr, p)) for p in points)
+    grid_text = map(",".join, itertools.product(*texts)) if texts is not None else None
     text = io.StringIO()
     write = _writer(header, args.format, text)
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
-        for start in range(0, len(points), BLOCK_ROWS):
-            block = points[start:start + BLOCK_ROWS]
-            outcomes, gradient, hessian = measure(block)
-            rows = []  # the outcomes up to the first error other than DomainError
-            for outcome in outcomes:
+        for start in range(0, count, BLOCK_ROWS):
+            block = rows(start, min(start + BLOCK_ROWS, count))
+            cells, flagged, gradient, hessian = measure(block)
+            end, kept = len(block), {}  # the rows up to the first error other than DomainError
+            for i, outcome in sorted(flagged.items()):
                 if isinstance(outcome, DomainError):
                     outcome = (None, "domain_error")
                 elif isinstance(outcome, ProdgeomError):
+                    end = i
                     break
-                rows.append(outcome)
-            checked = [i for i, (cells, _) in enumerate(rows) if cells is not None]
-            if args.fd_check and checked:
-                gaps = _fd_gaps(spec, np.array(block, dtype=float)[checked],
-                                gradient[checked], hessian[checked])
-                for i, gap in zip(checked, gaps.tolist()):
-                    rows[i][0].append(gap)
-            if len(rows) < len(outcomes):  # once the rows before it have had their fd_gap
-                raise outcomes[len(rows)]
-            write([[*(empty if cells is None else cells), status] for cells, status in rows],
-                  itertools.islice(coords, len(rows)))
+                kept[i] = outcome
+            if args.fd_check:
+                checked = np.ones(end, dtype=bool)  # the rows with cells
+                checked[[i for i, (row_cells, _) in kept.items() if row_cells is None]] = False
+                checked = np.flatnonzero(checked)
+                gaps = np.full(len(block), math.nan)
+                if checked.size:
+                    gaps[checked] = _fd_gaps(spec, block[checked], gradient[checked],
+                                             hessian[checked])
+                cells.append(gaps)
+                for i, (row_cells, _) in kept.items():
+                    if row_cells is not None:
+                        row_cells.append(gaps[i].item())
+            if end < len(block):  # once the rows before it have had their fd_gap
+                raise flagged[end]
+            if args.format == "jsonl":
+                lead = block.tolist()
+            elif grid_text is not None:
+                lead = itertools.islice(grid_text, len(block))
+            else:
+                lead = map(",".join, zip(*[map(repr, col) for col in block.T.tolist()]))
+            write(cells + [["ok"] * len(block)],
+                  {i: [*(empty if row_cells is None else row_cells), row_status]
+                   for i, (row_cells, row_status) in kept.items()}, lead)
     out.write(text.getvalue())
     return 0
 
@@ -300,7 +347,7 @@ def _run_classify(spec: FunctionSpec, fmt: str, out) -> int:
     header = ["classifier", "family", "certificate", "notes"]
     rows = [[name, v.family, json.dumps(v.certificate, separators=(",", ":")), v.notes]
             for name, v in verdicts]
-    _writer(header, fmt, out)(rows)
+    _writer(header, fmt, out)(list(zip(*rows)))
     return 0
 
 
@@ -370,8 +417,7 @@ def run(argv: Sequence[str]) -> int:
         spec = _load_spec(args.spec, args.relax_rho)
         if args.command == "classify":
             return _run_classify(spec, args.format, out)
-        points, texts = _load_points(args.points, spec.n)
-        return _run_points(args, spec, points, texts, out)
+        return _run_points(args, spec, *_load_points(args.points, spec.n), out)
     except ProdgeomError as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, (ParseError, ValidationError, SpecError)):

@@ -23,7 +23,8 @@ field names (in dataclass field order). Each outer map likewise has a guarded
 ``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``. ``evaluate`` and the jets
 share one value pass, so every domain guard runs before any derivative;
 ``_term_column``, ``_term_core`` and ``_core_value`` run that pass over many
-points at once, bit for bit.
+points at once, bit for bit, and ``_term_columns`` runs each axis's term
+once per distinct coordinate (``_axis_groups``).
 """
 
 from __future__ import annotations
@@ -497,6 +498,37 @@ def _term_column(spec: FunctionSpec, k: int, col: np.ndarray) -> np.ndarray:
     if isinstance(spec, Acms):
         return _column_pow(spec.betas[k] * np.where(col <= 0.0, math.nan, col), spec.rho)
     return _map_rows(spec.components[k].value, col)
+
+
+def _axis_groups(points: np.ndarray) -> list:
+    """Each axis of an (m, n) point array as (its distinct coordinates, the
+    row-to-coordinate index), or as (its column, None) where no two rows
+    share a coordinate. Coordinates are told apart by bit pattern, so -0.0
+    and 0.0, or two nan payloads, stay distinct; one sort of the whole block
+    shows which axes repeat."""
+    bits = points.view(np.int64)
+    ranked = np.sort(bits, axis=0)
+    same = ranked[1:] == ranked[:-1]
+    if not np.count_nonzero(same):  # the common case off a grid, kept cheap
+        return [(col, None) for col in points.T]
+    groups = []
+    for k, repeats in enumerate(same.any(axis=0).tolist()):
+        if repeats:
+            distinct = ranked[np.concatenate(([True], ~same[:, k])), k]
+            groups.append((distinct.view(np.float64), np.searchsorted(distinct, bits[:, k])))
+        else:
+            groups.append((points[:, k], None))
+    return groups
+
+
+def _term_columns(spec: FunctionSpec, groups) -> tuple:
+    """Each axis's term column (``_term_column``) at the rows of a block
+    grouped by ``_axis_groups``: (the terms at each axis's distinct
+    coordinates, the terms gathered back to the rows). A term runs once per
+    distinct coordinate; it is one scalar call per value, so the rows get
+    their own calls' bits."""
+    distinct = [_term_column(spec, k, x) for k, (x, _) in enumerate(groups)]
+    return distinct, [t if index is None else t[index] for t, (_, index) in zip(distinct, groups)]
 
 
 def _term_core(spec: FunctionSpec, terms) -> np.ndarray:

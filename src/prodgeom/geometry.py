@@ -267,7 +267,9 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
     (``jets._jet_columns``); omega, the determinant and the curvature follow
     on whole columns by ``gauss_kronecker``'s one rule, with the LU route run
     once on the stacked Hessians (``plu_dets``). Transcendentals stay on
-    Python floats, row by row. A row the columns cannot reproduce exactly (a
+    Python floats: each axis's terms and component derivatives once per
+    distinct coordinate of the block (a grid block repeats each value over
+    many rows), the rest row by row. A row the columns cannot reproduce exactly (a
     guard fails, a power overflows, a result is not finite) is set to nan
     and goes back through ``gauss_kronecker`` itself, in input order, which
     gives its result or its error.

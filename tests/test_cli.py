@@ -2,13 +2,19 @@
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import random
+import resource
+import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,12 +34,21 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _grid_points(grid: str) -> list:
+    # a grid's points, as its row-major product of axis values
+    axes, _ = _parse_grid(grid)
+    return list(itertools.product(*(values.tolist() for values in axes)))
+
+
 def test_grid_descriptor_row_major():
-    points, texts = _parse_grid("grid:0.0..1.0x10.0..11.0:2")
-    assert points == [(0.0, 10.0), (0.0, 11.0), (1.0, 10.0), (1.0, 11.0)]
+    axes, texts = _parse_grid("grid:0.0..1.0x10.0..11.0:2")
+    assert [values.tolist() for values in axes] == [[0.0, 1.0], [10.0, 11.0]]
+    assert _grid_points("grid:0.0..1.0x10.0..11.0:2") == [(0.0, 10.0), (0.0, 11.0),
+                                                          (1.0, 10.0), (1.0, 11.0)]
     # each axis value formatted once, as its repr
     assert texts == [["0.0", "1.0"], ["10.0", "11.0"]]
-    assert _parse_grid("grid:1.0..2.0:1") == ([(1.0,)], [["1.0"]])
+    axes, texts = _parse_grid("grid:1.0..2.0:1")
+    assert [values.tolist() for values in axes] == [[1.0]] and texts == [["1.0"]]
 
 
 def test_grid_descriptor_errors():
@@ -518,9 +533,46 @@ def test_curvature_kernel_runs_once_per_block(capsys, monkeypatch):
                         "--points", "grid:0.5..2.0x0.5..2.0:46")
     assert code == 0 and len(out.splitlines()) == 1 + 2116
     assert [len(args[1]) for args in blocks] == [BLOCK_ROWS, 2116 - BLOCK_ROWS]
-    # each component's value and derivatives run once per row
+    # each component's value and derivatives run once per distinct coordinate
+    # of its axis per block: the first block holds x1's first 45 values and
+    # all 46 of x2's, the second block x1's last 2 and again all of x2's
+    spec = prodgeom.parse_spec((DATA / "cobb_douglas_crs.json").read_text())
+    indices = list(itertools.product(range(46), repeat=2))
+    distinct = [sum(len({row[k] for row in block})
+                    for block in (indices[:BLOCK_ROWS], indices[BLOCK_ROWS:])) for k in (0, 1)]
+    assert distinct == [45 + 2, 46 + 46]
+    assert Counter(values) == Counter(derivs) == dict(zip(spec.components, distinct))
+
+
+def test_distinct_file_points_run_once_per_row(capsys, monkeypatch, tmp_path):
+    # no two rows share a coordinate, so each row makes its own calls
+    values = _count_method_calls(monkeypatch, (prodgeom.PowFn,), "value")
+    derivs = _count_method_calls(monkeypatch, (prodgeom.PowFn,), "derivs")
+    rng = random.Random(3)
+    points = [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(2116)]
+    assert all(len(set(axis)) == 2116 for axis in zip(*points))
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
+    code, out, _ = _run(capsys, "curvature", "--spec", DATA / "cobb_douglas_crs.json",
+                        "--points", path)
+    assert code == 0 and len(out.splitlines()) == 1 + 2116
     spec = prodgeom.parse_spec((DATA / "cobb_douglas_crs.json").read_text())
     assert Counter(values) == Counter(derivs) == {c: 2116 for c in spec.components}
+
+
+def test_plain_eval_evaluates_only_flagged_rows(capsys, monkeypatch):
+    # one value pass on columns per block; only the rows it flags (here x1 <= 1,
+    # outside log_hole's domain) go through evaluate, for their errors
+    calls = _count_calls(monkeypatch, prodgeom.evaluate)
+    grid = "grid:0.5..2.0x0.5..2.0:46"  # 2,116 rows: one full block and a short one
+    code, out, err = _run(capsys, "eval", "--spec", DATA / "log_hole.json", "--points", grid)
+    assert (code, err) == (0, "")
+    points = list(itertools.product(np.linspace(0.5, 2.0, 46).tolist(), repeat=2))
+    outside = [p for p in points if p[0] <= 1.0]
+    assert 0 < len(outside) < len(points)
+    assert [tuple(args[1]) for args in calls] == outside
+    statuses = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert [p for p, status in zip(points, statuses) if status == "domain_error"] == outside
 
 
 @pytest.mark.parametrize("command", [["elasticity"], ["eval", "--fd-check"]])
@@ -550,9 +602,9 @@ def test_jet_columns_run_once_per_block(capsys, monkeypatch, tmp_path, command):
     if command == ["elasticity"]:
         # one kernel call per block, which forms that block's jets
         assert [len(args[1]) for args in kernels] == [BLOCK_ROWS, 2116 - BLOCK_ROWS]
-        assert [args[1] for args in reports] == outside and jet_calls == []
+        assert [tuple(args[1]) for args in reports] == outside and jet_calls == []
     else:
-        assert reports == [] and [args[1] for args in jet_calls] == jet_outside
+        assert reports == [] and [tuple(args[1]) for args in jet_calls] == jet_outside
     statuses = [json.loads(line)["status"] for line in out.splitlines()]
     assert [p for p, status in zip(points, statuses) if status == "domain_error"] == (
         outside if command == ["elasticity"] else jet_outside)
@@ -731,33 +783,50 @@ def test_jsonl_writer_bytes_equal_json_dumps():
             [1e300, 5e-324, -1e300, "hicks_undefined"],
             [0.1, 2.0000000000000004, None, "allen_undefined"]]
     text = io.StringIO()
-    cli._writer(header, "jsonl", text)(rows)
-    cli._writer(header, "jsonl", text)(rows[::-1])
+    cli._writer(header, "jsonl", text)(list(zip(*rows)))
+    cli._writer(header, "jsonl", text)(list(zip(*rows[::-1])))
+    # float columns as arrays, a flagged row's cells in place of the
+    # columns', and each row's leading cells
+    cli._writer(header, "jsonl", text)(
+        [np.array([2.0, 0.0]), np.array([-0.0, 1e-5]), ["ok", "ok"]],
+        {1: rows[1][1:]}, [(0.5,), (1.5,)])
     assert text.getvalue() == "".join(
         json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
-        for row in rows + rows[::-1])
+        for row in rows + rows[::-1] + [[0.5, 2.0, -0.0, "ok"], [1.5, *rows[1][1:]]])
 
 
 # signed zeros, nan, infinities, the smallest subnormal, and the floats
 # whose repr switches to or from exponent notation
 _CSV_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e16, 1e22]
+_csv_float = st.one_of(st.sampled_from(_CSV_FLOATS), st.floats())
 _csv_text = st.text(st.sampled_from(list('ab1. ,"\n\r')), max_size=6)
-_csv_cell = st.one_of(st.sampled_from(_CSV_FLOATS), st.floats(), st.none(), _csv_text)
+_csv_cell = st.one_of(_csv_float, st.none(), _csv_text)
 
 
-@given(header=st.lists(_csv_text, min_size=2, max_size=4),
-       rows=st.lists(st.lists(_csv_cell, min_size=2, max_size=4), max_size=4),
+@given(data=st.data(), header=st.lists(_csv_text, min_size=2, max_size=4),
+       width=st.integers(2, 4), count=st.integers(0, 4),
        coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
-def test_csv_writer_bytes_equal_csv_writer(header, rows, coords):
+def test_csv_writer_bytes_equal_csv_writer(data, header, width, count, coords):
     # the writer's cell rule is csv.writer's QUOTE_MINIMAL at lineterminator
-    # "\n", with a row's leading cells as cells or as text already encoded
+    # "\n": a float column (an array) encoded at once, a column of any cells,
+    # a flagged row's cells in place of the columns', and a row's leading
+    # cells as text already encoded. Rows have 2+ cells, as the CLI's do
+    # (csv.writer quotes a lone empty cell)
+    columns = [np.array(data.draw(st.lists(_csv_float, min_size=count, max_size=count)))
+               if data.draw(st.booleans(), label="float column")
+               else data.draw(st.lists(_csv_cell, min_size=count, max_size=count))
+               for _ in range(width)]
+    flagged = data.draw(st.dictionaries(st.integers(0, count - 1) if count else st.nothing(),
+                                        st.lists(_csv_cell, min_size=width, max_size=width)))
+    rows = [flagged.get(i) or [col[i].item() if isinstance(col, np.ndarray) else col[i]
+                               for col in columns] for i in range(count)]
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(
         [header] + rows + [[*coords, *row] for row in rows])
     text = io.StringIO()
     write = cli._writer(header, "csv", text)
-    write(rows)
-    write(rows, [",".join(map(repr, coords))] * len(rows))
+    write(columns, flagged)
+    write(columns, flagged, [",".join(map(repr, coords))] * count)
     assert text.getvalue() == expected.getvalue()
 
 
@@ -772,7 +841,7 @@ def test_grid_prints_the_bytes_of_its_points_file(capsys, monkeypatch, tmp_path,
     # a grid's coordinate text, formatted once per axis value, crosses block
     # edges as the per-row text of the same points in a file does
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
-    points, _ = _parse_grid(grid)
+    points = _grid_points(grid)
     path = tmp_path / "pts.csv"
     path.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
     statuses = []
@@ -794,7 +863,7 @@ def test_grid_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, comm
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(_BLOCK_SPECS["homothetical"])
     grid = "grid:0.5..1e200x0.5..2.0:3"
-    points, _ = _parse_grid(grid)
+    points = _grid_points(grid)
     path = tmp_path / "pts.csv"
     path.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
     for fmt in ("csv", "jsonl"):
@@ -810,3 +879,56 @@ def test_classify_csv_matches_golden(capsys):
     code, out, _ = _run(capsys, "classify", "--spec", DATA / "thm31a.json")
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / "classify_thm31a.csv").read_text()
+
+
+def test_eval_grid_matches_golden(capsys):
+    # the README's grid through plain eval's column value pass
+    code, out, _ = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",
+                        "--points", "grid:0.5..2.0x0.5..2.0:5")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "eval_cobb_douglas_grid.csv").read_text()
+
+
+@pytest.mark.parametrize("count", [10**15, 10**19])
+def test_huge_grid_exits_2(capsys, count):
+    # 10**15 samples per axis is more memory than any allocator grants, and
+    # 10**19 is past numpy's index range: neither allocates anything
+    code, out, err = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",
+                          "--points", f"grid:0.5..2.0x0.5..2.0:{count}")
+    assert (code, out) == (2, "")
+    assert err == f"error: grid sample count {count} is too large\n"
+
+
+def test_grid_rows_past_the_index_range_exit_2():
+    # 10**5 samples on each of 4 axes is 10**20 rows, more than numpy indexes.
+    # A build that expands the grid up front would fill memory, so the run
+    # is a child process with its address space capped at 2 GB
+    cap = 2 << 30
+    run_ = subprocess.run(
+        [sys.executable, "-m", "prodgeom", "eval", "--spec", str(DATA / "thm31a.json"),
+         "--points", "grid:0..1x0..1x0..1x0..1:100000"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(prodgeom.__file__).parent.parent)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (run_.returncode, run_.stdout) == (2, "")
+    assert run_.stderr == "error: grid sample count 100000 is too large\n"
+
+
+def test_grid_points_memory_does_not_grow_with_the_rows():
+    # a grid block is gathered from the axes when it is formed, so the traced
+    # peak of loading and blocking a grid grows with its axes (each value and
+    # its text, under 200 bytes), not with its rows: :600 has 270,000 rows
+    # more than :300, which would take 4.3 MB as one float each
+    def peak(k):
+        tracemalloc.start()
+        try:
+            count, rows, _ = cli._load_points(f"grid:0.5..2.0x0.5..2.0:{k}", 2)
+            for start in range(0, count, BLOCK_ROWS):
+                assert rows(start, min(start + BLOCK_ROWS, count)).shape[1] == 2
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(300), peak(600)
+    assert small < 512_000
+    assert large - small < 200 * 2 * (600 - 300)

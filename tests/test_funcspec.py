@@ -444,6 +444,35 @@ def test_jet_columns_bitwise_equal_jet_multivariate(seed, kind, outer, n, m):
     spec = _edge_spec(rng, kind, outer, n)
     points = np.array([[rng.choice(_JET_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
                         for _ in range(n)] for _ in range(m)])
+    _assert_jet_columns_match(spec, points)
+
+
+# a small pool, so that rows repeat coordinates: signed zeros, the smallest
+# subnormal, the domain edges x + beta = 0 (beta = -1 and 1), the logpow
+# holes a + b ln x = 0 (x = 1 at a = 0, x = 1/e and e at a = 1, b = +-1),
+# and values whose powers underflow or overflow
+_REPEAT_COORDS = (0.0, -0.0, 5e-324, 1.0, -1.0, math.exp(-1.0), math.e, 0.5, 2.0, 1e-160,
+                  1e77, 1e150, 1e200)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)),
+       n=st.integers(1, 6), m=st.integers(2, 40))
+def test_jet_columns_on_repeated_coordinates_bitwise_equal_jet_multivariate(seed, kind, outer,
+                                                                            n, m):
+    # an axis whose rows repeat a coordinate runs its term and derivatives
+    # once per distinct coordinate: the same contract as on distinct rows
+    rng = random.Random(seed)
+    spec = _edge_spec(rng, kind, outer, n)
+    pool = rng.sample(_REPEAT_COORDS, rng.randint(1, 5))
+    points = np.array([[rng.choice(pool) if rng.random() < 0.8 else rng.uniform(0.3, 3.0)
+                        for _ in range(n)] for _ in range(m)])
+    _assert_jet_columns_match(spec, points)
+
+
+def _assert_jet_columns_match(spec, points):
     with np.errstate(all="ignore"):  # a flagged row's numbers are discarded
         value, gradient, hessian, factors, ok = _jet_columns(spec, points)
     for i, row in enumerate(points.tolist()):

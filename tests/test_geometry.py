@@ -336,6 +336,16 @@ def _outer(rng):
 _BLOCK_COORDS = (0.0, -0.0, -0.5, -2.0, 1.0, 5e-324, 1e-300, 1e-160, 1e150, 1e200)
 
 
+def _random_spec(rng, kind, n):
+    if kind == "homothetical":
+        return Homothetical([_component(rng) for _ in range(n)])
+    if kind == "composite":
+        return Composite(_outer(rng), [_component(rng) for _ in range(n)])
+    return make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
+                     rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
+                     rng.uniform(0.5, 2.0), _outer(rng), relax_rho=True)
+
+
 def _record_bits(value, gradient, hessian, omega, det, gk) -> list:
     return [float(v).hex() for v in (value, omega, det, gk, *gradient, *np.ravel(hessian))]
 
@@ -361,15 +371,28 @@ def _assert_batch_matches_scalar(spec, points):
        n=st.integers(1, 10), m=st.integers(1, 30))
 def test_batch_bitwise_equals_gauss_kronecker(seed, kind, n, m):
     rng = random.Random(seed)
-    if kind == "homothetical":
-        spec = Homothetical([_component(rng) for _ in range(n)])
-    elif kind == "composite":
-        spec = Composite(_outer(rng), [_component(rng) for _ in range(n)])
-    else:
-        spec = make_acms(rng.uniform(0.5, 2.0), [rng.uniform(0.5, 2.0) for _ in range(n)],
-                         rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)),
-                         rng.uniform(0.5, 2.0), _outer(rng), relax_rho=True)
+    spec = _random_spec(rng, kind, n)
     points = [[rng.choice(_BLOCK_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
+               for _ in range(n)] for _ in range(m)]
+    _assert_batch_matches_scalar(spec, points)
+
+
+# signed zeros, the smallest subnormal, the domain edges x + beta = 0
+# (beta = -1 and 1), the logpow holes at x = 1 and e, and values whose
+# powers underflow or overflow
+_REPEAT_COORDS = (0.0, -0.0, 5e-324, 1.0, -1.0, math.e, 0.5, 2.0, 1e-160, 1e150, 1e200)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       n=st.integers(1, 6), m=st.integers(2, 40))
+def test_batch_on_repeated_coordinates_bitwise_equals_gauss_kronecker(seed, kind, n, m):
+    # coordinates from a small pool, so that the jets' axes repeat them
+    rng = random.Random(seed)
+    spec = _random_spec(rng, kind, n)
+    pool = rng.sample(_REPEAT_COORDS, rng.randint(1, 5))
+    points = [[rng.choice(pool) if rng.random() < 0.8 else rng.uniform(0.3, 3.0)
                for _ in range(n)] for _ in range(m)]
     _assert_batch_matches_scalar(spec, points)
 
