@@ -30,8 +30,7 @@ import numpy as np
 from .classify import classify_allen_singular, classify_ces, classify_developable
 from .elasticity import elasticity_report_batch
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
-from .funcspec import (Composite, FunctionSpec, Homothetical, _axis_groups, _core_value,
-                       _term_columns, _term_core, evaluate, parse_spec)
+from .funcspec import Composite, FunctionSpec, Homothetical, _value_pass, evaluate, parse_spec
 from .geometry import gauss_kronecker_batch
 from .jets import _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
@@ -232,15 +231,15 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
     ``gauss_kronecker_batch`` (``curvature``), ``elasticity_report_batch``
     (``elasticity``), one ``jets._jet_columns`` call (``eval --fd-check``,
     whose flagged rows go through ``jet_multivariate`` for their errors) or
-    one value pass (plain ``eval``, whose flagged rows go through
-    ``evaluate``). Only the block loop reads an error: a DomainError is a
-    row with no cells and status ``domain_error``, and the rows stop at any
-    other. The fd_gap column compares the finite-difference oracle with the
-    exact columns at the rows with cells (``jets._fd_gaps``); the first row,
-    in input order, whose measure or oracle fails decides the error.
-    Coordinates lead each row: in CSV their text (a grid's joined from each
-    axis value's text), in JSONL the point's floats. Stdout is written once,
-    after the last block.
+    one value pass (plain ``eval``, ``funcspec._value_pass``, whose flagged
+    rows go through ``evaluate``). Only the block loop reads an error: a
+    DomainError is a row with no cells and status ``domain_error``, and the
+    rows stop at any other. The fd_gap column compares the finite-difference
+    oracle with the exact columns at the rows with cells (``jets._fd_gaps``);
+    the first row, in input order, whose measure or oracle fails decides the
+    error. Coordinates lead each row: in CSV their text (a grid's joined from
+    each axis value's text), in JSONL the point's floats. Stdout is written
+    once, after the last block.
     """
     columns = []
     if args.command == "curvature":
@@ -257,8 +256,7 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
                 value, gradient, hessian, _, ok = _jet_columns(spec, block)
                 return [value], {i: _outcome(jet_multivariate, spec, block[i])
                                  for i in np.flatnonzero(~ok).tolist()}, gradient, hessian
-            _, terms = _term_columns(spec, _axis_groups(block))
-            value = _core_value(spec, _term_core(spec, terms))[1]
+            value = _value_pass(spec, block)[-1]
             return [value], {i: _outcome(lambda p: ([evaluate(spec, p)], "ok"), block[i])
                              for i in np.flatnonzero(~np.isfinite(value)).tolist()}, None, None
     else:

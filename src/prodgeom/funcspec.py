@@ -23,8 +23,8 @@ field names (in dataclass field order). Each outer map likewise has a guarded
 ``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``. ``evaluate`` and the jets
 share one value pass, so every domain guard runs before any derivative;
 ``_term_column``, ``_term_core`` and ``_core_value`` run that pass over many
-points at once, bit for bit, and ``_term_columns`` runs each axis's term
-once per distinct coordinate (``_axis_groups``).
+points at once, bit for bit, and ``_value_pass`` runs the whole pass on a
+block with each axis's term once per distinct coordinate (``_axis_groups``).
 """
 
 from __future__ import annotations
@@ -502,33 +502,18 @@ def _term_column(spec: FunctionSpec, k: int, col: np.ndarray) -> np.ndarray:
 
 def _axis_groups(points: np.ndarray) -> list:
     """Each axis of an (m, n) point array as (its distinct coordinates, the
-    row-to-coordinate index), or as (its column, None) where no two rows
-    share a coordinate. Coordinates are told apart by bit pattern, so -0.0
-    and 0.0, or two nan payloads, stay distinct; one sort of the whole block
-    shows which axes repeat."""
+    row-to-coordinate index), from one sort of the whole block. Coordinates
+    are told apart by bit pattern, so -0.0 and 0.0, or two nan payloads,
+    stay distinct."""
     bits = points.view(np.int64)
     ranked = np.sort(bits, axis=0)
-    same = ranked[1:] == ranked[:-1]
-    if not np.count_nonzero(same):  # the common case off a grid, kept cheap
-        return [(col, None) for col in points.T]
+    first = np.ones(ranked.shape, dtype=bool)  # each distinct coordinate's first row
+    first[1:] = ranked[1:] != ranked[:-1]
     groups = []
-    for k, repeats in enumerate(same.any(axis=0).tolist()):
-        if repeats:
-            distinct = ranked[np.concatenate(([True], ~same[:, k])), k]
-            groups.append((distinct.view(np.float64), np.searchsorted(distinct, bits[:, k])))
-        else:
-            groups.append((points[:, k], None))
+    for k in range(points.shape[1]):
+        distinct = ranked[first[:, k], k]
+        groups.append((distinct.view(np.float64), np.searchsorted(distinct, bits[:, k])))
     return groups
-
-
-def _term_columns(spec: FunctionSpec, groups) -> tuple:
-    """Each axis's term column (``_term_column``) at the rows of a block
-    grouped by ``_axis_groups``: (the terms at each axis's distinct
-    coordinates, the terms gathered back to the rows). A term runs once per
-    distinct coordinate; it is one scalar call per value, so the rows get
-    their own calls' bits."""
-    distinct = [_term_column(spec, k, x) for k, (x, _) in enumerate(groups)]
-    return distinct, [t if index is None else t[index] for t, (_, index) in zip(distinct, groups)]
 
 
 def _term_core(spec: FunctionSpec, terms) -> np.ndarray:
@@ -560,6 +545,23 @@ def _core_value(spec: FunctionSpec, core: np.ndarray) -> tuple:
         return u, u
     outer = spec.outer
     return u, outer.value(u) if isinstance(outer, _LINEAR_OUTER) else _map_rows(outer.value, u)
+
+
+def _value_pass(spec: FunctionSpec, points: np.ndarray) -> tuple:
+    """The value pass at the rows of an (m, n) point array, bit for bit as
+    ``_values``: (groups, distinct, terms, core, u, value). Each axis's term
+    (``_term_column``) runs once per distinct coordinate of ``groups``
+    (``_axis_groups``), giving ``distinct``, and is gathered back to the
+    rows as ``terms``; ``_term_core`` and ``_core_value`` follow. A term is
+    one scalar call per coordinate, so each row gets its own call's bits.
+    Where ``_values`` raises, value is not finite."""
+    groups = _axis_groups(points)
+    with np.errstate(all="ignore"):
+        distinct = [_term_column(spec, k, x) for k, (x, _) in enumerate(groups)]
+        terms = [t[index] for t, (_, index) in zip(distinct, groups)]
+        core = _term_core(spec, terms)
+        u, value = _core_value(spec, core)
+    return groups, distinct, terms, core, u, value
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .funcspec import (_LINEAR_OUTER, Acms, ComponentFn, FunctionSpec, Homothetical, _axis_groups,
-                       _column_pow, _core_value, _map_rows, _point, _term_column, _term_columns,
-                       _term_core, _values, evaluate)
+from .funcspec import (_LINEAR_OUTER, Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow,
+                       _core_value, _map_rows, _point, _term_column, _term_core, _value_pass,
+                       _values, evaluate)
 
 
 @dataclass(frozen=True)
@@ -174,29 +174,22 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     and ``ok`` (m,). Where ``ok`` holds, a row has the bits of
     ``jet_multivariate`` at its point; elsewhere that call raises.
 
-    The value pass runs first, so every guard does too: each axis's term
-    column (``funcspec._term_column``), their product or CES sum
-    (``funcspec._term_core``) and the row maps (``funcspec._core_value``),
-    bit for bit as ``funcspec._values``. An axis whose rows repeat a
-    coordinate (a grid block holds few distinct values per axis) runs its
-    term and its component's ``derivs`` once per distinct coordinate and
-    gathers the results back to the rows (``funcspec._axis_groups``). A row
-    whose value is not finite (where ``_values`` raises) gets nan
-    coordinates and u before any ``derivs`` or ``**`` runs (a power of a
-    negative base would be complex), and a repeated coordinate whose term is
-    not finite gets a nan coordinate for its ``derivs``; such a row stays
-    flagged. Derivatives run through each component's and outer map's own
-    scalar ``derivs``; a linear outer map's constant pair is read once and
-    filled into columns. Only + - * / run on whole columns, in the order of
-    the scalar assembly, which is shared.
+    The value pass runs first, so every guard does too
+    (``funcspec._value_pass``, bit for bit as ``funcspec._values``). Each
+    axis runs its term and its component's ``derivs`` once per distinct
+    coordinate (a grid block holds few distinct values per axis) and gathers
+    the results back to the rows. A row whose value is not finite (where
+    ``_values`` raises) gets nan coordinates and u before the CES parts or
+    the outer map's ``derivs`` run (a power of a negative base would be
+    complex), and a coordinate whose term is not finite gets a nan
+    coordinate for its ``derivs``; such a row stays flagged. Derivatives run
+    through each component's and outer map's own scalar ``derivs``; a linear
+    outer map's constant pair is read once and filled into columns. Only
+    + - * / run on whole columns, in the order of the scalar assembly, which
+    is shared.
     """
-    groups = _axis_groups(points)
-    with np.errstate(all="ignore"):
-        distinct, terms = _term_columns(spec, groups)
-        core = _term_core(spec, terms)
-        u, value = _core_value(spec, core)
+    groups, distinct, terms, core, u, value = _value_pass(spec, points)
     failed = ~np.isfinite(value)
-    pt = list(np.where(failed[:, None], math.nan, points).T)
     u = np.where(failed, math.nan, u)
 
     def derivs(fn, *cols):  # the (f', f'') columns, two empty ones for no rows
@@ -205,14 +198,12 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     factors = None
     ok = ~failed
     if isinstance(spec, Acms):
+        pt = list(np.where(failed[:, None], math.nan, points).T)
         grad, rules = _acms_parts(spec, pt, core, _column_pow)
     else:
         factors = []
-        for c, x, v, (coords, index), t in zip(spec.components, pt, terms, groups, distinct):
-            if index is None:
-                d1, d2 = derivs(c.derivs, x, v)
-            else:
-                d1, d2 = derivs(c.derivs, np.where(np.isfinite(t), coords, math.nan), t)[:, index]
+        for c, v, (coords, index), t in zip(spec.components, terms, groups, distinct):
+            d1, d2 = derivs(c.derivs, np.where(np.isfinite(t), coords, math.nan), t)[:, index]
             factors.append(Jet1(v, d1, d2))
             ok &= np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2)
         grad, rules = _product_parts(factors, terms)

@@ -902,13 +902,15 @@ def test_huge_grid_exits_2(capsys, count):
 def test_grid_rows_past_the_index_range_exit_2():
     # 10**5 samples on each of 4 axes is 10**20 rows, more than numpy indexes.
     # A build that expands the grid up front would fill memory, so the run
-    # is a child process with its address space capped at 2 GB
+    # is a child process with its address space capped at 2 GB. One BLAS
+    # thread keeps numpy's import well inside the cap on a many-core host
     cap = 2 << 30
     run_ = subprocess.run(
         [sys.executable, "-m", "prodgeom", "eval", "--spec", str(DATA / "thm31a.json"),
          "--points", "grid:0..1x0..1x0..1x0..1:100000"],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(prodgeom.__file__).parent.parent)},
+        env={**os.environ, "PYTHONPATH": str(Path(prodgeom.__file__).parent.parent),
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert (run_.returncode, run_.stdout) == (2, "")
     assert run_.stderr == "error: grid sample count 100000 is too large\n"
