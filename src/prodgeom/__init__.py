@@ -25,7 +25,6 @@ from .funcspec import (
     ExpFn,
     FunctionSpec,
     Homothetical,
-    HomogeneityReport,
     Identity,
     Log,
     LogPowFn,
@@ -34,7 +33,6 @@ from .funcspec import (
     Power,
     Scale,
     evaluate,
-    homogeneity_degree,
     make_acms,
     make_cobb_douglas,
     parse_spec,

@@ -7,7 +7,8 @@ per axis, inclusive endpoints, row-major order). Rows are emitted in input
 order, CSV or JSONL, with identical numeric values in both encodings; stdout
 is written once, after the last row. A CSV cell follows ``csv.writer``'s
 QUOTE_MINIMAL rule (``_csv_cell``); a block's float columns are encoded a
-column at a time and grid coordinates once per axis value.
+column at a time and grid coordinates once per axis value. A nan float is a
+missing cell: empty in CSV, null in JSONL.
 
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
 failure. Singular points in a batch never fail the run; they are reported in
@@ -148,62 +149,52 @@ def _parse_pairs(text: str, n: int) -> list:
     return pairs
 
 
-def _csv_cell(v) -> str:
-    """A float, None or text as csv.writer(lineterminator="\\n") writes it (its
-    QUOTE_MINIMAL rule): a float as its repr, None as an empty cell, text as
-    itself, or quoted with each ``"`` doubled if it holds ``,``, ``"`` or a
-    newline (a ``\\r`` is not quoted)."""
-    if v.__class__ is float:
-        return repr(v)
-    if v is None:
-        return ""
-    if "," in v or '"' in v or "\n" in v:
-        return '"' + v.replace('"', '""') + '"'
-    return v
+def _csv_cell(text: str) -> str:
+    """Text as csv.writer(lineterminator="\\n") writes it (its QUOTE_MINIMAL
+    rule): as itself, or quoted with each ``"`` doubled if it holds ``,``,
+    ``"`` or a newline (a ``\\r`` is not quoted)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _writer(header: list, fmt: str, out):
-    """A function ``write(columns, flagged=None, lead=None)`` writing a block
-    of rows to ``out`` as CSV (after a header line, written now) or JSONL.
+    """A function writing a block of rows to ``out`` as CSV (after a header
+    line, written now) or JSONL: ``write(columns, lead=None)`` for CSV,
+    ``write(columns)`` for JSONL.
 
     ``columns`` holds the cells by column: a float array, or a sequence of
-    text or None cells. ``flagged`` maps a row to the cells that replace its
-    cells in the columns; ``lead`` holds each row's leading cells (CSV: their
-    text, already encoded; JSONL: a sequence of cells). Floats print as
-    their repr, None as an empty CSV cell or JSON null. CSV encodes each
-    float column at the unflagged rows at once (``repr`` over ``tolist()``),
-    and text, None and flagged rows through ``_csv_cell``: the bytes of
-    ``csv.writer(out, lineterminator="\\n")``. A JSONL row has the bytes of
+    text. A nan in a float column is a missing cell, empty in CSV and
+    ``null`` in JSONL; every other float prints as its repr. ``lead`` holds
+    each CSV row's leading text, already encoded (a grid's coordinates).
+    A CSV line has the bytes of ``csv.writer(out, lineterminator="\\n")``,
+    a float column encoded at once (``repr`` over ``tolist()``) and text
+    through ``_csv_cell``; a JSONL line has the bytes of
     ``json.dumps(..., separators=(",", ":"))``, from one encoder."""
-    if fmt == "csv":
+    csv_out = fmt == "csv"
+    missing = "" if csv_out else None
+
+    def cells(col):
+        if not isinstance(col, np.ndarray):
+            return list(map(_csv_cell, col)) if csv_out else col
+        encoded = list(map(repr, col.tolist())) if csv_out else col.tolist()
+        for i in np.isnan(col).nonzero()[0].tolist():
+            encoded[i] = missing
+        return encoded
+    if csv_out:
         out.write(",".join(map(_csv_cell, header)) + "\n")
 
-        def write(columns, flagged=None, lead=None):
-            flagged = flagged or {}
-            if flagged:  # the columns are encoded at the other rows only
-                keep = np.ones(len(columns[0]), dtype=bool)
-                keep[list(flagged)] = False
-                columns = [col[keep] if isinstance(col, np.ndarray)
-                           else list(itertools.compress(col, keep.tolist())) for col in columns]
-            lines = list(map(",".join, zip(*[
-                list(map(repr, col.tolist())) if isinstance(col, np.ndarray)
-                else list(map(_csv_cell, col)) for col in columns])))
-            for i in sorted(flagged):  # ascending, so each lands at its own row
-                lines.insert(i, ",".join(map(_csv_cell, flagged[i])))
+        def write(columns, lead=None):
+            lines = map(",".join, zip(*map(cells, columns)))
             if lead is not None:
                 lines = map(",".join, zip(lead, lines))
             out.writelines([line + "\n" for line in lines])
         return write
     encode = json.JSONEncoder(separators=(",", ":")).encode
 
-    def write(columns, flagged=None, lead=None):
-        rows = list(zip(*[col.tolist() if isinstance(col, np.ndarray) else col
-                          for col in columns]))
-        for i, cells in (flagged or {}).items():
-            rows[i] = cells
-        if lead is not None:
-            rows = ((*cells, *row) for cells, row in zip(lead, rows))
-        out.writelines([encode(dict(zip(header, row))) + "\n" for row in rows])
+    def write(columns):
+        out.writelines([encode(dict(zip(header, row))) + "\n"
+                        for row in zip(*map(cells, columns))])
     return write
 
 
@@ -213,52 +204,56 @@ def _writer(header: list, fmt: str, out):
 BLOCK_ROWS = 2048
 
 
-def _outcome(fn, *args):
-    """``fn(*args)``, or the ProdgeomError it raised without its frames."""
-    try:
-        return fn(*args)
-    except ProdgeomError as e:
-        return e.with_traceback(None)
-
-
 def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
     """One row per point: coordinates, value, the subcommand's columns, fd_gap, status.
 
     Points go in blocks of ``BLOCK_ROWS`` (``rows(start, stop)``) to
-    ``measure(block)``, which returns the cells by column from ``value`` on,
-    the flagged rows ({row: (cells, status) or the ProdgeomError it raised})
-    and the exact gradient and Hessian columns. The columns come from
-    ``gauss_kronecker_batch`` (``curvature``), ``elasticity_report_batch``
-    (``elasticity``), one ``jets._jet_columns`` call (``eval --fd-check``,
-    whose flagged rows go through ``jet_multivariate`` for their errors) or
-    one value pass (plain ``eval``, ``funcspec._value_pass``, whose flagged
-    rows go through ``evaluate``). Only the block loop reads an error: a
-    DomainError is a row with no cells and status ``domain_error``, and the
-    rows stop at any other. The fd_gap column compares the finite-difference
-    oracle with the exact columns at the rows with cells (``jets._fd_gaps``);
-    the first row, in input order, whose measure or oracle fails decides the
-    error. Coordinates lead each row: in CSV their text (a grid's joined from
-    each axis value's text), in JSONL the point's floats. Stdout is written
-    once, after the last block.
+    ``measure(block)``, which returns the float columns from ``value`` on,
+    each row's status and error (None, or the ProdgeomError its per-point
+    function raises), and the exact gradient and Hessian columns. The
+    columns come from ``gauss_kronecker_batch`` (``curvature``),
+    ``elasticity_report_batch`` (``elasticity``), one ``jets._jet_columns``
+    call (``eval --fd-check``, whose errors come from ``jet_multivariate``)
+    or one value pass (plain ``eval``, ``funcspec._value_pass``, whose
+    errors come from ``evaluate``). nan is the one mark of a missing cell
+    (``_writer``): an undefined Hicks or Allen pair is nan, and a row whose
+    error is a DomainError gets nan cells and status ``domain_error``. The
+    rows stop at any other error. The fd_gap column compares the
+    finite-difference oracle with the exact columns at the rows before that
+    error, other than ``domain_error`` rows (``jets._fd_gaps``); the first
+    row, in input order, whose measure or oracle fails decides the error.
+    Coordinates lead each row as float columns, or for a CSV grid as text
+    joined from each axis value's text. Stdout is written once, after the
+    last block.
     """
     columns = []
+
+    def errors_at(fn, block, where):
+        # the error fn(spec, point) raises at each row where ``where`` holds,
+        # kept without the frames that raised it
+        errors = [None] * len(block)
+        for i in np.flatnonzero(where).tolist():
+            try:
+                fn(spec, block[i])
+            except ProdgeomError as e:
+                errors[i] = e.with_traceback(None)
+        return errors
     if args.command == "curvature":
         columns = ["omega", "det_hessian", "gk"]
 
         def measure(block):
             blk = gauss_kronecker_batch(spec, block)
             return ([blk.value, blk.omega, blk.hessian_det, blk.gk_curvature],
-                    {i: error for i, error in enumerate(blk.errors) if error is not None},
-                    blk.gradient, blk.hessian)
+                    ["ok"] * len(block), blk.errors, blk.gradient, blk.hessian)
     elif args.command == "eval":
         def measure(block):
             if args.fd_check:
                 value, gradient, hessian, _, ok = _jet_columns(spec, block)
-                return [value], {i: _outcome(jet_multivariate, spec, block[i])
-                                 for i in np.flatnonzero(~ok).tolist()}, gradient, hessian
+                return ([value], ["ok"] * len(block), errors_at(jet_multivariate, block, ~ok),
+                        gradient, hessian)
             value = _value_pass(spec, block)[-1]
-            return [value], {i: _outcome(lambda p: ([evaluate(spec, p)], "ok"), block[i])
-                             for i in np.flatnonzero(~np.isfinite(value)).tolist()}, None, None
+            return ([value], ["ok"] * len(block),
+                    errors_at(evaluate, block, ~np.isfinite(value)), None, None)
     else:
         pairs = _parse_pairs(args.pairs, spec.n) if args.pairs is not None else None
         if spec.n < 2:
@@ -269,66 +264,48 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
                    + ["bordered_det"])
         a, b = np.array(pairs).T - 1
 
-        def row(value, hicks, allen, singular, det):
-            # nan marks an undefined pair
-            status = ("hicks_undefined" if any(h != h for h in hicks)
-                      else "allen_undefined" if singular else "ok")
-            return [value, *(None if h != h else h for h in hicks),
-                    *([None] * len(pairs) if singular else allen), det], status
-
         def measure(block):
+            # allen is nan at every pair where singular
             blk = elasticity_report_batch(spec, block)
             hicks, allen = blk.hicks[:, a, b], blk.allen[:, a, b]
-            flagged = {i: error for i, error in enumerate(blk.errors) if error is not None}
-            for i in np.flatnonzero(np.isnan(hicks).any(axis=1) | blk.singular).tolist():
-                if i not in flagged:  # an undefined pair
-                    flagged[i] = row(blk.value[i].item(), hicks[i].tolist(), allen[i].tolist(),
-                                     bool(blk.singular[i]), blk.bordered_det[i].item())
-            return ([blk.value, *hicks.T, *allen.T, blk.bordered_det], flagged,
+            status = np.where(np.isnan(hicks).any(axis=1), "hicks_undefined",
+                              np.where(blk.singular, "allen_undefined", "ok")).tolist()
+            return ([blk.value, *hicks.T, *allen.T, blk.bordered_det], status, blk.errors,
                     blk.gradient, blk.hessian)
     header = [f"x{k + 1}" for k in range(spec.n)] + ["value"] + columns
     if args.fd_check:
         header.append("fd_gap")
     header.append("status")
-    empty = [None] * (len(header) - spec.n - 1)
-    grid_text = map(",".join, itertools.product(*texts)) if texts is not None else None
+    grid_text = (map(",".join, itertools.product(*texts))
+                 if texts is not None and args.format == "csv" else None)
     text = io.StringIO()
     write = _writer(header, args.format, text)
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
         for start in range(0, count, BLOCK_ROWS):
             block = rows(start, min(start + BLOCK_ROWS, count))
-            cells, flagged, gradient, hessian = measure(block)
-            end, kept = len(block), {}  # the rows up to the first error other than DomainError
-            for i, outcome in sorted(flagged.items()):
-                if isinstance(outcome, DomainError):
-                    outcome = (None, "domain_error")
-                elif isinstance(outcome, ProdgeomError):
-                    end = i
-                    break
-                kept[i] = outcome
+            cells, status, errors, gradient, hessian = measure(block)
+            failed = [i for i, error in enumerate(errors) if error is not None]
+            # the rows up to the first error other than DomainError
+            end = next((i for i in failed if not isinstance(errors[i], DomainError)), len(block))
+            domain = [i for i in failed if i < end]
+            if domain:  # an error-free block skips numpy's index setup
+                for col in cells:
+                    col[domain] = math.nan
+                for i in domain:
+                    status[i] = "domain_error"
             if args.fd_check:
-                checked = np.ones(end, dtype=bool)  # the rows with cells
-                checked[[i for i, (row_cells, _) in kept.items() if row_cells is None]] = False
-                checked = np.flatnonzero(checked)
+                checked = np.delete(np.arange(end), domain)
                 gaps = np.full(len(block), math.nan)
                 if checked.size:
                     gaps[checked] = _fd_gaps(spec, block[checked], gradient[checked],
                                              hessian[checked])
                 cells.append(gaps)
-                for i, (row_cells, _) in kept.items():
-                    if row_cells is not None:
-                        row_cells.append(gaps[i].item())
             if end < len(block):  # once the rows before it have had their fd_gap
-                raise flagged[end]
-            if args.format == "jsonl":
-                lead = block.tolist()
-            elif grid_text is not None:
-                lead = itertools.islice(grid_text, len(block))
+                raise errors[end]
+            if grid_text is None:
+                write([*block.T, *cells, status])
             else:
-                lead = map(",".join, zip(*[map(repr, col) for col in block.T.tolist()]))
-            write(cells + [["ok"] * len(block)],
-                  {i: [*(empty if row_cells is None else row_cells), row_status]
-                   for i, (row_cells, row_status) in kept.items()}, lead)
+                write([*cells, status], itertools.islice(grid_text, len(block)))
     out.write(text.getvalue())
     return 0
 

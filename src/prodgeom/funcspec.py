@@ -565,58 +565,6 @@ def _value_pass(spec: FunctionSpec, points: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Homogeneity probing
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    """Result of the scaling probe f(t x) =? t^p f(x).
-
-    ``degree`` is the mean of the per-probe exponent estimates
-    log(f(t x)/f(x)) / log(t) and is meaningful only when homogeneous;
-    ``max_deviation`` is the largest absolute deviation of the estimates
-    from that mean.
-    """
-
-    is_homogeneous: bool
-    degree: float
-    max_deviation: float
-
-
-def homogeneity_degree(spec: FunctionSpec, probe_points=None,
-                       t_values: Sequence[float] = (2.0, 3.0),
-                       tol: float = 1e-9, seed: int = 42) -> HomogeneityReport:
-    """Estimate the homogeneity degree by scaling probe points.
-
-    Default probes are 5 seeded log-uniform points in [0.5, 2]^n. Raises
-    ValidationError for no probe points, no t values or a t <= 0 or = 1,
-    and DomainError when scaling pushes a probe out of the spec's domain.
-    """
-    if probe_points is None:
-        from .sampling import points_loguniform  # sampling imports this module
-
-        probe_points = points_loguniform(spec.n, 5, seed)
-    probe_points, t_values = list(probe_points), list(t_values)
-    if not probe_points or not t_values:  # the degree is a mean over their pairs
-        raise ValidationError("homogeneity probe needs at least one point and one t value")
-    estimates = []
-    for x in probe_points:
-        pt = _point(spec, x)
-        f0 = evaluate(spec, pt)
-        for t in t_values:
-            t = float(t)
-            if t <= 0.0 or t == 1.0:
-                raise ValidationError(f"homogeneity probe needs t > 0, t != 1; got {t!r}")
-            ft = evaluate(spec, [t * xi for xi in pt])
-            if f0 == 0.0 or ft / f0 <= 0.0:
-                return HomogeneityReport(False, math.nan, math.inf)
-            estimates.append(math.log(ft / f0) / math.log(t))
-    degree = math.fsum(estimates) / len(estimates)
-    max_dev = max(abs(e - degree) for e in estimates)
-    return HomogeneityReport(max_dev <= tol, degree, max_dev)
-
-
-# ---------------------------------------------------------------------------
 # JSON wire format
 
 

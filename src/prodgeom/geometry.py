@@ -176,11 +176,14 @@ def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
                 raise DomainError(
                     f"closed-form determinant undefined where component {k + 1} vanishes")
     try:
-        return _closed_form(jets)
+        det = _closed_form(jets)
     except OverflowError:
         raise NumericalError(f"closed-form determinant overflowed at {tuple(pt)!r}") from None
     except ZeroDivisionError:  # a factor's square underflowed to 0
         raise NumericalError(f"closed-form determinant underflowed at {tuple(pt)!r}") from None
+    if not math.isfinite(det):  # the product f overflows to inf quietly; inf * -0.0 is nan
+        raise NumericalError(f"non-finite closed-form determinant at {tuple(pt)!r}")
+    return det
 
 
 @dataclass(frozen=True)

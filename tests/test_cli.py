@@ -452,6 +452,23 @@ def test_zero_gradient_interior_point_keeps_value(capsys, tmp_path):
     assert out.splitlines()[1] == "1.0,1.0,0.0,,,0.0,hicks_undefined"
 
 
+def test_singular_bordered_matrix_leaves_only_allen_cells_missing(capsys, tmp_path):
+    # (x1^2 / (x2 x3))^2: exponents summing to 0 make the bordered matrix
+    # singular everywhere (Thm 4.1 b), while every Hicks pair is defined
+    spec = tmp_path / "singular.json"
+    spec.write_text(prodgeom.serialize_spec(prodgeom.make_thm41_family(
+        "b", outer=prodgeom.Power(2.0), alphas=(2.0, -1.0, -1.0))))
+    for fmt, missing in (("csv", ""), ("jsonl", None)):
+        code, out, _ = _run(capsys, "elasticity", "--spec", spec, "--points",
+                            "grid:0.5..2.0x0.5..2.0x0.5..2.0:2", "--format", fmt)
+        assert code == 0
+        rows = ([json.loads(line) for line in out.splitlines()] if fmt == "jsonl"
+                else list(csv.DictReader(io.StringIO(out))))
+        assert len(rows) == 8 and {row["status"] for row in rows} == {"allen_undefined"}
+        assert all((row[key] == missing) == key.startswith("allen_")
+                   for row in rows for key in row if key != "status")
+
+
 @pytest.mark.parametrize("argv", [["eval"], ["eval", "--fd-check"], ["curvature"],
                                   ["curvature", "--fd-check"], ["elasticity"]])
 def test_domain_error_outranks_overflow(capsys, tmp_path, argv):
@@ -776,23 +793,22 @@ def test_fd_check_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, 
 
 
 def test_jsonl_writer_bytes_equal_json_dumps():
-    # one encoder per writer gives each row the bytes json.dumps gives it
+    # one encoder per writer gives each row the bytes json.dumps gives it; a
+    # nan in a float column is null, and inf stays as it is
     header = ["x1", "value", "fd_gap", "status"]
     rows = [[1.0, None, -0.0, "ok"],
-            [math.inf, -math.inf, math.nan, "domain_error"],
+            [math.inf, -math.inf, None, "domain_error"],
             [1e300, 5e-324, -1e300, "hicks_undefined"],
             [0.1, 2.0000000000000004, None, "allen_undefined"]]
+    *floats, status = zip(*rows)
+    columns = [np.array([math.nan if c is None else c for c in col]) for col in floats]
     text = io.StringIO()
-    cli._writer(header, "jsonl", text)(list(zip(*rows)))
-    cli._writer(header, "jsonl", text)(list(zip(*rows[::-1])))
-    # float columns as arrays, a flagged row's cells in place of the
-    # columns', and each row's leading cells
-    cli._writer(header, "jsonl", text)(
-        [np.array([2.0, 0.0]), np.array([-0.0, 1e-5]), ["ok", "ok"]],
-        {1: rows[1][1:]}, [(0.5,), (1.5,)])
+    write = cli._writer(header, "jsonl", text)
+    write([*columns, status])
+    write([*(col[::-1] for col in columns), status[::-1]])
     assert text.getvalue() == "".join(
         json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
-        for row in rows + rows[::-1] + [[0.5, 2.0, -0.0, "ok"], [1.5, *rows[1][1:]]])
+        for row in rows + rows[::-1])
 
 
 # signed zeros, nan, infinities, the smallest subnormal, and the floats
@@ -800,7 +816,6 @@ def test_jsonl_writer_bytes_equal_json_dumps():
 _CSV_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e16, 1e22]
 _csv_float = st.one_of(st.sampled_from(_CSV_FLOATS), st.floats())
 _csv_text = st.text(st.sampled_from(list('ab1. ,"\n\r')), max_size=6)
-_csv_cell = st.one_of(_csv_float, st.none(), _csv_text)
 
 
 @given(data=st.data(), header=st.lists(_csv_text, min_size=2, max_size=4),
@@ -808,25 +823,23 @@ _csv_cell = st.one_of(_csv_float, st.none(), _csv_text)
        coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
 def test_csv_writer_bytes_equal_csv_writer(data, header, width, count, coords):
     # the writer's cell rule is csv.writer's QUOTE_MINIMAL at lineterminator
-    # "\n": a float column (an array) encoded at once, a column of any cells,
-    # a flagged row's cells in place of the columns', and a row's leading
-    # cells as text already encoded. Rows have 2+ cells, as the CLI's do
+    # "\n", with a nan in a float column (an array, encoded at once) as a
+    # missing cell: a column of floats or of text, and a row's leading cells
+    # as text already encoded. Rows have 2+ cells, as the CLI's do
     # (csv.writer quotes a lone empty cell)
     columns = [np.array(data.draw(st.lists(_csv_float, min_size=count, max_size=count)))
                if data.draw(st.booleans(), label="float column")
-               else data.draw(st.lists(_csv_cell, min_size=count, max_size=count))
+               else data.draw(st.lists(_csv_text, min_size=count, max_size=count))
                for _ in range(width)]
-    flagged = data.draw(st.dictionaries(st.integers(0, count - 1) if count else st.nothing(),
-                                        st.lists(_csv_cell, min_size=width, max_size=width)))
-    rows = [flagged.get(i) or [col[i].item() if isinstance(col, np.ndarray) else col[i]
-                               for col in columns] for i in range(count)]
+    rows = [[(None if math.isnan(col[i]) else col[i].item()) if isinstance(col, np.ndarray)
+             else col[i] for col in columns] for i in range(count)]
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(
         [header] + rows + [[*coords, *row] for row in rows])
     text = io.StringIO()
     write = cli._writer(header, "csv", text)
-    write(columns, flagged)
-    write(columns, flagged, [",".join(map(repr, coords))] * count)
+    write(columns)
+    write(columns, [",".join(map(repr, coords))] * count)
     assert text.getvalue() == expected.getvalue()
 
 
@@ -887,6 +900,20 @@ def test_eval_grid_matches_golden(capsys):
                         "--points", "grid:0.5..2.0x0.5..2.0:5")
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / "eval_cobb_douglas_grid.csv").read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    # every row hicks_undefined: null Hicks and Allen cells, bordered_det 0.0
+    (["elasticity", "--spec", DATA / "ratio.json", "--points", "grid:0.5..2.0x0.5..2.0:3"],
+     "elasticity_ratio_grid.jsonl"),
+    # x1 <= 1 is outside log_hole's domain: domain_error rows of nulls, fd_gap included
+    (["curvature", "--spec", DATA / "log_hole.json", "--points", "grid:0.5..2.0x0.3..1.1:3",
+      "--fd-check"], "curvature_log_hole_fd.jsonl"),
+], ids=["hicks-undefined", "domain-error"])
+def test_missing_cells_jsonl_match_golden(capsys, argv, golden):
+    code, out, _ = _run(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 @pytest.mark.parametrize("count", [10**15, 10**19])

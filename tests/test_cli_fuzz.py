@@ -2,9 +2,11 @@
 
 Every run must end in a documented exit code with its output well formed:
 no exception escapes, stdout is written only on success, a failure prints
-one ``error:`` line, every JSONL line is strict JSON and no CSV cell is a
-non-finite float. Tier-1 runs hypothesis's default number of examples; the
-``fuzz`` profile (``tests/conftest.py``) runs 10,000:
+one ``error:`` line, every JSONL line is strict JSON, no CSV cell is an
+infinite float, and a cell is missing exactly where its row's status says
+a quantity is undefined (``_check_missing_cells``). Tier-1 runs
+hypothesis's default number of examples; the ``fuzz`` profile
+(``tests/conftest.py``) runs 10,000:
 
     PYTHONPATH=src python -m pytest -q tests/test_cli_fuzz.py --hypothesis-profile=fuzz
 """
@@ -14,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -80,6 +83,26 @@ def _reject(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
 
+def _check_missing_cells(row: dict):
+    # a cell other than a coordinate or the status is missing (empty in CSV,
+    # null in JSONL) exactly where the row's status says it is undefined
+    cells = {key for key in row if key != "status" and not re.fullmatch(r"x\d+", key)}
+    missing = {key for key in cells if row[key] is None or row[key] == ""}
+    hicks = {key for key in cells if key.startswith("hicks_")}
+    allen = {key for key in cells if key.startswith("allen_")}
+    status = row["status"]
+    if status == "ok":
+        assert not missing
+    elif status == "domain_error":
+        assert missing == cells
+    elif status == "allen_undefined":
+        assert missing == allen
+    else:
+        assert status == "hicks_undefined"
+        assert missing & hicks and missing <= hicks | allen
+        assert missing & allen in (set(), allen)
+
+
 def _arity(obj) -> int:
     return len(obj.get("components") or obj.get("betas") or [None])
 
@@ -134,8 +157,10 @@ def test_cli_run_ends_in_a_documented_outcome(tmp_path, data):
         rows = [json.loads(line, parse_constant=_reject) for line in out.splitlines()]
     else:
         rows = list(csv.reader(io.StringIO(out)))
-        assert not {cell.lower() for row in rows for cell in row} & {"nan", "inf", "-inf"}
+        assert not {cell.lower() for row in rows for cell in row} & {"inf", "-inf"}
         rows = [dict(zip(rows[0], row)) for row in rows[1:]]
     for row in rows:
         if command == "classify":
             json.loads(row["certificate"], parse_constant=_reject)
+        else:
+            _check_missing_cells(row)

@@ -1,4 +1,4 @@
-"""Tests for the function model, constructors, JSON round-trip and homogeneity."""
+"""Tests for the function model, constructors and JSON round-trip."""
 
 import math
 import random
@@ -24,7 +24,6 @@ from prodgeom import (
     Scale,
     ValidationError,
     evaluate,
-    homogeneity_degree,
     jet1d,
     make_acms,
     make_cobb_douglas,
@@ -289,59 +288,6 @@ def test_eval_equals_product_of_jets():
             product *= jet1d(c, x).value
         value = evaluate(spec, point)
         assert abs(value - product) <= 1e-15 * max(abs(value), abs(product))
-
-
-def test_homogeneity_cobb_douglas_degree_one():
-    report = homogeneity_degree(make_cobb_douglas(1.0, (1 / 3, 2 / 3)), tol=1e-9)
-    assert report.is_homogeneous
-    assert report.degree == pytest.approx(1.0, abs=1e-10)
-
-
-def test_homogeneity_acms_degree_d():
-    report = homogeneity_degree(make_acms(1.0, (1.0, 2.0), 0.5, 2.0), tol=1e-9)
-    assert report.is_homogeneous
-    assert report.degree == pytest.approx(2.0, abs=1e-9)
-
-
-def test_homogeneity_random_cobb_douglas_matches_alpha_sum():
-    rng = random.Random(17)
-    for _ in range(10):
-        alphas = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.5) for _ in range(rng.randint(2, 4))]
-        report = homogeneity_degree(make_cobb_douglas(rng.uniform(0.5, 2.0), alphas), tol=1e-9)
-        assert report.is_homogeneous
-        assert report.degree == pytest.approx(math.fsum(alphas), abs=1e-9)
-
-
-def test_homogeneity_rejects_exp_component():
-    spec = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
-    report = homogeneity_degree(spec, t_values=(2.0, 3.0), tol=1e-9)
-    assert not report.is_homogeneous
-    assert report.max_deviation > 1e-3
-
-
-def test_homogeneity_undecided_at_a_zero_value():
-    # x1 * x2 vanishes on x1 = 0, where no exponent estimate exists
-    report = homogeneity_degree(make_cobb_douglas(1.0, (1.0, 1.0)),
-                                probe_points=[(1.0, 2.0), (0.0, 1.0)])
-    assert not report.is_homogeneous
-    assert math.isnan(report.degree) and report.max_deviation == math.inf
-
-
-def test_homogeneity_domain_error_when_scaling_exits():
-    spec = Homothetical((LogPowFn(a=0.5, b=1.0, m=0.5),))
-    # admissible at 0.7 but 0.5 * 0.7 drops a + ln x below zero
-    with pytest.raises(DomainError):
-        homogeneity_degree(spec, probe_points=[(0.7,)], t_values=(0.5,))
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"probe_points": []}, "needs at least one point and one t value"),
-    ({"t_values": ()}, "needs at least one point and one t value"),
-    ({"t_values": (1.0,)}, "needs t > 0, t != 1; got 1.0"),
-], ids=["no-points", "no-t", "t-one"])
-def test_homogeneity_rejects_empty_or_degenerate_probes(kwargs, message):
-    with pytest.raises(ValidationError, match=message):
-        homogeneity_degree(make_cobb_douglas(1.0, (0.5, 0.5)), **kwargs)
 
 
 def test_spec_equality_is_structural():

@@ -24,6 +24,7 @@ from prodgeom import (
     SpecError,
     ValidationError,
     elasticity_report_batch,
+    evaluate,
     gauss_kronecker,
     gauss_kronecker_batch,
     hessian,
@@ -92,6 +93,16 @@ def test_det_closed_overflow_is_numerical_error():
     spec = make_cobb_douglas(1.0, (0.3, 0.7))
     with pytest.raises(NumericalError, match="overflowed"):
         hessian_det_closed(spec, (1e200, 1e200))
+
+
+@pytest.mark.parametrize("point", [(1e200, 1e200), (1e155, 1e155), (1e300, 1e10)])
+def test_det_closed_non_finite_result_is_numerical_error(point):
+    # x1 * x2: f overflows to inf without an OverflowError, and inf * -0.0 is
+    # nan; the LU route and the curvature raise at these points too
+    spec = make_cobb_douglas(1.0, (1.0, 1.0))
+    for fn in (hessian_det_closed, hessian_det_direct, gauss_kronecker, evaluate):
+        with pytest.raises(NumericalError):
+            fn(spec, point)
 
 
 def test_det_closed_zero_component_raises_but_curvature_falls_back():
