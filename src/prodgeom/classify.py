@@ -43,11 +43,11 @@ from .funcspec import (
     LogPowFn,
     OuterFn,
     PowFn,
-    _sample_rows,
+    _point_rows,
     make_cobb_douglas,
 )
 from .geometry import gauss_kronecker_batch
-from .elasticity import _bordered_ratios, _positive_point
+from .elasticity import _bordered_ratios, _positive_point, _positive_rows
 from .sampling import points_loguniform
 
 #: Absolute tolerance for symbolic parameter constraints (sum of exponents).
@@ -291,8 +291,9 @@ def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
     |G| <= tol and the scale-relative |det H^B| (``geometry._det_ratios``)
     <= tol at every sample and reports whether the two predicates agree.
     The samples run as one block (``gauss_kronecker_batch``, then the
-    bordered determinants on the stack), bit for bit as point by point, and
-    the error raised is the one the per-point loop raises first.
+    bordered determinants on the stack), bit for bit as point by point. Every
+    sample point is checked first (``funcspec._point_rows``), then the first
+    row error is raised.
     """
     if not isinstance(spec, Homothetical):
         raise SpecError(f"this check needs a homothetical spec, got {spec.kind}")
@@ -303,15 +304,13 @@ def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
     sample_points = list(sample_points)
     if not sample_points:
         raise ValidationError("needs at least one sample point")
-    x, late = _sample_rows(spec, sample_points)
+    x = _point_rows(spec, sample_points)
     block = gauss_kronecker_batch(spec, x)
-    for p, good, error in zip(sample_points, (x.min(axis=1) > 0.0).tolist(), block.errors):
+    for p, good, error in zip(sample_points, _positive_rows(x).tolist(), block.errors):
         if error is not None:
             raise error
         if not good:
             _positive_point(spec, p)  # the bordered matrix lives on the positive orthant
-    if late is not None:
-        raise late
     max_gk = float(np.max(np.abs(block.gk_curvature), initial=0.0))
     max_rel_det = float(np.max(_bordered_ratios(block.gradient, block.hessian), initial=0.0))
     gk_zero = max_gk <= tol

@@ -31,7 +31,8 @@ import numpy as np
 from .classify import classify_allen_singular, classify_ces, classify_developable
 from .elasticity import elasticity_report_batch
 from .errors import DomainError, ParseError, ProdgeomError, SpecError, ValidationError
-from .funcspec import Composite, FunctionSpec, Homothetical, _value_pass, evaluate, parse_spec
+from .funcspec import (Composite, FunctionSpec, Homothetical, _per_point, _value_pass, evaluate,
+                       parse_spec)
 from .geometry import gauss_kronecker_batch
 from .jets import _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
@@ -227,17 +228,6 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
     last block.
     """
     columns = []
-
-    def errors_at(fn, block, where):
-        # the error fn(spec, point) raises at each row where ``where`` holds,
-        # kept without the frames that raised it
-        errors = [None] * len(block)
-        for i in np.flatnonzero(where).tolist():
-            try:
-                fn(spec, block[i])
-            except ProdgeomError as e:
-                errors[i] = e.with_traceback(None)
-        return errors
     if args.command == "curvature":
         columns = ["omega", "det_hessian", "gk"]
 
@@ -249,11 +239,11 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
         def measure(block):
             if args.fd_check:
                 value, gradient, hessian, _, ok = _jet_columns(spec, block)
-                return ([value], ["ok"] * len(block), errors_at(jet_multivariate, block, ~ok),
-                        gradient, hessian)
+                return ([value], ["ok"] * len(block),
+                        _per_point(jet_multivariate, spec, block, ~ok)[1], gradient, hessian)
             value = _value_pass(spec, block)[-1]
             return ([value], ["ok"] * len(block),
-                    errors_at(evaluate, block, ~np.isfinite(value)), None, None)
+                    _per_point(evaluate, spec, block, ~np.isfinite(value))[1], None, None)
     else:
         pairs = _parse_pairs(args.pairs, spec.n) if args.pairs is not None else None
         if spec.n < 2:

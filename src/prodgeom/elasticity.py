@@ -32,8 +32,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (AllenUndefined, DomainError, HicksUndefined, NumericalError,
-                     ProdgeomError, ValidationError, ZeroGradientError)
-from .funcspec import FunctionSpec, _point, _point_rows
+                     ValidationError, ZeroGradientError)
+from .funcspec import FunctionSpec, _per_point, _point, _point_rows
 from .geometry import _det_ratios, plu_det, plu_dets
 from .jets import Jet2N, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
@@ -50,6 +50,11 @@ def _positive_point(spec: FunctionSpec, point: Sequence[float]) -> list:
             raise DomainError(
                 f"elasticities are defined on the positive orthant; x{k + 1} = {x!r}")
     return pt
+
+
+def _positive_rows(x: np.ndarray) -> np.ndarray:
+    # _positive_point's guard on each row of an (m, n) point array
+    return np.min(x, axis=1) > 0.0
 
 
 def _pair(spec: FunctionSpec, i: int, j: int):
@@ -92,14 +97,19 @@ def _hicks_from_jet(jet: Jet2N, pt, a: int, b: int) -> float:
     if undefined:
         raise HicksUndefined(
             f"denominator vanishes for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
-    return -num / den
+    h = -num / den
+    if math.isinf(h):
+        raise NumericalError(
+            f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
+    return h
 
 
 def hicks(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     """Hicks elasticity H_ij at a point (i != j, 1-based).
 
-    Raises ZeroGradientError when a needed partial vanishes and
-    HicksUndefined when the denominator is zero relative to its terms.
+    Raises ZeroGradientError when a needed partial vanishes,
+    HicksUndefined when the denominator is zero relative to its terms and
+    NumericalError where H_ij is infinite.
     """
     a, b = _pair(spec, i, j)
     pt = _positive_point(spec, point)
@@ -114,7 +124,6 @@ def _bordered(gradient: np.ndarray, hessian: np.ndarray, det):
     return border, det(border)
 
 
-@np.errstate(all="ignore")  # a determinant that overflows comes out inf
 def _bordered_ratios(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     # the _det_ratios of the bordered matrix of each row of (m, n) gradients
     # and (m, n, n) Hessians, bit for bit those of plu_det's determinants
@@ -122,8 +131,6 @@ def _bordered_ratios(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     return _det_ratios(det, border)
 
 
-# numpy's overflow warnings are silenced: a determinant that overflows comes out inf
-@np.errstate(all="ignore")
 def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
     """Bordered Hessian and its determinant: ((n+1)x(n+1) matrix, det).
 
@@ -215,13 +222,9 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
     for a in range(n):
         for b in range(a + 1, n):
             try:
-                h = _hicks_from_jet(jet, pt, a, b)
+                hicks_m[a, b] = hicks_m[b, a] = _hicks_from_jet(jet, pt, a, b)
             except (HicksUndefined, ZeroGradientError):
-                continue
-            if math.isinf(h):
-                raise NumericalError(
-                    f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
-            hicks_m[a, b] = hicks_m[b, a] = h
+                pass
     cof = _inner_cofactors(border[None])[0]
     singular = _det_ratios(det, border) <= SINGULARITY_REL
     allen_m = None
@@ -265,7 +268,7 @@ def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
     flag (where the report raises) goes through ``elasticity_report`` itself, in order."""
     x, n = _point_rows(spec, points), spec.n
     value, gradient, hessian, _, ok = _jet_columns(spec, x)
-    ok &= np.min(x, axis=1) > 0.0  # the positivity guard outranks any jet error
+    ok &= _positive_rows(x)  # the positivity guard outranks any jet error
     a, b = np.triu_indices(n, 1)
     border, det = _bordered(gradient, hessian, plu_dets)
     num, den, undefined = _hicks_parts(x[:, a], x[:, b], gradient[:, a], gradient[:, b],
@@ -286,13 +289,8 @@ def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
     singular &= ~failed
     for column in (value, gradient, hessian, hicks_m, allen_m, det, cof):
         column[failed] = math.nan
-    errors = [None] * len(x)
-    for i in np.flatnonzero(failed).tolist():
-        try:
-            r = elasticity_report(spec, points[i])
-        except ProdgeomError as e:  # kept without the frames that raised it
-            errors[i] = e.with_traceback(None)
-            continue
+    done, errors = _per_point(elasticity_report, spec, points, failed)
+    for i, r in done.items():
         value[i], hicks_m[i], det[i], cof[i] = r.value, r.hicks, r.bordered_det, r.cofactors
         gradient[i], hessian[i], singular[i] = r.jet.gradient, r.jet.hessian, r.allen is None
         allen_m[i] = math.nan if singular[i] else r.allen
@@ -319,7 +317,7 @@ def ces_probe(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
 
     Default samples are 20 seeded log-uniform points in [0.5, 2]^n. A point
     where some H_ij is undefined propagates HicksUndefined naming that point
-    rather than being dropped.
+    rather than being dropped; an infinite H_ij raises NumericalError.
     """
     if spec.n < 2:
         raise ValidationError("the constant-elasticity probe needs >= 2 variables")

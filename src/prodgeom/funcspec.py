@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParseError, ValidationError
+from .errors import DomainError, NumericalError, ParseError, ProdgeomError, ValidationError
 
 
 def _is_nonneg_int(a: float) -> bool:
@@ -397,10 +397,11 @@ def _point(spec: FunctionSpec, point: Sequence[float]) -> list:
 
 
 def _point_rows(spec: FunctionSpec, points) -> np.ndarray:
-    # the block kernels' check: points as an (m, n) float array
-    try:
+    # the check before any point is evaluated: points as an (m, n) float array
+    try:  # an empty list is a block of no rows
         x = np.array(points, dtype=float)
-    except ValueError:  # ragged rows, or an entry that is not a number
+        x = x.reshape(0, spec.n) if x.shape == (0,) else x
+    except (TypeError, ValueError, OverflowError):  # ragged rows, or not a number
         x = None
     if x is None or x.ndim != 2 or x.shape[1] != spec.n:
         got = "ragged rows or a non-number" if x is None else f"shape {x.shape}"
@@ -409,18 +410,18 @@ def _point_rows(spec: FunctionSpec, points) -> np.ndarray:
     return x
 
 
-def _sample_rows(spec: FunctionSpec, points) -> tuple:
-    """A per-point loop's points for a block kernel: ``(x, late)``, the points
-    before the first one ``_point`` rejects, as an (m, n) array, and the error
-    ``_point`` raises for that one (None where it takes every point). A loop
-    that runs those rows as a block raises ``late`` after their own errors."""
-    rows = []
-    for p in points:
+def _per_point(fn, spec: FunctionSpec, points, rows) -> tuple:
+    """The one redo of flagged rows: ``fn(spec, points[i])`` at each row i where
+    the boolean array ``rows`` holds, in input order, as ({i: its result},
+    errors), errors[i] the ProdgeomError it raised without its frames (None
+    elsewhere)."""
+    done, errors = {}, [None] * len(rows)
+    for i in np.flatnonzero(rows).tolist():
         try:
-            rows.append(_point(spec, p))
-        except (ValidationError, TypeError, ValueError, OverflowError) as e:
-            return np.array(rows, dtype=float).reshape(-1, spec.n), e
-    return np.array(rows, dtype=float).reshape(-1, spec.n), None
+            done[i] = fn(spec, points[i])
+        except ProdgeomError as e:
+            errors[i] = e.with_traceback(None)
+    return done, errors
 
 
 def _values(spec: FunctionSpec, pt: list):

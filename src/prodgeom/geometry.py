@@ -20,12 +20,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
-from .funcspec import FunctionSpec, Homothetical, _column_pow, _point, _point_rows, _sample_rows
+from .errors import DomainError, NumericalError, SpecError, ValidationError
+from .funcspec import FunctionSpec, Homothetical, _column_pow, _per_point, _point, _point_rows
 from .jets import Jet2N, _jet_columns, jet1d, jet_multivariate
 from .sampling import points_loguniform
 
 
+@np.errstate(all="ignore")  # a determinant that overflows is inf, quietly
 def plu_det(matrix: np.ndarray) -> float:
     """Determinant by Gaussian elimination with partial pivoting.
 
@@ -50,6 +51,7 @@ def plu_det(matrix: np.ndarray) -> float:
     return float(det)
 
 
+@np.errstate(all="ignore")  # as plu_det
 def plu_dets(stack: np.ndarray) -> np.ndarray:
     """Determinants of a (k, m, m) stack of matrices, bit for bit as ``plu_det``.
 
@@ -101,21 +103,14 @@ def det_scale(matrix: np.ndarray):
 
 
 def _det_ratios(det, matrix):
-    """|det| / ``det_scale(matrix)``, the package's one zero test on
-    determinants: a float for one matrix, a (k,) array for a (k, m, m) stack.
-    An exact-zero det reads 0.0, a zero (underflowed) scale gives inf, and a
-    nan ratio (det and scale both overflow) reads inf: it shows no zero."""
-    scale = det_scale(matrix)
-    if isinstance(scale, float):  # one matrix: Python floats, not numpy scalars
-        if det == 0.0:
-            return 0.0
-        ratio = abs(det) / scale if scale != 0.0 else math.inf
-        return ratio if ratio == ratio else math.inf
+    """|det| / ``det_scale(matrix)`` by one code path for one matrix (a float)
+    and a (k, m, m) stack (a (k,) array): the package's one zero test on
+    determinants. An exact-zero det reads 0.0, a zero (underflowed) scale gives
+    inf, and a nan ratio (det and scale both overflow) reads inf: it shows no zero."""
     with np.errstate(all="ignore"):  # x / 0 and inf / inf come out inf and nan, quietly
-        ratio = np.abs(det) / scale
-    ratio[np.isnan(ratio)] = math.inf
-    ratio[det == 0.0] = 0.0
-    return ratio
+        ratio = np.abs(det) / det_scale(matrix)
+    ratio = np.where(det == 0.0, 0.0, np.where(np.isnan(ratio), math.inf, ratio))
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def hessian(spec: FunctionSpec, point: Sequence[float]) -> np.ndarray:
@@ -124,8 +119,12 @@ def hessian(spec: FunctionSpec, point: Sequence[float]) -> np.ndarray:
 
 
 def hessian_det_direct(spec: FunctionSpec, point: Sequence[float]) -> float:
-    """Hessian determinant via partial-pivot elimination (the oracle route)."""
-    return plu_det(hessian(spec, point))
+    """Hessian determinant via partial-pivot elimination (the oracle route).
+    Raises NumericalError where it is not finite (an overflow, quietly inf)."""
+    det = plu_det(hessian(spec, point))
+    if not math.isfinite(det):
+        raise NumericalError(f"non-finite LU determinant at {tuple(map(float, point))!r}")
+    return det
 
 
 def _closed_form(jets, pw=pow):
@@ -278,7 +277,6 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
     gives its result or its error.
     """
     x, n = _point_rows(spec, points), spec.n
-    errors = [None] * len(x)
     with np.errstate(all="ignore"):  # rows that go non-finite are redone one by one
         value, gradient, hessian, factors, ok = _jet_columns(spec, x)
         omega = np.sqrt(1.0 + _squared_norms(gradient))
@@ -293,12 +291,8 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
         failed = ~(ok & np.isfinite(omega) & np.isfinite(det) & np.isfinite(gk))
         for column in (value, gradient, hessian, omega, det, gk):
             column[failed] = math.nan
-        for i in np.flatnonzero(failed).tolist():
-            try:
-                rec = gauss_kronecker(spec, x[i])
-            except ProdgeomError as e:  # kept without the frames that raised it
-                errors[i] = e.with_traceback(None)
-                continue
+        done, errors = _per_point(gauss_kronecker, spec, x, failed)
+        for i, rec in done.items():
             value[i], gradient[i], hessian[i] = rec.value, rec.jet.gradient, rec.jet.hessian
             omega[i], det[i], gk[i] = rec.omega, rec.hessian_det, rec.gk_curvature
     return CurvatureBlock(value, gradient, hessian, omega, det, gk, tuple(errors))
@@ -310,17 +304,16 @@ def is_developable(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
 
     Default samples are 50 seeded log-uniform points in [0.5, 2]^n. The
     curvatures come from one ``gauss_kronecker_batch`` call, bit for bit as
-    ``gauss_kronecker`` point by point, and the error raised is the one that
-    per-point loop raises first.
+    ``gauss_kronecker`` point by point. Every sample point is checked first
+    (``funcspec._point_rows``), then the first row error is raised.
     """
     if sample_points is None:
         sample_points = points_loguniform(spec.n, 50, seed)
     sample_points = list(sample_points)
     if not sample_points:
         raise ValidationError("developability test needs at least one sample point")
-    x, late = _sample_rows(spec, sample_points)
-    block = gauss_kronecker_batch(spec, x)
-    for error in (*block.errors, late):
+    block = gauss_kronecker_batch(spec, sample_points)
+    for error in block.errors:
         if error is not None:
             raise error
     max_g = max(abs(gk) for gk in block.gk_curvature.tolist())

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
-from .elasticity import (_bordered_ratios, _hicks_from_jet, bordered_hessian, ces_probe,
-                         elasticity_report, hicks)
+from .elasticity import (_bordered_ratios, _hicks_from_jet, _positive_rows, bordered_hessian,
+                         ces_probe, elasticity_report, hicks)
 from .errors import HicksUndefined, NumericalError, ZeroGradientError
 from .funcspec import (
     Acms,
@@ -28,7 +28,7 @@ from .funcspec import (
     PowFn,
     Power,
     _column_pow,
-    _sample_rows,
+    _point_rows,
     evaluate,
     make_acms,
     make_cobb_douglas,
@@ -106,11 +106,11 @@ def _flatness_evidence(spec, points):
 
     The points run as one block through ``gauss_kronecker_batch`` and
     ``plu_dets``, bit for bit as ``gauss_kronecker`` and ``plu_det`` point by
-    point. The error raised is the one that per-point loop raises first:
-    ``gauss_kronecker``'s, or a NumericalError naming the point where
-    (1 + g.g)^((n+2)/2) overflows although omega^(n+2) did not.
+    point. Once every point is checked (``_point_rows``), the first row error
+    is raised: ``gauss_kronecker``'s, or a NumericalError naming the point
+    where (1 + g.g)^((n+2)/2) overflows although omega^(n+2) did not.
     """
-    x, late = _sample_rows(spec, points)
+    x = _point_rows(spec, points)
     block = gauss_kronecker_batch(spec, x)
     power = (spec.n + 2) / 2.0
     omega_pow = _column_pow(1.0 + _squared_norms(block.gradient), power)
@@ -118,8 +118,6 @@ def _flatness_evidence(spec, points):
         if block.errors[i] is not None:
             raise block.errors[i]
         raise NumericalError(f"(1 + g.g)^{power} overflowed at {tuple(x[i].tolist())!r}")
-    if late is not None:
-        raise late
     abs_dets = np.abs(plu_dets(block.hessian))
     worst_g = np.max(np.maximum(np.abs(block.gk_curvature), abs_dets / omega_pow), initial=0.0)
     return float(worst_g), float(np.max(_det_ratios(abs_dets, block.hessian), initial=0.0))
@@ -129,19 +127,17 @@ def _flatness_evidence(spec, points):
 def _singular_evidence(spec, points) -> float:
     """Max scale-relative |det H^B| (``geometry._det_ratios``) over the
     points, bit for bit as ``bordered_hessian`` point by point, with its
-    first error: one ``_jet_columns`` pass and one ``plu_dets`` call on the
-    bordered stack; a row the columns or the positivity guard flag goes
-    through ``bordered_hessian`` itself."""
+    first row error once every point is checked (``_point_rows``): one
+    ``_jet_columns`` pass and one ``plu_dets`` call on the bordered stack; a
+    row the columns or the positivity guard flag is redone by ``bordered_hessian``."""
     points = list(points)
-    x, late = _sample_rows(spec, points)
+    x = _point_rows(spec, points)
     _, gradient, hessian, _, ok = _jet_columns(spec, x)
-    ok &= np.min(x, axis=1) > 0.0  # the positivity guard outranks any jet error
+    ok &= _positive_rows(x)  # the positivity guard outranks any jet error
     ratios = _bordered_ratios(gradient, hessian)
     for i in np.flatnonzero(~ok).tolist():
         border, det = bordered_hessian(spec, points[i])
         ratios[i] = _det_ratios(det, border)
-    if late is not None:
-        raise late
     return float(np.max(ratios, initial=0.0))
 
 

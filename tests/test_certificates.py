@@ -5,7 +5,8 @@
 through the batch kernels. The per-point loops they replaced are kept here as
 the references, with the one scale-relative determinant rule spelled out
 (``_scale_relative``): every returned number must have their bits, and every
-raised error their type and message.
+raised error their type and message. Like the block routes, the loops check
+every point (``funcspec._point_rows``) before they evaluate any.
 """
 
 import math
@@ -20,7 +21,7 @@ from prodgeom import geometry, jets, verify
 from prodgeom.classify import Corollary42Report, _exp_indices, check_corollary42
 from prodgeom.elasticity import _bordered, _positive_point, bordered_hessian
 from prodgeom.errors import NumericalError, ProdgeomError, SpecError, ValidationError
-from prodgeom.funcspec import Composite, ExpFn, Homothetical, Identity, PowFn, Power
+from prodgeom.funcspec import Composite, ExpFn, Homothetical, Identity, PowFn, Power, _point_rows
 from prodgeom.geometry import det_scale, gauss_kronecker, is_developable, plu_det
 from prodgeom.sampling import points_loguniform
 from test_cli import _count_calls
@@ -54,6 +55,7 @@ def _loop_corollary42(spec, sample_points, tol):
     sample_points = list(sample_points)
     if not sample_points:
         raise ValidationError("needs at least one sample point")
+    _point_rows(spec, sample_points)
     gks, rels = [], []
     for p in sample_points:
         rec = gauss_kronecker(spec, p)
@@ -71,6 +73,7 @@ def _loop_corollary42(spec, sample_points, tol):
 
 def _loop_flatness(spec, points):
     # verify._flatness_evidence before it ran its points as a block
+    _point_rows(spec, points)
     gs, rels = [], []
     for p in points:
         rec = gauss_kronecker(spec, p)
@@ -93,12 +96,14 @@ def _loop_developable(spec, sample_points, tol):
     sample_points = list(sample_points)
     if not sample_points:
         raise ValidationError("developability test needs at least one sample point")
+    _point_rows(spec, sample_points)
     max_g = max(abs(gauss_kronecker(spec, p).gk_curvature) for p in sample_points)
     return max_g <= tol, max_g
 
 
 def _loop_singular(spec, points):
     # check_allen_singular_certificates' loop over one spec's points
+    _point_rows(spec, points)
     return _max(_scale_relative(det, border)
                 for border, det in (bordered_hessian(spec, p) for p in points))
 
@@ -172,12 +177,13 @@ def test_certificate_loops_bitwise_equal_per_point_loops(seed, kind, n, exps, m,
     [(1.0, 1.0), (1.0, 1.0, 1.0), (-1e200, 1.0)],
     [],
 ], ids=["curvature-error", "positivity", "arity", "empty"])
-def test_certificate_loops_raise_the_first_error_in_input_order(points):
+def test_certificate_loops_check_every_point_first(points):
     # e^-x1 * e^(2 x2): at x1 = -1e200 the value overflows, an error that
-    # comes before the point's own positivity error
+    # comes before the point's own positivity error; but a point of the
+    # wrong arity, wherever it stands, raises before any point is evaluated
     spec = Homothetical((ExpFn(1.0, -1.0), ExpFn(1.0, 2.0)))
     expected = _outcome(_loop_corollary42, spec, points, 1e-8)
-    assert isinstance(expected[0], type)
+    assert expected[0] is ValidationError
     assert _outcome(check_corollary42, spec, points, 1e-8) == expected
     assert _outcome(is_developable, spec, points, 1e-8) == \
         _outcome(_loop_developable, spec, points, 1e-8)
@@ -190,10 +196,15 @@ def test_flatness_evidence_raises_the_loops_overflow_of_omega_pow():
     spec = Homothetical((PowFn(4.220528630999172e+61, 0.0, 1.0), PowFn(1.0, 0.0, 1.0),
                          PowFn(1.0, 0.0, 1.0)))
     gauss_kronecker(spec, (0.25, 1.0, 1.0))
-    for points in ([(0.25, 1.0, 1.0)], [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0)]):
+    for points in ([(0.25, 1.0, 1.0)], [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0, 1.0)]):
         expected = _outcome(_loop_flatness, spec, points)
         assert expected == (NumericalError, "(1 + g.g)^2.5 overflowed at (0.25, 1.0, 1.0)")
         assert _outcome(verify._flatness_evidence, spec, points) == expected
+    # a point of the wrong arity is a ValidationError before any point is evaluated
+    points = [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0)]
+    expected = _outcome(_loop_flatness, spec, points)
+    assert expected[0] is ValidationError
+    assert _outcome(verify._flatness_evidence, spec, points) == expected
 
 
 def test_singular_evidence_reads_a_nan_ratio_as_inf():

@@ -115,6 +115,18 @@ def test_hicks_undefined_for_perfect_substitutes():
         hicks(linear, (1.0, 1.0), 1, 2)
 
 
+def test_hicks_infinite_is_numerical_error():
+    # (x1 + 1) * x2 at x1 = 5e-324: 1 / (x1 f_1) is inf, and so is H_12; the
+    # report raises the same error
+    spec = Homothetical((PowFn(1.0, 1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
+    message = r"infinite Hicks elasticity for pair \(1,2\) at \(5e-324, 1.0\)"
+    for call in (lambda: hicks(spec, (5e-324, 1.0), 1, 2),
+                 lambda: hicks(spec, (5e-324, 1.0), 2, 1),
+                 lambda: elasticity_report(spec, (5e-324, 1.0))):
+        with pytest.raises(NumericalError, match=message):
+            call()
+
+
 def test_bordered_hessian_product():
     border, det = bordered_hessian(PRODUCT, (1.0, 1.0))
     assert border.tolist() == [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
@@ -264,6 +276,16 @@ def test_ces_probe_reports_offending_point():
     linear = make_acms(1.0, (1.0, 1.0), 1.0, 1.0, relax_rho=True)
     with pytest.raises(HicksUndefined, match="probe point"):
         ces_probe(linear, sample_points=[(1.0, 1.0), (2.0, 1.0)])
+
+
+def test_ces_probe_infinite_hicks_is_numerical_error():
+    # H_12 is infinite at this point, so the probe raises before it sums
+    # values of both signs (math.fsum's bare ValueError on -inf + inf)
+    spec = Composite(Scale(1.667813321572357),
+                     (ExpFn(-2.0, -1.0), LogPowFn(1.0, 1.0, -1.0), LogPowFn(1.0, 1.0, 2.0)))
+    point = (5e-324, 0.7765849050885374, 1.9158454559458544)
+    with pytest.raises(NumericalError, match=r"infinite Hicks elasticity for pair \(1,2\)"):
+        ces_probe(spec, [point, point])
 
 
 def test_ces_probe_needs_two_variables():

@@ -23,14 +23,22 @@ from prodgeom import (
     Scale,
     SpecError,
     ValidationError,
+    allen,
+    ces_probe,
+    check_corollary42,
+    elasticity_report,
     elasticity_report_batch,
     evaluate,
+    fd_jet,
     gauss_kronecker,
     gauss_kronecker_batch,
     hessian,
     hessian_det_closed,
     hessian_det_direct,
+    hicks,
     is_developable,
+    jet1d,
+    jet_multivariate,
     make_acms,
     make_cobb_douglas,
     serialize_spec,
@@ -40,6 +48,7 @@ from prodgeom.cli import run
 from prodgeom.elasticity import bordered_hessian
 from prodgeom.geometry import det_scale, plu_det, plu_dets
 from prodgeom.sampling import points_loguniform, random_homothetical
+from test_funcspec import _EDGE_OUTERS, _JET_COORDS, _edge_spec
 
 
 def test_hessian_monomial():
@@ -65,6 +74,14 @@ def test_det_direct_monomial():
 def test_det_direct_unit_sum_is_zero():
     det = hessian_det_direct(make_cobb_douglas(1.0, (0.5, 0.5)), (1.0, 1.0))
     assert abs(det) <= 1e-15
+
+
+def test_det_direct_non_finite_is_numerical_error():
+    # x1^2 x2^3 at (1e55, 1e55): the Hessian is finite, its determinant
+    # overflows; plu_det comes out -inf without a warning, which the suite
+    # would turn into a failure
+    with pytest.raises(NumericalError, match=r"non-finite LU determinant at \(1e\+55, 1e\+55\)"):
+        hessian_det_direct(make_cobb_douglas(1.0, (2.0, 3.0)), (1e55, 1e55))
 
 
 def test_det_closed_monomial():
@@ -228,6 +245,26 @@ def test_det_scale_overflow_is_inf_without_a_warning():
     assert np.isfinite(border).all() and det_scale(border) == math.inf
     assert det_scale(np.stack([border, np.eye(3)])).tolist() == [math.inf, 1.0]
     assert math.isnan(det_scale(np.array([[0.0, 0.0], [math.inf, 1.0]])))
+
+
+@pytest.mark.parametrize("case", ["zero-det", "underflowed-scale", "nan-ratio"])
+def test_det_ratios_one_matrix_equals_its_row_in_a_stack(case):
+    # one matrix gives a Python float with the bits of its row in a stack
+    if case == "zero-det":
+        matrix, det, ratio = np.array([[1.0, 2.0], [2.0, 4.0]]), 0.0, 0.0
+        assert plu_det(matrix) == det
+    elif case == "underflowed-scale":
+        matrix, det, ratio = np.diag([1e-200, 1e-200]), 1e-300, math.inf
+        assert det_scale(matrix) == 0.0
+    else:  # e^x1 * x2 at (360, 1e-5): |det| / scale is inf / inf
+        matrix, det = bordered_hessian(Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0))),
+                                       (360.0, 1e-5))
+        ratio = math.inf
+        assert det == det_scale(matrix) == math.inf
+    one = geometry._det_ratios(det, matrix)
+    stacked = geometry._det_ratios(np.array([2.0, det]), np.stack([np.eye(len(matrix)), matrix]))
+    assert type(one) is float and one == ratio
+    assert _bits([one]) == _bits(stacked[1:]) and stacked[0] == 2.0
 
 
 def _bits(values) -> list:
@@ -479,6 +516,24 @@ def test_batch_rejects_ragged_points(kernel, points):
         kernel(make_cobb_douglas(1.0, (0.3, 0.7)), points)
 
 
+@pytest.mark.parametrize("points", [[(1.0, 1j)], [(1.0, 10**400)]], ids=["complex", "huge-int"])
+def test_point_check_turns_numpy_errors_into_validation_error(points):
+    # numpy's TypeError and OverflowError are the point check's ValidationError,
+    # in the block kernels and the certificates alike
+    spec = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
+    for fn in (gauss_kronecker_batch, elasticity_report_batch, is_developable,
+               check_corollary42):
+        with pytest.raises(ValidationError, match="got ragged rows or a non-number"):
+            fn(spec, points)
+
+
+def test_batch_of_an_empty_list_has_no_rows():
+    spec = make_cobb_douglas(1.0, (0.3, 0.7))
+    assert gauss_kronecker_batch(spec, []).hessian.shape == (0, 2, 2)
+    block = elasticity_report_batch(spec, [])
+    assert block.errors == () and block.hicks.shape == (0, 2, 2)
+
+
 def test_batch_errors_keep_no_frames():
     # a stored error carries no traceback, so a block does not keep the
     # frames of its failing rows' per-point calls alive
@@ -542,3 +597,43 @@ def test_closed_form_failure_takes_lu_route(capsys, tmp_path, alphas, point, det
     assert run(["curvature", "--spec", str(spec_path), "--points", str(points_path)]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert float(row[4]) == det and row[-1] == "ok"
+
+
+# the jets' edge coordinates, and values whose powers overflow or underflow
+_ROBUST_COORDS = _JET_COORDS + (1e300, 1e-300, 5e-324)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)),
+       n=st.integers(2, 4), m=st.integers(1, 3))
+def test_public_functions_return_or_raise_a_prodgeom_error(seed, kind, outer, n, m):
+    # at edge coordinates every public per-point function, certificate and
+    # batch kernel returns or raises a ProdgeomError: no bare Python error
+    # escapes, and no numpy RuntimeWarning (the suite's filter fails on one)
+    rng = random.Random(seed)
+    spec = _edge_spec(rng, kind, outer, n)
+    points = [tuple(rng.choice(_ROBUST_COORDS) if rng.random() < 0.5 else rng.uniform(0.3, 3.0)
+                    for _ in range(n)) for _ in range(m)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    calls = [lambda: gauss_kronecker_batch(spec, points),
+             lambda: elasticity_report_batch(spec, points),
+             lambda: is_developable(spec, points),
+             lambda: check_corollary42(spec, points),
+             lambda: ces_probe(spec, points * 2)]
+    for p in points:
+        calls += [lambda fn=fn, p=p: fn(spec, p)
+                  for fn in (evaluate, jet_multivariate, hessian, hessian_det_direct,
+                             hessian_det_closed, gauss_kronecker, bordered_hessian,
+                             elasticity_report)]
+        calls += [lambda fn=fn, p=p, i=i, j=j: fn(spec, p, i, j)
+                  for fn in (hicks, allen) for i, j in pairs]
+        calls.append(lambda p=p: fd_jet(lambda q: evaluate(spec, q), p))
+        calls += [lambda c=c, x=x: jet1d(c, x)
+                  for c, x in zip(getattr(spec, "components", ()), p)]
+    for call in calls:
+        try:
+            call()
+        except ProdgeomError:
+            pass
