@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from prodgeom import geometry, jets, verify
 from prodgeom.classify import Corollary42Report, _exp_indices, check_corollary42
 from prodgeom.elasticity import _bordered, _positive_point, bordered_hessian
-from prodgeom.errors import NumericalError, ProdgeomError, SpecError, ValidationError
+from prodgeom.errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
 from prodgeom.funcspec import Composite, ExpFn, Homothetical, Identity, PowFn, Power, _point_rows
 from prodgeom.geometry import det_scale, gauss_kronecker, is_developable, plu_det
 from prodgeom.sampling import points_loguniform
@@ -169,6 +169,24 @@ def test_certificate_loops_bitwise_equal_per_point_loops(seed, kind, n, exps, m,
             _outcome(verify._flatness_evidence, spec, points),
             _outcome(is_developable, spec, points, tol),
             _outcome(verify._singular_evidence, spec, points)] == expected
+
+
+@pytest.mark.parametrize("points, error", [
+    ([(1.0, 1.0), (-1e200, 1.0), (1.0, -1.0)], NumericalError),
+    ([(1.0, 1.0), (-1.0, 1.0), (-1e200, 1.0)], DomainError),
+    ([(1.0, 1.0), (1.0, 1.0, 1.0), (-1e200, 1.0)], ValidationError),
+    ([], ValidationError),
+], ids=["curvature-error", "positivity", "arity", "empty"])
+def test_certificate_loops_raise_the_first_error_in_input_order(points, error):
+    # e^-x1 * e^(2 x2): at x1 = -1e200 the value overflows, an error that
+    # comes before the point's own positivity error; of well-formed points,
+    # the first to fail is the one whose error is raised
+    spec = Homothetical((ExpFn(1.0, -1.0), ExpFn(1.0, 2.0)))
+    expected = _outcome(_loop_corollary42, spec, points, 1e-8)
+    assert expected[0] is error
+    assert _outcome(check_corollary42, spec, points, 1e-8) == expected
+    assert _outcome(is_developable, spec, points, 1e-8) == \
+        _outcome(_loop_developable, spec, points, 1e-8)
 
 
 @pytest.mark.parametrize("points", [
