@@ -5,10 +5,13 @@ Subcommands: ``eval``, ``curvature``, ``elasticity``, ``classify``,
 descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
 per axis, inclusive endpoints, row-major order). Rows are emitted in input
 order, CSV or JSONL, with identical numeric values in both encodings; stdout
-is written once, after the last row. A CSV cell follows ``csv.writer``'s
-QUOTE_MINIMAL rule (``_csv_cell``); a block's float columns are encoded a
-column at a time and grid coordinates once per axis value. A nan float is a
-missing cell: empty in CSV, null in JSONL.
+is written once, after the last row. Both formats encode a block a column
+at a time (``_writer``), and grid coordinates once per axis value. A CSV
+cell follows ``csv.writer``'s QUOTE_MINIMAL rule (``_csv_cell``); a JSONL
+line fills a template of the header's keys, built once, with the encoded
+cells, giving the bytes of ``json.dumps`` with ASCII-escaped text. A nan
+float is a missing cell: empty in CSV, null in JSONL. The argument parser
+is built on the first ``run`` and reused by later ones.
 
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
 failure. Singular points in a batch never fail the run; they are reported in
@@ -19,11 +22,13 @@ the per-row ``status`` column (``ok``, ``hicks_undefined``,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -165,22 +170,29 @@ def _writer(header: list, fmt: str, out):
     ``write(columns)`` for JSONL.
 
     ``columns`` holds the cells by column: a float array, or a sequence of
-    text. A nan in a float column is a missing cell, empty in CSV and
-    ``null`` in JSONL; every other float prints as its repr. ``lead`` holds
-    each CSV row's leading text, already encoded (a grid's coordinates).
-    A CSV line has the bytes of ``csv.writer(out, lineterminator="\\n")``,
-    a float column encoded at once (``repr`` over ``tolist()``) and text
-    through ``_csv_cell``; a JSONL line has the bytes of
-    ``json.dumps(..., separators=(",", ":"))``, from one encoder."""
+    text. Both formats encode a column at once, by one rule: a float column
+    as ``repr`` over ``tolist()``, its non-finite cells then fixed per
+    format (a nan is a missing cell, empty in CSV and ``null`` in JSONL;
+    ±inf keeps its repr in CSV and is ``Infinity``/``-Infinity`` in JSONL),
+    and text through ``_csv_cell`` in CSV and ``encode_basestring_ascii`` in
+    JSONL. ``lead`` holds each CSV row's leading text, already encoded (a
+    grid's coordinates). A CSV line joins its cells with commas, the bytes
+    of ``csv.writer(out, lineterminator="\\n")``; a JSONL line fills one
+    template of the header's keys, built once, with the bytes of
+    ``json.dumps(row, separators=(",", ":"))``."""
     csv_out = fmt == "csv"
-    missing = "" if csv_out else None
+    if csv_out:
+        text, special = _csv_cell, {"nan": "", "inf": "inf", "-inf": "-inf"}
+    else:
+        text = encode_basestring_ascii
+        special = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
     def cells(col):
         if not isinstance(col, np.ndarray):
-            return list(map(_csv_cell, col)) if csv_out else col
-        encoded = list(map(repr, col.tolist())) if csv_out else col.tolist()
-        for i in np.isnan(col).nonzero()[0].tolist():
-            encoded[i] = missing
+            return list(map(text, col))
+        encoded = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            encoded[i] = special[encoded[i]]
         return encoded
     if csv_out:
         out.write(",".join(map(_csv_cell, header)) + "\n")
@@ -191,11 +203,11 @@ def _writer(header: list, fmt: str, out):
                 lines = map(",".join, zip(lead, lines))
             out.writelines([line + "\n" for line in lines])
         return write
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    template = "{" + ",".join(encode_basestring_ascii(h).replace("%", "%%") + ":%s"
+                              for h in header) + "}\n"
 
     def write(columns):
-        out.writelines([encode(dict(zip(header, row))) + "\n"
-                        for row in zip(*map(cells, columns))])
+        out.writelines(map(template.__mod__, zip(*map(cells, columns))))
     return write
 
 
@@ -330,7 +342,10 @@ def _run_verify(seed: int, tol: float, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first run and shared by every later one: a parse keeps
+    # no state on the parser, and help is formatted when it is asked for
     parser = argparse.ArgumentParser(
         prog="prodgeom",
         description="Curvature, substitution elasticities and family "

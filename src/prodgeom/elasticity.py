@@ -323,7 +323,7 @@ def ces_probe(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
         raise ValidationError("the constant-elasticity probe needs >= 2 variables")
     if sample_points is None:
         sample_points = points_loguniform(spec.n, 20, seed)
-    sample_points = [list(map(float, p)) for p in sample_points]
+    sample_points = [_point(spec, p) for p in sample_points]
     if len(sample_points) < 2:
         raise ValidationError("the constant-elasticity probe needs >= 2 sample points")
     values = []

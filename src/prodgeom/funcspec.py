@@ -387,9 +387,22 @@ def make_acms(gamma: float, betas: Sequence[float], rho: float, d: float,
 # Evaluation
 
 
+def _coords(point: Sequence[float]) -> list:
+    # a point's coordinates as Python floats: None, text that is not a
+    # number, a complex or a huge int is a ValidationError
+    try:
+        return [float(x) for x in point]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"point {point!r} is not a sequence of numbers") from None
+
+
 def _point(spec: FunctionSpec, point: Sequence[float]) -> list:
-    # the package's one point-arity check
-    pt = [float(x) for x in point]
+    # the package's one point-arity check, with _coords written inline: it
+    # runs at each of fd_jet's stencil points, where one more call shows
+    try:
+        pt = [float(x) for x in point]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"point {point!r} is not a sequence of numbers") from None
     if len(pt) != spec.n:
         raise ValidationError(
             f"point has {len(pt)} coordinates but the spec has {spec.n} variables")
@@ -407,6 +420,9 @@ def _point_rows(spec: FunctionSpec, points) -> np.ndarray:
         got = "ragged rows or a non-number" if x is None else f"shape {x.shape}"
         raise ValidationError(f"points must form an (m, {spec.n}) array for a spec with "
                               f"{spec.n} variables, got {got}")
+    if np.isnan(x).any():  # numpy reads None as nan, where float() fails
+        for point in points:
+            _coords(point)
     return x
 
 

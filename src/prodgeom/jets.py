@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .funcspec import (_LINEAR_OUTER, Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow,
-                       _core_value, _map_rows, _point, _term_column, _term_core, _value_pass,
-                       _values, evaluate)
+                       _coords, _core_value, _map_rows, _point, _term_column, _term_core,
+                       _value_pass, _values, evaluate)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
     Raises DomainError when x violates the component guard and
     NumericalError where the jet overflows or is not finite.
     """
-    x = float(x)
+    [x] = _coords((x,))
     try:
         return _factor_jet(c, x, c.value(x))
     except (OverflowError, ZeroDivisionError):  # a denominator that underflowed to 0
@@ -269,7 +269,7 @@ def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]
     Hessian entry is not finite (a stencil sum can overflow although every
     value is finite).
     """
-    pt = [float(x) for x in point]
+    pt = _coords(point)
 
     def ev(deltas):
         q = list(pt)

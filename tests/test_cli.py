@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import argparse
 import csv
 import io
 import itertools
@@ -793,8 +794,9 @@ def test_fd_check_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, 
 
 
 def test_jsonl_writer_bytes_equal_json_dumps():
-    # one encoder per writer gives each row the bytes json.dumps gives it; a
-    # nan in a float column is null, and inf stays as it is
+    # the line template over column-encoded cells gives each row the bytes
+    # json.dumps gives it; a nan in a float column is null, and ±inf is
+    # json's Infinity and -Infinity
     header = ["x1", "value", "fd_gap", "status"]
     rows = [[1.0, None, -0.0, "ok"],
             [math.inf, -math.inf, None, "domain_error"],
@@ -841,6 +843,56 @@ def test_csv_writer_bytes_equal_csv_writer(data, header, width, count, coords):
     write(columns)
     write(columns, [",".join(map(repr, coords))] * count)
     assert text.getvalue() == expected.getvalue()
+
+
+# quotes, backslashes, control characters, a printf %, non-ASCII (a line
+# separator and an astral character, each escaped by json's ASCII rule)
+_json_text = st.text(st.sampled_from(list('a1 ,"\\\n\r\t\x00\x1f\x7f%é\u2028\U0001F600')),
+                     max_size=6)
+
+
+@given(data=st.data(), header=st.lists(_json_text, min_size=1, max_size=4, unique=True),
+       count=st.integers(0, 4))
+def test_jsonl_writer_bytes_equal_json_dumps_of_each_row(data, header, count):
+    # every JSONL line has the bytes of json.dumps over the row keyed by the
+    # header, with a nan in a float column (an array, encoded at once) as None
+    columns = [np.array(data.draw(st.lists(_csv_float, min_size=count, max_size=count)))
+               if data.draw(st.booleans(), label="float column")
+               else data.draw(st.lists(_json_text, min_size=count, max_size=count))
+               for _ in header]
+    rows = [[(None if math.isnan(col[i]) else col[i].item()) if isinstance(col, np.ndarray)
+             else col[i] for col in columns] for i in range(count)]
+    text = io.StringIO()
+    write = cli._writer(header, "jsonl", text)
+    write(columns)
+    write(columns)
+    assert text.getvalue() == 2 * "".join(
+        json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows)
+
+
+def test_one_parser_serves_every_run(capsys, monkeypatch):
+    # the parser is built on the first run and reused: a run that exits 2
+    # leaves the next one as it would be alone, and help prints the same
+    # text each time
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    golden = ("curvature", "--spec", DATA / "cobb_douglas_crs.json",
+              "--points", "grid:0.5..2.0x0.5..2.0:5")
+    assert _run(capsys, *golden)[0] == 0
+    for argv in [(*golden, "--bogus"), ("verify", "--tol", "nan"),
+                 ("curvature", "--points", "grid:0.5..2.0x0.5..2.0:5")]:
+        assert _run(capsys, *argv)[0] == 2
+    expected = (Path(__file__).parent / "golden" / "curvature_cobb_douglas_grid.csv").read_text()
+    assert _run(capsys, *golden) == (0, expected, "")
+    first = _run(capsys, "--help")
+    assert first[0] == 0 and first[1].startswith("usage: prodgeom")
+    assert _run(capsys, "--help") == first
+    assert built.count("prodgeom") == 1
 
 
 @pytest.mark.parametrize("spec, grid", [

@@ -527,6 +527,26 @@ def test_point_check_turns_numpy_errors_into_validation_error(points):
             fn(spec, points)
 
 
+@pytest.mark.parametrize("point", [(1.0, None), (1.0, "x")], ids=["none", "text"])
+def test_coordinate_that_is_not_a_number_is_validation_error(point):
+    # no bare TypeError or ValueError from float(), and no None read as nan
+    # by numpy (which would report a non-finite value at (1.0, nan))
+    spec = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
+    calls = [lambda fn=fn: fn(spec, point)
+             for fn in (evaluate, jet_multivariate, hessian, hessian_det_direct,
+                        hessian_det_closed, gauss_kronecker, bordered_hessian,
+                        elasticity_report)]
+    calls += [lambda fn=fn: fn(spec, point, 1, 2) for fn in (hicks, allen)]
+    calls += [lambda fn=fn: fn(spec, [(1.0, 2.0), point])
+              for fn in (gauss_kronecker_batch, elasticity_report_batch, is_developable,
+                         check_corollary42, ces_probe)]
+    calls += [lambda: fd_jet(lambda q: evaluate(spec, q), point),
+              lambda: jet1d(spec.components[1], point[1])]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_batch_of_an_empty_list_has_no_rows():
     spec = make_cobb_douglas(1.0, (0.3, 0.7))
     assert gauss_kronecker_batch(spec, []).hessian.shape == (0, 2, 2)
