@@ -13,9 +13,10 @@ bordered determinant:
     A_ij = (sum_k x_k f_k) / (x_i x_j) * C_ij / det(H^B)
 
 where H^B has a zero corner, the gradient as border row/column and the
-Hessian as inner block. The n^2 inner cofactors come from one stacked
-partial-pivot elimination over all minors (``plu_dets``), which matches a
-per-minor ``plu_det`` bit for bit. For two variables the two measures
+Hessian as inner block. Only the cofactors an Allen entry reads are formed:
+the strict upper triangle's n(n-1)/2, at points where the bordered matrix is
+not singular, from one stacked partial-pivot elimination (``plu_dets``) that
+matches a per-minor ``plu_det`` bit for bit. For two variables the two measures
 coincide; both are invariant under smooth monotone outer transforms F(u) with
 nonzero slope, for every n (C_ij / det(H^B) scales by 1/F', the weight by F').
 Indices are 1-based; elasticities live on the strictly positive orthant.
@@ -142,29 +143,32 @@ def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
 
 
 @functools.lru_cache(maxsize=16)
-def _minor_index(n: int):
-    # keep[a] lists the rows (equally columns) of the (n+1)x(n+1) bordered
-    # matrix that remain once row a + 1 is deleted; the arrays are shared by
+def _minor_index(n: int, upper: bool):
+    # the (rows, cols, signs) that cut each chosen inner entry's minor out of
+    # the (n+1)x(n+1) bordered matrix: the strict upper triangle in
+    # np.triu_indices order, or all n^2 row by row; the arrays are shared by
     # every caller, so they are read-only
-    keep = np.array([[r for r in range(n + 1) if r != a + 1] for a in range(n)])
-    signs = np.array([[-1.0 if (a + b) % 2 else 1.0 for b in range(n)] for a in range(n)])
-    keep.setflags(write=False)
-    signs.setflags(write=False)
-    return keep[:, None, :, None], keep[None, :, None, :], signs
+    a, b = np.triu_indices(n, 1) if upper else np.indices((n, n)).reshape(2, -1)
+    keep = np.array([[r for r in range(n + 1) if r != c + 1] for c in range(n)])
+    table = keep[a, :, None], keep[b, None, :], np.where((a + b) % 2, -1.0, 1.0)
+    for t in table:
+        t.setflags(write=False)
+    return table
 
 
-#: Most minors per ``plu_dets`` call, 4 rows' at n = 10: a 2,048-row block's would take 164 MB.
+#: Most minors per ``plu_dets`` call, 8 rows' at n = 10: a 2,048-row block's would take 74 MB.
 COFACTOR_STACK = 400
 
 
-def _inner_cofactors(border: np.ndarray) -> np.ndarray:
-    # the signed inner cofactors of an (m, n+1, n+1) stack, bit for bit per-minor plu_det
+def _cofactors(border: np.ndarray, upper: bool) -> np.ndarray:
+    # the (m, entries) signed cofactors of the chosen inner entries (as in
+    # _minor_index) of an (m, n+1, n+1) stack, bit for bit per-minor plu_det
     n = border.shape[-1] - 1
-    rows, cols, signs = _minor_index(n)
-    step = max(1, COFACTOR_STACK // (n * n))
+    rows, cols, signs = _minor_index(n, upper)
+    step = max(1, COFACTOR_STACK // max(1, len(signs)))  # n = 1 has no upper entry
     dets = [plu_dets(border[s:s + step, rows, cols].reshape(-1, n, n))
             for s in range(0, len(border), step)]
-    return signs * np.concatenate([np.empty(0), *dets]).reshape(-1, n, n)
+    return signs * np.concatenate([np.empty(0), *dets]).reshape(len(border), len(signs))
 
 
 def allen(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
@@ -188,20 +192,25 @@ class ElasticityReport:
     ``hicks`` has nan on the diagonal and at pairs where it is undefined (a
     vanishing denominator or a vanishing partial of the pair); ``allen`` is
     None exactly when the bordered determinant's ``geometry._det_ratios``
-    is at most ``SINGULARITY_REL``. ``cofactors`` holds the signed cofactors
-    of the inner (Hessian) entries of the bordered matrix. ``jet`` is the
-    one jet the report was read from; ``value`` is its value slot.
+    is at most ``SINGULARITY_REL``. ``jet`` is the one jet the report was
+    read from; ``value`` is its value slot.
     """
 
     hicks: np.ndarray
     allen: np.ndarray | None
     bordered_det: float
-    cofactors: np.ndarray
     jet: Jet2N
 
     @property
     def value(self) -> float:
         return self.jet.value
+
+    @functools.cached_property
+    def cofactors(self) -> np.ndarray:
+        """The n x n signed cofactors of the inner (Hessian) entries of the
+        bordered matrix, formed from ``jet`` on first read and kept."""
+        border, _ = _bordered(self.jet.gradient, self.jet.hessian, plu_det)
+        return _cofactors(border[None], upper=False).reshape(self.jet.n, self.jet.n)
 
 
 # numpy's overflow warnings are silenced: a non-finite result raises NumericalError
@@ -225,16 +234,16 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                 hicks_m[a, b] = hicks_m[b, a] = _hicks_from_jet(jet, pt, a, b)
             except (HicksUndefined, ZeroGradientError):
                 pass
-    cof = _inner_cofactors(border[None])[0]
     singular = _det_ratios(det, border) <= SINGULARITY_REL
     allen_m = None
     if not singular:
         weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
         allen_m = np.full((n, n), math.nan)
+        cof = iter(_cofactors(border[None], upper=True)[0])  # in the loop's (a < b) order
         for a in range(n):
             for b in range(a + 1, n):
                 try:
-                    v = _allen_entry(weight, pt[a], pt[b], cof[a, b], det)
+                    v = _allen_entry(weight, pt[a], pt[b], next(cof), det)
                 except ZeroDivisionError:
                     raise NumericalError(
                         f"x{a + 1} * x{b + 1} underflows to 0 at {tuple(pt)!r}") from None
@@ -242,13 +251,13 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
                     raise NumericalError(
                         f"non-finite Allen elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
                 allen_m[a, b] = allen_m[b, a] = v
-    return ElasticityReport(hicks=hicks_m, allen=allen_m, bordered_det=det,
-                            cofactors=cof, jet=jet)
+    return ElasticityReport(hicks=hicks_m, allen=allen_m, bordered_det=det, jet=jet)
 
 
 class ElasticityBlock(NamedTuple):
     """Row i has the bits of ``elasticity_report(spec, points[i])`` (``allen`` nan where
-    ``singular``, the report's None), or is nan with the report's error in ``errors[i]``."""
+    ``singular``, the report's None), or is nan with the report's error in ``errors[i]``.
+    It holds no cofactors; ``elasticity_report(spec, points[i]).cofactors`` forms row i's."""
 
     value: np.ndarray
     gradient: np.ndarray
@@ -257,7 +266,6 @@ class ElasticityBlock(NamedTuple):
     allen: np.ndarray
     singular: np.ndarray
     bordered_det: np.ndarray
-    cofactors: np.ndarray
     errors: tuple
 
 
@@ -276,25 +284,27 @@ def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
                                        lambda p, q: np.where(q == 0.0, math.nan, p / q))
     hicks_p = np.where(undefined, math.nan, -num / den)
     failed = ~(ok & np.isfinite(det)) | np.isinf(hicks_p).any(axis=1)
-    cof = _inner_cofactors(border)
     singular = _det_ratios(det, border) <= SINGULARITY_REL
+    regular = ~failed & ~singular  # the rows whose Allen entries the report forms
     # math.fsum raises on +inf and -inf, so only where the report sums too
     weight = np.array([math.fsum((xi * g).tolist()) if good else math.nan
-                       for xi, g, good in zip(x, gradient, (~failed & ~singular).tolist())])
-    allen_p = _allen_entry(weight[:, None], x[:, a], x[:, b], cof[:, a, b], det[:, None])
+                       for xi, g, good in zip(x, gradient, regular.tolist())])
+    cof = np.full((len(x), len(a)), math.nan)
+    cof[regular] = _cofactors(border[regular], upper=True)
+    allen_p = _allen_entry(weight[:, None], x[:, a], x[:, b], cof, det[:, None])
     failed |= ~(singular | np.isfinite(allen_p).all(axis=1))
     hicks_m, allen_m = np.full((2, len(x), n, n), math.nan)
     hicks_m[:, a, b] = hicks_m[:, b, a] = hicks_p
     allen_m[:, a, b] = allen_m[:, b, a] = allen_p
     singular &= ~failed
-    for column in (value, gradient, hessian, hicks_m, allen_m, det, cof):
+    for column in (value, gradient, hessian, hicks_m, allen_m, det):
         column[failed] = math.nan
     done, errors = _per_point(elasticity_report, spec, points, failed)
     for i, r in done.items():
-        value[i], hicks_m[i], det[i], cof[i] = r.value, r.hicks, r.bordered_det, r.cofactors
+        value[i], hicks_m[i], det[i] = r.value, r.hicks, r.bordered_det
         gradient[i], hessian[i], singular[i] = r.jet.gradient, r.jet.hessian, r.allen is None
         allen_m[i] = math.nan if singular[i] else r.allen
-    return ElasticityBlock(value, gradient, hessian, hicks_m, allen_m, singular, det, cof,
+    return ElasticityBlock(value, gradient, hessian, hicks_m, allen_m, singular, det,
                            tuple(errors))
 
 

@@ -968,6 +968,15 @@ def test_missing_cells_jsonl_match_golden(capsys, argv, golden):
     assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
+def test_allen_undefined_rows_match_golden(capsys):
+    # (x1^2 / (x2 x3))^2 is Allen-singular everywhere: allen_undefined rows
+    # with empty Allen cells, and domain_error rows where x1 = -1
+    code, out, _ = _run(capsys, "elasticity", "--spec", DATA / "thm41b.json",
+                        "--points", "grid:-1.0..2.0x0.5..2.0x0.5..2.0:3")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "elasticity_thm41b_grid.csv").read_text()
+
+
 @pytest.mark.parametrize("count", [10**15, 10**19])
 def test_huge_grid_exits_2(capsys, count):
     # 10**15 samples per axis is more memory than any allocator grants, and

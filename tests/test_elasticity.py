@@ -1,5 +1,6 @@
 """Tests for Hicks/Allen elasticities, the bordered Hessian and the CES probe."""
 
+import dataclasses
 import math
 import random
 
@@ -34,6 +35,7 @@ from prodgeom import (
     jet_multivariate,
     make_acms,
     make_cobb_douglas,
+    make_thm41_family,
 )
 from prodgeom import elasticity
 from prodgeom.elasticity import SINGULARITY_REL
@@ -380,14 +382,47 @@ def test_report_cofactors_bitwise_equal_per_minor_route(seed, kind, n):
         assert allen(spec, point, n, 1).hex() == expected_allen.hex()
 
 
+def _minor_counts(monkeypatch) -> list:
+    # the stack size of every plu_dets call the elasticity module makes
+    sizes, real = [], elasticity.plu_dets
+    monkeypatch.setattr(elasticity, "plu_dets",
+                        lambda stack: sizes.append(len(stack)) or real(stack))
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_batch_forms_the_upper_cofactors_of_allen_regular_rows_only(monkeypatch, n):
+    # Cobb-Douglas is Allen-regular and the Thm 4.1b spec Allen-singular at
+    # every point: besides the bordered stack, each regular row eliminates
+    # its n(n-1)/2 upper-triangle minors and each singular row none
+    sizes = _minor_counts(monkeypatch)
+    regular = make_cobb_douglas(1.0, (1.0 / n,) * n)
+    singular = make_thm41_family("b", outer=Power(2.0), alphas=(n - 1.0,) + (-1.0,) * (n - 1))
+    for spec, rows, minors in ((regular, 3, n * (n - 1) // 2), (singular, 2, 0)):
+        sizes.clear()
+        block = elasticity_report_batch(spec, points_loguniform(n, rows, 7))
+        assert block.errors == (None,) * rows and block.singular.tolist() == [not minors] * rows
+        assert sizes[0] == rows and sum(sizes[1:]) == rows * minors
+
+
+def test_report_forms_its_cofactors_on_first_read(monkeypatch):
+    sizes = _minor_counts(monkeypatch)
+    report = elasticity_report(RATIO, (1.0, 1.0))
+    assert report.allen is None and sizes == []
+    cofactors = report.cofactors
+    assert cofactors.shape == (2, 2) and sizes == [4]
+    assert report.cofactors is cofactors and sizes == [4]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.bordered_det = 0.0
+
+
 # the jets' edge coordinates, a zero of (x - 1)-type factors, and 1e300
 _BATCH_COORDS = _JET_COORDS + (1.0, 1e300)
 
 
-def _report_bits(value, gradient, hessian, hicks_m, det, cofactors, allen_m) -> list:
+def _report_bits(value, gradient, hessian, hicks_m, det, allen_m) -> list:
     return [float(v).hex() for v in (value, det, *gradient, *np.ravel(hessian),
-                                     *np.ravel(hicks_m), *np.ravel(cofactors),
-                                     *np.ravel(allen_m))]
+                                     *np.ravel(hicks_m), *np.ravel(allen_m))]
 
 
 @settings(deadline=None)
@@ -411,11 +446,10 @@ def test_batch_bitwise_equals_elasticity_report(seed, kind, outer, n, m):
             continue
         assert block.errors[i] is None and block.singular[i] == (rep.allen is None)
         assert _report_bits(block.value[i], block.gradient[i], block.hessian[i],
-                            block.hicks[i], block.bordered_det[i], block.cofactors[i],
+                            block.hicks[i], block.bordered_det[i],
                             block.allen[i] if rep.allen is not None else ()) == \
             _report_bits(rep.value, rep.jet.gradient, rep.jet.hessian, rep.hicks,
-                         rep.bordered_det, rep.cofactors, rep.allen if rep.allen is not None
-                         else ())
+                         rep.bordered_det, rep.allen if rep.allen is not None else ())
         if rep.allen is None:
             assert np.isnan(block.allen[i]).all()
 
@@ -457,7 +491,7 @@ def test_batch_rows_and_errors(monkeypatch):
     with pytest.raises(ValidationError):
         elasticity_report_batch(spec, [(1.0, 1.0, 1.0)])
     empty = elasticity_report_batch(spec, np.zeros((0, 2)))
-    assert empty.errors == () and empty.cofactors.shape == (0, 2, 2)
+    assert empty.errors == () and empty.allen.shape == (0, 2, 2)
     # a flagged row where the report returns gets the report's result, not a nan row
     columns = elasticity._jet_columns
     for spec in (Homothetical((PowFn(1.0, 0.0, 0.5), PowFn(1.0, 1.0, 2.0))), RATIO):
