@@ -44,6 +44,7 @@ from .funcspec import (
     OuterFn,
     PowFn,
     _point_rows,
+    _pow_product,
     make_cobb_douglas,
 )
 from .geometry import gauss_kronecker_batch
@@ -161,18 +162,15 @@ def classify_ces(spec: FunctionSpec) -> ClassificationVerdict:
     raise SpecError(f"constant-elasticity classification got unknown kind {spec!r}")
 
 
-def _make_exp_or_pow_family(case: str, build, target: float, components, alphas, betas,
-                            gamma: float):
-    # case a and b constructors shared by Thm 3.1 and Thm 4.1; ``build``
-    # wraps the component tuple into the family's spec kind
+def _make_exp_or_pow_family(case: str, build, classify, target: float, components, alphas,
+                            betas, gamma: float):
+    # case a and b constructors of Thm 3.1 and Thm 4.1: ``build`` makes the
+    # family's spec kind, and its decider ``classify`` must put it in ``case``
     if case == "a":
         if components is None:
             raise ValidationError("case a needs an explicit component list")
         spec = build(tuple(components))
-        if len(_exp_indices(spec.components)) < 2:
-            raise ValidationError("case a needs at least two exponential components")
-        return spec
-    if case == "b":
+    elif case == "b":
         if alphas is None:
             raise ValidationError("case b needs the exponent list")
         alphas = [float(a) for a in alphas]
@@ -180,19 +178,20 @@ def _make_exp_or_pow_family(case: str, build, target: float, components, alphas,
             raise ValidationError("case b needs at least one exponent")
         if any(a == 0.0 for a in alphas):
             raise ValidationError("case b exponents must all be nonzero")
-        total = math.fsum(alphas)
-        if abs(total - target) > PARAM_TOL:
-            raise ValidationError(f"case b exponents must sum to {target:g}, got {total!r}")
         if gamma == 0.0:
             raise ValidationError("gamma must be nonzero")
         betas = [0.0] * len(alphas) if betas is None else [float(b) for b in betas]
         if len(betas) != len(alphas):
             raise ValidationError("betas and alphas must have the same length")
-        comps = [PowFn(gamma=float(gamma), beta=betas[0], alpha=alphas[0])]
-        comps.extend(PowFn(gamma=1.0, beta=b, alpha=a)
-                     for a, b in zip(alphas[1:], betas[1:]))
-        return build(tuple(comps))
-    raise ValidationError(f"unknown case {case!r}, expected 'a' or 'b'")
+        spec = build(_pow_product(gamma, alphas, betas))
+    else:
+        raise ValidationError(f"unknown case {case!r}, expected 'a' or 'b'")
+    verdict = classify(spec)
+    if not verdict.family.endswith(f"_{case}"):
+        raise ValidationError("case a needs at least two exponential components" if case == "a"
+                              else f"case b exponents must sum to {target:g}, "
+                                   f"got {verdict.certificate['alpha_sum']!r}")
+    return spec
 
 
 def make_thm31_family(case: str, components: Sequence | None = None,
@@ -201,12 +200,13 @@ def make_thm31_family(case: str, components: Sequence | None = None,
                       gamma: float = 1.0) -> Homothetical:
     """Construct a member of a developable product family.
 
-    Case "a" takes a full component list containing at least two exponential
-    components. Case "b" takes nonzero exponents summing to 1 (to 1e-12),
-    optional shifts (default 0) and a nonzero overall gamma on the first
-    component.
+    Case "a" takes a component list with two or more exponential components,
+    case "b" nonzero exponents, optional shifts (default 0) and a nonzero
+    gamma on the first component. ``classify_developable`` must find the spec
+    in that case (for b, exponents summing to 1 to 1e-12): else ValidationError.
     """
-    return _make_exp_or_pow_family(case, Homothetical, 1.0, components, alphas, betas, gamma)
+    return _make_exp_or_pow_family(case, Homothetical, classify_developable, 1.0, components,
+                                   alphas, betas, gamma)
 
 
 def make_thm41_family(case: str, components: Sequence | None = None,
@@ -216,12 +216,12 @@ def make_thm41_family(case: str, components: Sequence | None = None,
                       gamma: float = 1.0) -> Composite:
     """Construct a composite spec whose bordered (Allen) matrix is singular.
 
-    Case "a" wraps a component list containing at least two exponential
-    components; case "b" builds shifted-power inner components with exponent
-    sum 0 (to 1e-12).
+    Case "a" wraps a component list, case "b" builds shifted-power inner
+    components, as in ``make_thm31_family``; ``classify_allen_singular`` must
+    find the spec in that case (for b, exponent sum 0 to 1e-12).
     """
-    return _make_exp_or_pow_family(case, lambda comps: Composite(outer, comps), 0.0,
-                                   components, alphas, betas, gamma)
+    return _make_exp_or_pow_family(case, lambda comps: Composite(outer, comps),
+                                   classify_allen_singular, 0.0, components, alphas, betas, gamma)
 
 
 def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
@@ -235,8 +235,8 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
     ``make_cobb_douglas`` builds from the exponents and gamma. Case "b":
     outer-composed CES with exponent rho = (sigma-1)/sigma for sigma > 0,
     sigma != 1. Case "c": two log-power components ln(x_i)^mu_i with
-    mu_2 = -mu_1 (sigma = 1); the constructor enforces the reciprocal-sum
-    constraint because the unconstrained shape is not constant-elasticity.
+    mu_2 = -mu_1 (sigma = 1); ``classify_ces`` must find the pair in case c,
+    since the shape without that constraint is not constant-elasticity.
     """
     if case == "a":
         if alphas is None:
@@ -263,11 +263,10 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
             raise ValidationError("case c is a two-variable family")
         if any(m == 0.0 for m in mus):
             raise ValidationError("case c exponents must be nonzero")
-        if abs(1.0 / mus[0] + 1.0 / mus[1]) > PARAM_TOL:
-            raise ValidationError(
-                f"case c needs 1/mu_1 + 1/mu_2 = 0, got mu = {tuple(mus)!r}")
-        return Composite(outer, (LogPowFn(a=0.0, b=1.0, m=mus[0]),
-                                 LogPowFn(a=0.0, b=1.0, m=mus[1])))
+        spec = Composite(outer, tuple(LogPowFn(a=0.0, b=1.0, m=m) for m in mus))
+        if classify_ces(spec).family != "thm51_c":
+            raise ValidationError(f"case c needs 1/mu_1 + 1/mu_2 = 0, got mu = {tuple(mus)!r}")
+        return spec
     raise ValidationError(f"unknown case {case!r}, expected 'a', 'b' or 'c'")
 
 

@@ -14,8 +14,8 @@ float is a missing cell: empty in CSV, null in JSONL. The argument parser
 is built on the first ``run`` and reused by later ones.
 
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
-failure. Singular points in a batch never fail the run; they are reported in
-the per-row ``status`` column (``ok``, ``hicks_undefined``,
+failure, 4 out of memory. Singular points in a batch never fail the run; they
+are reported in the per-row ``status`` column (``ok``, ``hicks_undefined``,
 ``allen_undefined``, ``domain_error``).
 """
 
@@ -381,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Entry point returning the process exit code."""
+    """Entry point returning the exit code; an error prints one stderr line."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -403,6 +403,9 @@ def run(argv: Sequence[str]) -> int:
         if isinstance(e, (ParseError, ValidationError, SpecError)):
             return 2
         return 1 if isinstance(e, DomainError) else 3
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -20,11 +20,12 @@ bit-equal parameters); no "up to constants" normalisation is applied.
 Each component class defines its kind once: a guarded ``value(x)``, its
 derivatives ``derivs(x, value)``, and its wire-format ``TAG`` and ``WIRE``
 field names (in dataclass field order). Each outer map likewise has a guarded
-``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``. ``evaluate`` and the jets
-share one value pass, so every domain guard runs before any derivative;
-``_term_column``, ``_term_core`` and ``_core_value`` run that pass over many
-points at once, bit for bit, and ``_value_pass`` runs the whole pass on a
-block with each axis's term once per distinct coordinate (``_axis_groups``).
+``value(u)``, ``derivs(u)``, ``TAG`` and ``WIRE``, and each spec kind a
+``TAG`` (its ``kind``) and ``WIRE``. ``evaluate`` and the jets share one
+value pass, so every domain guard runs before any derivative; ``_term_column``,
+``_term_core`` and ``_core_value`` run that pass over many points at once,
+bit for bit, and ``_value_pass`` runs the whole pass on a block with each
+axis's term once per distinct coordinate (``_axis_groups``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -44,13 +45,15 @@ def _is_nonneg_int(a: float) -> bool:
     return a >= 0.0 and float(a).is_integer()
 
 
+def _wire_values(obj) -> list:
+    """A model object's values in ``WIRE`` order: its dataclass fields, in order."""
+    return [getattr(obj, name) for name in obj.__match_args__]
+
+
 def _check_finite(obj, label: str) -> None:
-    """Reject a nan or infinite number among the fields of a component, outer
-    map or CES spec (tuple fields entry by entry), naming ``label`` and the
-    field by its wire name (``WIRE``, where the class has one)."""
-    members = fields(obj)
-    for name, member in zip(getattr(obj, "WIRE", [m.name for m in members]), members):
-        value = getattr(obj, member.name)
+    """Reject a nan or infinite number among a model object's ``WIRE`` fields
+    (tuples entry by entry), naming ``label`` and the field by its wire name."""
+    for name, value in zip(obj.WIRE, _wire_values(obj)):
         for k, v in enumerate(value) if isinstance(value, tuple) else [(None, value)]:
             if isinstance(v, (int, float)) and not math.isfinite(v):
                 where = name if k is None else f"{name}[{k}]"
@@ -258,58 +261,59 @@ OuterFn = Union[Identity, Power, Scale, Log]
 # Multivariate spec kinds
 
 
-def _as_components(components) -> tuple:
-    comps = tuple(components)
-    if len(comps) < 1:
-        raise ValidationError("a spec needs at least one component")
-    return comps
+class _Kind:
+    """What every spec kind shares: ``kind`` is its wire ``TAG``."""
+
+    @property
+    def kind(self) -> str:
+        return self.TAG
 
 
-@dataclass(frozen=True)
-class Homothetical:
-    """Product form f(x) = f1(x1) * ... * fn(xn)."""
-
-    components: tuple
+class _Product(_Kind):
+    """A product kind: a non-empty tuple of components, one per variable."""
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _as_components(self.components))
+        object.__setattr__(self, "components", tuple(self.components))
+        if not self.components:
+            raise ValidationError("a spec needs at least one component")
 
     @property
     def n(self) -> int:
         return len(self.components)
 
-    @property
-    def kind(self) -> str:
-        return "homothetical"
+
+@dataclass(frozen=True)
+class Homothetical(_Product):
+    """Product form f(x) = f1(x1) * ... * fn(xn)."""
+
+    TAG = "homothetical"
+    WIRE = ("components",)
+
+    components: tuple
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Product):
     """Outer-composed product f(x) = F(h1(x1) * ... * hn(xn))."""
+
+    TAG = "composite"
+    WIRE = ("outer", "components")
 
     outer: OuterFn
     components: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", _as_components(self.components))
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    @property
-    def kind(self) -> str:
-        return "composite"
-
 
 @dataclass(frozen=True)
-class Acms:
+class Acms(_Kind):
     """CES form f(x) = F(gamma * (sum_i (beta_i x_i)^rho)^(d/rho)).
 
     Constructor-level validation (``make_acms``, ``parse_spec``) additionally
     enforces rho < 1 unless relaxed; the dataclass itself only requires the
     always-mandatory constraints so that relaxed specs stay representable.
     """
+
+    TAG = "acms"
+    WIRE = ("gamma", "betas", "rho", "d", "outer")
 
     gamma: float
     betas: tuple
@@ -336,16 +340,18 @@ class Acms:
     def n(self) -> int:
         return len(self.betas)
 
-    @property
-    def kind(self) -> str:
-        return "acms"
-
 
 FunctionSpec = Union[Homothetical, Composite, Acms]
 
 
 # ---------------------------------------------------------------------------
 # Constructors
+
+
+def _pow_product(gamma: float, alphas, betas) -> tuple:
+    """Shifted powers (x_k + betas[k])^alphas[k], gamma times the first one."""
+    return tuple(PowFn(gamma=float(gamma) if k == 0 else 1.0, beta=b, alpha=a)
+                 for k, (a, b) in enumerate(zip(alphas, betas)))
 
 
 def make_cobb_douglas(gamma: float, alphas: Sequence[float]) -> Homothetical:
@@ -362,9 +368,7 @@ def make_cobb_douglas(gamma: float, alphas: Sequence[float]) -> Homothetical:
     for k, a in enumerate(alphas):
         if a == 0.0:
             raise ValidationError(f"cobb-douglas: alphas[{k}] must be nonzero")
-    comps = [PowFn(gamma=float(gamma), beta=0.0, alpha=alphas[0])]
-    comps.extend(PowFn(gamma=1.0, beta=0.0, alpha=a) for a in alphas[1:])
-    return Homothetical(tuple(comps))
+    return Homothetical(_pow_product(gamma, alphas, [0.0] * len(alphas)))
 
 
 def make_acms(gamma: float, betas: Sequence[float], rho: float, d: float,
@@ -585,6 +589,7 @@ def _value_pass(spec: FunctionSpec, points: np.ndarray) -> tuple:
 # JSON wire format
 
 
+_KINDS = {k.TAG: k for k in (Homothetical, Composite, Acms)}
 _COMPONENTS = {c.TAG: c for c in (PowFn, ExpFn, LogPowFn)}
 _OUTERS = {o.TAG: o for o in (Identity, Power, Scale, Log)}
 
@@ -626,19 +631,31 @@ def _parse_kind(obj, path: str, table: dict):
         raise ValidationError(f"{path}: {e}") from None
 
 
-def _parse_components(obj, path: str) -> tuple:
-    if not isinstance(obj, list):
-        raise ParseError(f"{path}: expected a list of components")
-    if not obj:
-        raise ValidationError(f"{path}: needs at least one component")
-    return tuple(_parse_kind(c, f"{path}[{k}]", _COMPONENTS) for k, c in enumerate(obj))
+def _parse_field(name: str, value):
+    """A spec kind's wire field by its name's one rule: the component list,
+    the outer map, the beta list, or else a number."""
+    if name == "components":
+        if not isinstance(value, list):
+            raise ParseError(f"{name}: expected a list of components")
+        if not value:
+            raise ValidationError(f"{name}: needs at least one component")
+        return tuple(_parse_kind(c, f"{name}[{k}]", _COMPONENTS) for k, c in enumerate(value))
+    if name == "outer":
+        return _parse_kind(value, name, _OUTERS)
+    if name == "betas":
+        if not isinstance(value, list) or not value:
+            raise ParseError(f"{name}: expected a non-empty list of numbers")
+        return [_num(b, f"{name}[{k}]") for k, b in enumerate(value)]
+    return _num(value, name)
 
 
 def parse_spec(text: str, *, relax_rho: bool = False) -> FunctionSpec:
     """Parse the JSON spec format (strict: unknown fields are an error).
 
-    Raises ParseError with field diagnostics for malformed text and
-    ValidationError for parameter-constraint violations.
+    ``kind`` picks the class, whose ``WIRE`` fields ``_parse_field`` reads in
+    order; ``make_acms`` builds a CES spec. Raises ParseError with field
+    diagnostics for malformed text and ValidationError for parameter-constraint
+    violations.
     """
     try:
         obj = json.loads(text)
@@ -649,47 +666,31 @@ def parse_spec(text: str, *, relax_rho: bool = False) -> FunctionSpec:
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")
     kind = obj.get("kind")
-    if kind == "homothetical":
-        _check_fields(obj, ("kind", "components"), "top level")
-        return Homothetical(_parse_components(obj["components"], "components"))
-    if kind == "composite":
-        _check_fields(obj, ("kind", "outer", "components"), "top level")
-        return Composite(_parse_kind(obj["outer"], "outer", _OUTERS),
-                         _parse_components(obj["components"], "components"))
-    if kind == "acms":
-        _check_fields(obj, ("kind", "gamma", "betas", "rho", "d", "outer"), "top level")
-        betas = obj["betas"]
-        if not isinstance(betas, list) or not betas:
-            raise ParseError("betas: expected a non-empty list of numbers")
-        return make_acms(gamma=_num(obj["gamma"], "gamma"),
-                         betas=[_num(b, f"betas[{k}]") for k, b in enumerate(betas)],
-                         rho=_num(obj["rho"], "rho"),
-                         d=_num(obj["d"], "d"),
-                         outer=_parse_kind(obj["outer"], "outer", _OUTERS),
-                         relax_rho=relax_rho)
-    raise ParseError(f"kind: expected one of homothetical, composite, acms; got {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"kind: expected one of {', '.join(_KINDS)}; got {kind!r}")
+    _check_fields(obj, ("kind",) + cls.WIRE, "top level")
+    values = [_parse_field(w, obj[w]) for w in cls.WIRE]
+    return make_acms(*values, relax_rho=relax_rho) if cls is Acms else cls(*values)
 
 
-def _kind_obj(c) -> dict:
-    # WIRE names the dataclass fields in order
-    return {"type": c.TAG, **{w: getattr(c, f.name) for w, f in zip(c.WIRE, fields(c))}}
+def _wire(obj, key: str = "type"):
+    """The wire form of a spec kind, component or outer map (a dict: ``key``
+    naming its ``TAG``, then its ``WIRE`` fields in order), a tuple (a list)
+    or a number (itself)."""
+    if isinstance(obj, tuple):
+        return [_wire(v) for v in obj]
+    if not hasattr(obj, "WIRE"):
+        return obj
+    return {key: obj.TAG, **{w: _wire(v) for w, v in zip(obj.WIRE, _wire_values(obj))}}
 
 
 def serialize_spec(spec: FunctionSpec) -> str:
     """Serialize to the JSON wire format; round-trips through parse_spec.
 
-    Fields are emitted in a fixed order and numbers in Python's shortest
-    round-trip decimal form.
+    Fields are emitted in ``WIRE`` order after ``kind``, and numbers in
+    Python's shortest round-trip decimal form.
     """
-    if isinstance(spec, Homothetical):
-        obj = {"kind": "homothetical",
-               "components": [_kind_obj(c) for c in spec.components]}
-    elif isinstance(spec, Composite):
-        obj = {"kind": "composite", "outer": _kind_obj(spec.outer),
-               "components": [_kind_obj(c) for c in spec.components]}
-    elif isinstance(spec, Acms):
-        obj = {"kind": "acms", "gamma": spec.gamma, "betas": list(spec.betas),
-               "rho": spec.rho, "d": spec.d, "outer": _kind_obj(spec.outer)}
-    else:
+    if not isinstance(spec, _Kind):
         raise ValidationError(f"unknown spec kind {spec!r}")
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(_wire(spec, "kind"), separators=(",", ":"))

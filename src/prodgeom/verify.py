@@ -17,7 +17,7 @@ import numpy as np
 from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
 from .elasticity import (_bordered_ratios, _hicks_from_jet, _positive_rows, bordered_hessian,
                          ces_probe, elasticity_report, hicks)
-from .errors import HicksUndefined, NumericalError, ZeroGradientError
+from .errors import HicksUndefined, ZeroGradientError
 from .funcspec import (
     Acms,
     Composite,
@@ -35,7 +35,6 @@ from .funcspec import (
 )
 from .geometry import (
     _det_ratios,
-    _squared_norms,
     gauss_kronecker,
     gauss_kronecker_batch,
     hessian_det_closed,
@@ -106,20 +105,17 @@ def _flatness_evidence(spec, points):
 
     The points run as one block through ``gauss_kronecker_batch`` and
     ``plu_dets``, bit for bit as ``gauss_kronecker`` and ``plu_det`` point by
-    point. Once every point is checked (``_point_rows``), the first row error
-    is raised: ``gauss_kronecker``'s, or a NumericalError naming the point
-    where (1 + g.g)^((n+2)/2) overflows although omega^(n+2) did not.
+    point, and the LU determinants are divided by the block's omega^(n+2),
+    formed as the curvature's own (``_column_pow``). Once every point is
+    checked (``_point_rows``), the block's first row error is raised.
     """
-    x = _point_rows(spec, points)
-    block = gauss_kronecker_batch(spec, x)
-    power = (spec.n + 2) / 2.0
-    omega_pow = _column_pow(1.0 + _squared_norms(block.gradient), power)
-    for i in np.flatnonzero(np.isnan(omega_pow)).tolist():  # error rows have nan gradients
-        if block.errors[i] is not None:
-            raise block.errors[i]
-        raise NumericalError(f"(1 + g.g)^{power} overflowed at {tuple(x[i].tolist())!r}")
+    block = gauss_kronecker_batch(spec, points)
+    for error in block.errors:
+        if error is not None:
+            raise error
     abs_dets = np.abs(plu_dets(block.hessian))
-    worst_g = np.max(np.maximum(np.abs(block.gk_curvature), abs_dets / omega_pow), initial=0.0)
+    lu_g = abs_dets / _column_pow(block.omega, spec.n + 2)
+    worst_g = np.max(np.maximum(np.abs(block.gk_curvature), lu_g), initial=0.0)
     return float(worst_g), float(np.max(_det_ratios(abs_dets, block.hessian), initial=0.0))
 
 

@@ -72,20 +72,15 @@ def _loop_corollary42(spec, sample_points, tol):
 
 
 def _loop_flatness(spec, points):
-    # verify._flatness_evidence before it ran its points as a block
+    # verify._flatness_evidence before it ran its points as a block; the LU
+    # determinant is divided by the curvature's own omega^(n+2)
     _point_rows(spec, points)
     gs, rels = [], []
     for p in points:
         rec = gauss_kronecker(spec, p)
         jet = rec.jet
         det_lu = plu_det(jet.hessian)
-        power = (jet.n + 2) / 2.0
-        try:
-            omega_pow = (1.0 + float(np.dot(jet.gradient, jet.gradient))) ** power
-        except OverflowError:
-            raise NumericalError(
-                f"(1 + g.g)^{power} overflowed at {tuple(map(float, p))!r}") from None
-        gs.append(max(abs(rec.gk_curvature), abs(det_lu) / omega_pow)
+        gs.append(max(abs(rec.gk_curvature), abs(det_lu) / rec.omega ** (jet.n + 2))
                   if det_lu == det_lu else math.nan)
         rels.append(_scale_relative(det_lu, jet.hessian))
     return _max(gs), _max(rels)
@@ -207,17 +202,21 @@ def test_certificate_loops_check_every_point_first(points):
         _outcome(_loop_developable, spec, points, 1e-8)
 
 
-def test_flatness_evidence_raises_the_loops_overflow_of_omega_pow():
-    # c x1 x2 x3 at (0.25, 1, 1): omega^5 stays finite, so gauss_kronecker
-    # returns, but (1 + g.g)^2.5 overflows on Python floats: a NumericalError
-    # that names the point, at that row's place in the order
+def test_flatness_evidence_checks_arity_before_any_point():
+    # c x1 x2 x3: at (0.25, 1, 1) omega^5 stays finite, so gauss_kronecker
+    # returns, and both routes divide by that omega^5 (on Python floats,
+    # (1 + g.g)^2.5 would overflow there); at (-1, 1, 1) omega^5 overflows,
+    # which is gauss_kronecker's own error, raised at that row's place
     spec = Homothetical((PowFn(4.220528630999172e+61, 0.0, 1.0), PowFn(1.0, 0.0, 1.0),
                          PowFn(1.0, 0.0, 1.0)))
-    gauss_kronecker(spec, (0.25, 1.0, 1.0))
-    for points in ([(0.25, 1.0, 1.0)], [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0, 1.0)]):
-        expected = _outcome(_loop_flatness, spec, points)
-        assert expected == (NumericalError, "(1 + g.g)^2.5 overflowed at (0.25, 1.0, 1.0)")
-        assert _outcome(verify._flatness_evidence, spec, points) == expected
+    points = [(0.25, 1.0, 1.0)]
+    expected = _outcome(_loop_flatness, spec, points)
+    assert all(isinstance(v, str) for v in expected)
+    assert _outcome(verify._flatness_evidence, spec, points) == expected
+    points = [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0, 1.0)]
+    expected = _outcome(_loop_flatness, spec, points)
+    assert expected == (NumericalError, "omega^5 overflowed at (-1.0, 1.0, 1.0)")
+    assert _outcome(verify._flatness_evidence, spec, points) == expected
     # a point of the wrong arity is a ValidationError before any point is evaluated
     points = [(1e-3, 1.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 1.0)]
     expected = _outcome(_loop_flatness, spec, points)

@@ -90,6 +90,15 @@ def test_make_thm31_case_b_validates_sum():
         make_thm31_family("b", alphas=(0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("alphas", [(math.inf, -math.inf), (math.inf, 0.5)])
+def test_make_thm31_case_b_names_a_non_finite_exponent(alphas):
+    # the components are built before the family test, so a non-finite
+    # exponent is the component's own error, not a sum (or math.fsum's
+    # bare ValueError for inf + -inf)
+    with pytest.raises(ValidationError, match="pow component: alpha must be finite"):
+        make_thm31_family("b", alphas=alphas)
+
+
 def test_make_thm31_case_a_needs_two_exponentials():
     with pytest.raises(ValidationError):
         make_thm31_family("a", components=(ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 2.0)))

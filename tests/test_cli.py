@@ -1004,6 +1004,43 @@ def test_grid_rows_past_the_index_range_exit_2():
     assert run_.stderr == "error: grid sample count 100000 is too large\n"
 
 
+def test_failed_allocation_exits_4(tmp_path):
+    # an n = 300 product of square roots at 2,048 points: one block's dense
+    # Hessians take 1.4 GiB, more than a child capped at 1 GB can allocate.
+    # The run exits 4 with one stderr line and no stdout, where a spec that
+    # fits under the same cap gives its golden bytes (one BLAS thread, as above)
+    n = 300
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"kind": "homothetical", "components": [
+        {"type": "pow", "gamma": 1, "beta": 0, "alpha": 0.5}] * n}))
+    points = tmp_path / "wide.csv"  # one point repeated, so the jets are cheap
+    points.write_text((",".join(["1.5"] * n) + "\n") * 2048)
+    cap = 1 << 30
+
+    def capped(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "prodgeom", *map(str, argv)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(prodgeom.__file__).parent.parent),
+                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+    wide = capped("curvature", "--spec", spec, "--points", points)
+    assert (wide.returncode, wide.stdout) == (4, "")
+    assert wide.stderr.startswith("error: out of memory: ") and wide.stderr.count("\n") == 1
+    fits = capped("curvature", "--spec", DATA / "cobb_douglas_crs.json",
+                  "--points", "grid:0.5..2.0x0.5..2.0:5")
+    golden = (Path(__file__).parent / "golden" / "curvature_cobb_douglas_grid.csv").read_text()
+    assert (fits.returncode, fits.stdout, fits.stderr) == (0, golden, "")
+
+
+def test_verify_seed_42_matches_golden(capsys):
+    # the contract run's stdout, byte for byte
+    code, out, err = _run(capsys, "verify", "--seed", "42")
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / "verify_seed42.txt").read_text()
+
+
 def test_grid_points_memory_does_not_grow_with_the_rows():
     # a grid block is gathered from the axes when it is formed, so the traced
     # peak of loading and blocking a grid grows with its axes (each value and

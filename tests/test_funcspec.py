@@ -174,7 +174,9 @@ _specs = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+# at least 200 examples, and the loaded profile's count where it is larger
+# (the CI fuzz step's 10,000)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(spec=_specs)
 def test_parse_serialize_round_trip(spec):
     assert parse_spec(serialize_spec(spec)) == spec
