@@ -45,6 +45,9 @@ from .funcspec import (
     PowFn,
     _point_rows,
     _pow_product,
+    _real,
+    _reals,
+    make_acms,
     make_cobb_douglas,
 )
 from .geometry import gauss_kronecker_batch
@@ -169,18 +172,19 @@ def _make_exp_or_pow_family(case: str, build, classify, target: float, component
     if case == "a":
         if components is None:
             raise ValidationError("case a needs an explicit component list")
-        spec = build(tuple(components))
+        spec = build(components)
     elif case == "b":
         if alphas is None:
             raise ValidationError("case b needs the exponent list")
-        alphas = [float(a) for a in alphas]
+        alphas = _reals(alphas, "alphas")
         if not alphas:
             raise ValidationError("case b needs at least one exponent")
         if any(a == 0.0 for a in alphas):
             raise ValidationError("case b exponents must all be nonzero")
+        gamma = _real(gamma, "gamma")
         if gamma == 0.0:
             raise ValidationError("gamma must be nonzero")
-        betas = [0.0] * len(alphas) if betas is None else [float(b) for b in betas]
+        betas = [0.0] * len(alphas) if betas is None else _reals(betas, "betas")
         if len(betas) != len(alphas):
             raise ValidationError("betas and alphas must have the same length")
         spec = build(_pow_product(gamma, alphas, betas))
@@ -245,27 +249,25 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
     if case == "b":
         if sigma is None:
             raise ValidationError("case b needs sigma")
-        sigma = float(sigma)
+        sigma = _real(sigma, "sigma")
         if sigma == 1.0:
             raise ValidationError("case b needs sigma != 1 (sigma = 1 is case a)")
         if sigma <= 0.0:
             raise ValidationError("case b needs sigma > 0 so that rho < 1")
         if betas is None:
             raise ValidationError("case b needs the beta weights")
-        rho = (sigma - 1.0) / sigma
-        return Acms(gamma=float(gamma), betas=tuple(float(b) for b in betas),
-                    rho=rho, d=float(d), outer=outer)
+        return make_acms(gamma, betas, (sigma - 1.0) / sigma, d, outer)
     if case == "c":
         if mu is None:
             raise ValidationError("case c needs the mu pair")
-        mus = [float(m) for m in mu]
+        mus = _reals(mu, "mu")
         if len(mus) != 2:
             raise ValidationError("case c is a two-variable family")
         if any(m == 0.0 for m in mus):
             raise ValidationError("case c exponents must be nonzero")
         spec = Composite(outer, tuple(LogPowFn(a=0.0, b=1.0, m=m) for m in mus))
         if classify_ces(spec).family != "thm51_c":
-            raise ValidationError(f"case c needs 1/mu_1 + 1/mu_2 = 0, got mu = {tuple(mus)!r}")
+            raise ValidationError(f"case c needs 1/mu_1 + 1/mu_2 = 0, got mu = {mus!r}")
         return spec
     raise ValidationError(f"unknown case {case!r}, expected 'a', 'b' or 'c'")
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -50,14 +51,26 @@ def _wire_values(obj) -> list:
     return [getattr(obj, name) for name in obj.__match_args__]
 
 
-def _check_finite(obj, label: str) -> None:
-    """Reject a nan or infinite number among a model object's ``WIRE`` fields
-    (tuples entry by entry), naming ``label`` and the field by its wire name."""
+def _check_wire(obj, label: str) -> None:
+    """The number and slot rules on a model object's ``WIRE`` fields
+    (``betas`` and ``components`` entry by entry): an ``outer`` field must be
+    one of the ``OuterFn`` classes and a ``components`` entry one of the
+    ``ComponentFn`` classes; any other value must be a finite real number by
+    ``_real``'s rule, an int too large for a float counting as infinite. An
+    error names ``label`` and the field by its wire name, formed only then."""
     for name, value in zip(obj.WIRE, _wire_values(obj)):
-        for k, v in enumerate(value) if isinstance(value, tuple) else [(None, value)]:
-            if isinstance(v, (int, float)) and not math.isfinite(v):
-                where = name if k is None else f"{name}[{k}]"
-                raise ValidationError(f"{label}: {where} must be finite, got {v!r}")
+        kinds = (OuterFn.__args__ if name == "outer"
+                 else ComponentFn.__args__ if name == "components" else ())
+        for k, v in enumerate(value) if name in ("betas", "components") else [(None, value)]:
+            if isinstance(v, kinds) if kinds else type(v) is float and math.isfinite(v):
+                continue
+            where = f"{label}: {name}" if k is None else f"{label}: {name}[{k}]"
+            if kinds:
+                names = ", ".join(c.__name__ for c in kinds)
+                raise ValidationError(f"{where} must be one of {names}; got {v!r}")
+            number = _real(v, where)
+            if not math.isfinite(number):
+                raise ValidationError(f"{where} must be finite, got {number!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +89,7 @@ class PowFn:
     alpha: float
 
     def __post_init__(self):
-        _check_finite(self, "pow component")
+        _check_wire(self, "pow component")
         if self.gamma == 0.0:
             raise ValidationError("pow component: gamma must be nonzero")
         if self.alpha == 0.0:
@@ -115,7 +128,7 @@ class ExpFn:
     lam: float
 
     def __post_init__(self):
-        _check_finite(self, "exp component")
+        _check_wire(self, "exp component")
         if self.gamma == 0.0:
             raise ValidationError("exp component: gamma must be nonzero")
         if self.lam == 0.0:
@@ -141,7 +154,7 @@ class LogPowFn:
     m: float
 
     def __post_init__(self):
-        _check_finite(self, "logpow component")
+        _check_wire(self, "logpow component")
         if self.b == 0.0:
             raise ValidationError("logpow component: b must be nonzero")
         if self.m == 0.0:
@@ -200,7 +213,7 @@ class Power:
     d: float
 
     def __post_init__(self):
-        _check_finite(self, "power outer")
+        _check_wire(self, "power outer")
         if self.d == 0.0:
             raise ValidationError("power outer: d must be nonzero")
 
@@ -227,7 +240,7 @@ class Scale:
     gamma: float
 
     def __post_init__(self):
-        _check_finite(self, "scale outer")
+        _check_wire(self, "scale outer")
         if self.gamma <= 0.0:
             raise ValidationError("scale outer: gamma must be positive")
 
@@ -273,9 +286,14 @@ class _Product(_Kind):
     """A product kind: a non-empty tuple of components, one per variable."""
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        try:
+            object.__setattr__(self, "components", tuple(self.components))
+        except TypeError:
+            raise ValidationError(f"{self.TAG}: components must be a sequence of components, "
+                                  f"got {self.components!r}") from None
         if not self.components:
             raise ValidationError("a spec needs at least one component")
+        _check_wire(self, self.TAG)
 
     @property
     def n(self) -> int:
@@ -307,9 +325,11 @@ class Composite(_Product):
 class Acms(_Kind):
     """CES form f(x) = F(gamma * (sum_i (beta_i x_i)^rho)^(d/rho)).
 
-    Constructor-level validation (``make_acms``, ``parse_spec``) additionally
-    enforces rho < 1 unless relaxed; the dataclass itself only requires the
-    always-mandatory constraints so that relaxed specs stay representable.
+    ``make_acms``, the package's one builder of CES specs (``parse_spec``,
+    ``make_thm51_family`` and verify call it), additionally enforces rho < 1
+    unless relaxed; the dataclass itself only requires the always-mandatory
+    constraints so that relaxed specs stay representable. It is the one
+    place that converts betas to floats.
     """
 
     TAG = "acms"
@@ -322,8 +342,8 @@ class Acms(_Kind):
     outer: OuterFn = Identity()
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        _check_finite(self, "acms")
+        object.__setattr__(self, "betas", _reals(self.betas, "acms: betas"))
+        _check_wire(self, "acms")
         if self.gamma <= 0.0:
             raise ValidationError("acms: gamma must be positive")
         if len(self.betas) < 1:
@@ -350,7 +370,7 @@ FunctionSpec = Union[Homothetical, Composite, Acms]
 
 def _pow_product(gamma: float, alphas, betas) -> tuple:
     """Shifted powers (x_k + betas[k])^alphas[k], gamma times the first one."""
-    return tuple(PowFn(gamma=float(gamma) if k == 0 else 1.0, beta=b, alpha=a)
+    return tuple(PowFn(gamma=gamma if k == 0 else 1.0, beta=b, alpha=a)
                  for k, (a, b) in enumerate(zip(alphas, betas)))
 
 
@@ -360,9 +380,10 @@ def make_cobb_douglas(gamma: float, alphas: Sequence[float]) -> Homothetical:
     Realised as a product of ``pow`` components with beta = 0; gamma is
     absorbed into the first component.
     """
+    gamma = _real(gamma, "cobb-douglas: gamma")
     if gamma <= 0.0:
         raise ValidationError("cobb-douglas: gamma must be positive")
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _reals(alphas, "cobb-douglas: alphas")
     if len(alphas) < 1:
         raise ValidationError("cobb-douglas: needs at least one exponent")
     for k, a in enumerate(alphas):
@@ -379,8 +400,8 @@ def make_acms(gamma: float, betas: Sequence[float], rho: float, d: float,
     (the formulas stay well defined, the substitution elasticity becomes
     1/(1-rho) <= 0 for rho > 1).
     """
-    spec = Acms(gamma=float(gamma), betas=tuple(float(b) for b in betas),
-                rho=float(rho), d=float(d), outer=outer)
+    spec = Acms(gamma=_real(gamma, "acms: gamma"), betas=betas, rho=_real(rho, "acms: rho"),
+                d=_real(d, "acms: d"), outer=outer)
     if not relax_rho and spec.rho >= 1.0:
         raise ValidationError(
             f"acms: rho must be < 1 (got {spec.rho!r}); use relax_rho to permit")
@@ -592,6 +613,30 @@ def _value_pass(spec: FunctionSpec, points: np.ndarray) -> tuple:
 _KINDS = {k.TAG: k for k in (Homothetical, Composite, Acms)}
 _COMPONENTS = {c.TAG: c for c in (PowFn, ExpFn, LogPowFn)}
 _OUTERS = {o.TAG: o for o in (Identity, Power, Scale, Log)}
+
+
+def _real(value, where: str) -> float:
+    """A library argument as a float by ``_num``'s number rule: a real number
+    that is not a bool, an int too large for a float reading inf; anything
+    else is a ValidationError naming ``where``."""
+    if type(value) is float:  # the common case, before the slower abstract check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _reals(values, where: str) -> tuple:
+    """A sequence argument as a tuple of floats by ``_real``, entry k named
+    ``where[k]``; a value that is not iterable is a ValidationError."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{where} must be a sequence of numbers, got {values!r}") from None
+    return tuple(_real(v, f"{where}[{k}]") for k, v in enumerate(values))
 
 
 def _num(value, path: str) -> float:

@@ -21,8 +21,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError, ValidationError
-from .funcspec import FunctionSpec, Homothetical, _column_pow, _per_point, _point, _point_rows
-from .jets import Jet2N, _jet_columns, jet1d, jet_multivariate
+from .funcspec import (FunctionSpec, Homothetical, _column_pow, _per_point, _point, _point_rows,
+                       _values)
+from .jets import Jet2N, _factor_jet, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
 
 
@@ -160,27 +161,29 @@ def hessian_det_closed(spec: FunctionSpec, point: Sequence[float]) -> float:
                     + r_1 * sum_{i>=2} (f_i'/f_i)^2 * prod_{k>=2, k!=i} r_k ]
 
     where r_i = (f_i'/f_i)' is evaluated as (f_i'' f_i - f_i'^2) / f_i^2 to
-    avoid cancellation when f_i'/f_i is large. Needs every component value
-    nonzero at the point (DomainError otherwise); n = 1 reduces to f1''.
-    NumericalError where it overflows or a factor's square underflows to 0.
+    avoid cancellation when f_i'/f_i is large. The factor jets come from the
+    value pass (``funcspec._values``), as in ``jet_multivariate``, so a
+    domain guard outranks a derivative's overflow. Needs every component
+    value nonzero at the point (DomainError otherwise); n = 1 reduces to
+    f1''. NumericalError where the value or a factor jet is not finite, where
+    it overflows, or where a factor's square underflows to 0.
     ``gauss_kronecker`` applies the same closed form to its jet's factors.
     """
     if not isinstance(spec, Homothetical):
         raise SpecError(f"closed-form determinant needs a homothetical spec, got {spec.kind}")
     pt = _point(spec, point)
-    jets = [jet1d(c, x) for c, x in zip(spec.components, pt)]
-    if len(jets) > 1:
-        for k, j in enumerate(jets):
-            if j.value == 0.0:
-                raise DomainError(
-                    f"closed-form determinant undefined where component {k + 1} vanishes")
+    parts = _values(spec, pt)[0]
     try:
+        jets = [_factor_jet(c, x, v) for c, x, v in zip(spec.components, pt, parts)]
+        if len(jets) > 1 and 0.0 in parts:
+            raise DomainError(f"closed-form determinant undefined where component "
+                              f"{parts.index(0.0) + 1} vanishes")
         det = _closed_form(jets)
     except OverflowError:
         raise NumericalError(f"closed-form determinant overflowed at {tuple(pt)!r}") from None
-    except ZeroDivisionError:  # a factor's square underflowed to 0
+    except ZeroDivisionError:  # a denominator (a factor's square, x^2) underflowed to 0
         raise NumericalError(f"closed-form determinant underflowed at {tuple(pt)!r}") from None
-    if not math.isfinite(det):  # the product f overflows to inf quietly; inf * -0.0 is nan
+    if not math.isfinite(det):  # a product overflows to inf quietly; inf * -0.0 is nan
         raise NumericalError(f"non-finite closed-form determinant at {tuple(pt)!r}")
     return det
 

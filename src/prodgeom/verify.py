@@ -55,9 +55,9 @@ class CheckResult:
 
 def _random_acms(rng: random.Random, n: int = 2) -> Acms:
     rho = rng.choice((-1.0, -0.5, 0.25, 0.5, 0.75)) + rng.uniform(-0.05, 0.05)
-    return Acms(gamma=rng.uniform(0.5, 2.0),
-                betas=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
-                rho=rho, d=rng.uniform(0.5, 2.0), outer=random_outer(rng))
+    return make_acms(gamma=rng.uniform(0.5, 2.0),
+                     betas=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
+                     rho=rho, d=rng.uniform(0.5, 2.0), outer=random_outer(rng))
 
 
 def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8) -> CheckResult:

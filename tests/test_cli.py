@@ -977,6 +977,14 @@ def test_allen_undefined_rows_match_golden(capsys):
     assert out == (Path(__file__).parent / "golden" / "elasticity_thm41b_grid.csv").read_text()
 
 
+def test_grid_with_the_wrong_axis_count_exits_2(capsys):
+    # a one-axis grid for a two-variable spec fails before any block is formed
+    code, out, err = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",
+                          "--points", "grid:0.5..2.0:3")
+    assert (code, out) == (2, "")
+    assert err == "error: point 1 has 1 coordinates but the spec has 2 variables\n"
+
+
 @pytest.mark.parametrize("count", [10**15, 10**19])
 def test_huge_grid_exits_2(capsys, count):
     # 10**15 samples per axis is more memory than any allocator grants, and

@@ -27,6 +27,9 @@ from prodgeom import (
     jet1d,
     make_acms,
     make_cobb_douglas,
+    make_thm31_family,
+    make_thm41_family,
+    make_thm51_family,
     parse_spec,
     serialize_spec,
 )
@@ -180,6 +183,58 @@ _specs = st.one_of(
 @given(spec=_specs)
 def test_parse_serialize_round_trip(spec):
     assert parse_spec(serialize_spec(spec)) == spec
+
+
+# a value no field accepts, or one only some do: non-finite and huge numbers,
+# bools, text, None, lists and tuples, and model objects of every kind
+_ANY = st.one_of(
+    st.floats(), st.integers(),
+    st.sampled_from([10 ** 400, -10 ** 400, True, False, None, "x", "1.5"]),
+    st.text(max_size=3), st.lists(st.floats(), max_size=2),
+    st.tuples(st.floats()), _components, _outers,
+)
+_NUMBER = st.one_of(st.floats(0.1, 3.0), st.sampled_from([-1.0, 0.5, 2.0]), _ANY)
+_NUMBERS = st.one_of(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3),
+                     st.lists(_NUMBER, max_size=3), _ANY)
+_COMPONENTS = st.one_of(st.lists(_components, min_size=1, max_size=3),
+                        st.lists(st.one_of(_components, _ANY), max_size=3), _ANY)
+_OUTER = st.one_of(_outers, _ANY)
+_CASE = st.one_of(st.sampled_from("abc"), _ANY)
+_CONSTRUCTORS = [
+    (PowFn, (_NUMBER,) * 3), (ExpFn, (_NUMBER,) * 2), (LogPowFn, (_NUMBER,) * 3),
+    (Power, (_NUMBER,)), (Scale, (_NUMBER,)), (Identity, ()), (Log, ()),
+    (Homothetical, (_COMPONENTS,)), (Composite, (_OUTER, _COMPONENTS)),
+    (Acms, (_NUMBER, _NUMBERS, _NUMBER, _NUMBER, _OUTER)),
+    (make_acms, (_NUMBER, _NUMBERS, _NUMBER, _NUMBER, _OUTER)),
+    (make_cobb_douglas, (_NUMBER, _NUMBERS)),
+    (make_thm31_family, (_CASE, _COMPONENTS, _NUMBERS, _NUMBERS, _NUMBER)),
+    (make_thm41_family, (_CASE, _COMPONENTS, _OUTER, _NUMBERS, _NUMBERS, _NUMBER)),
+    (lambda case, alphas, gamma, outer, sigma, betas, d, mu: make_thm51_family(
+        case, alphas=alphas, gamma=gamma, outer=outer, sigma=sigma, betas=betas, d=d, mu=mu),
+     (_CASE, _NUMBERS, _NUMBER, _OUTER, _NUMBER, _NUMBERS, _NUMBER, _NUMBERS)),
+]
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_constructors_return_or_raise_a_validation_error(data):
+    # every model constructor and spec builder applies the number and slot
+    # rules: whatever its arguments, it returns or raises a ValidationError,
+    # and what it returns, in a spec of its own, evaluates to a float or a
+    # ProdgeomError
+    build, fields = data.draw(st.sampled_from(_CONSTRUCTORS))
+    try:
+        built = build(*[data.draw(field) for field in fields])
+    except ValidationError:
+        return
+    if isinstance(built, (PowFn, ExpFn, LogPowFn)):
+        built = Homothetical((built,))
+    elif not hasattr(built, "kind"):  # an outer map
+        built = Composite(built, (PowFn(1.0, 0.0, 1.0),))
+    try:
+        assert isinstance(evaluate(built, [1.5] * built.n), float)
+    except ProdgeomError:
+        pass
 
 
 def test_make_cobb_douglas_components():

@@ -142,6 +142,56 @@ def test_closed_vs_direct_randomised():
         assert abs(closed - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
+def _det_closed_by_jet1d(spec, point):
+    # the closed-form determinant on one jet1d per factor, in factor order:
+    # each factor's derivatives run before the next factor's guard
+    factors = [jet1d(c, x) for c, x in zip(spec.components, point)]
+    if len(factors) > 1 and any(j.value == 0.0 for j in factors):
+        raise DomainError("a component vanishes")
+    try:
+        det = geometry._closed_form(factors)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError("the closed form overflowed") from None
+    if not math.isfinite(det):
+        raise NumericalError("non-finite closed form")
+    return det
+
+
+def _outcome(fn, spec, point):
+    try:
+        return fn(spec, point).hex()
+    except ProdgeomError as e:
+        return type(e).__name__
+
+
+def test_det_closed_keeps_the_bits_of_the_jet1d_route():
+    # on the value pass, hessian_det_closed returns the jet1d route's bits
+    # wherever that route returns, and raises its error type elsewhere,
+    # except where the value pass raises first: then it raises evaluate's
+    # error (a guard outranks a derivative's overflow, and a product that
+    # overflows to inf times a zero factor is not finite)
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(2500):
+        n = rng.randint(1, 6)
+        spec = _edge_spec(rng, "homothetical", "identity", n)
+        point = tuple(rng.choice(_JET_COORDS) if rng.random() < 0.3 else rng.uniform(0.3, 3.0)
+                      for _ in range(n))
+        before = _outcome(_det_closed_by_jet1d, spec, point)
+        after = _outcome(hessian_det_closed, spec, point)
+        if after != before:
+            assert before in ("DomainError", "NumericalError")
+            assert after == _outcome(evaluate, spec, point)
+        outcomes.add(after if after.endswith("Error") else "returns")
+    assert outcomes == {"returns", "DomainError", "NumericalError"}
+
+
+def test_is_developable_default_samples_are_the_seeded_loguniform_points():
+    spec = make_cobb_douglas(1.0, (0.3, 0.9))
+    assert is_developable(spec) == is_developable(spec, points_loguniform(spec.n, 50, 42))
+    assert is_developable(spec, seed=7) == is_developable(spec, points_loguniform(2, 50, 7))
+
+
 def test_gauss_kronecker_monomial():
     rec = gauss_kronecker(make_cobb_douglas(1.0, (2.0, 3.0)), (1.0, 1.0))
     assert rec.omega == pytest.approx(math.sqrt(14.0), rel=1e-15)

@@ -23,6 +23,7 @@ from prodgeom import (
     ValidationError,
     evaluate,
     fd_jet,
+    hessian_det_closed,
     jet1d,
     jet_multivariate,
     make_acms,
@@ -160,12 +161,18 @@ def test_jet_value_bitwise_equals_evaluate(seed, kind, n):
     (Composite(Log(), (PowFn(-1.0, 0.0, -300.0), PowFn(1.0, 0.0, 1.0))), (0.0965, 1.0)),
     # x1 * x1 underflows to 0 in factor 1's f'' before factor 2's guard
     (Homothetical((LogPowFn(1.0, 1.0, 1.0), LogPowFn(0.0, 1.0, 0.5))), (1e-300, 0.5)),
+    # factor 1's f'' = -x^-1.5 / 4 overflows at the smallest subnormal before
+    # factor 2's guard (x2 > 0)
+    (Homothetical((PowFn(1.0, 0.0, 0.5), LogPowFn(0.0, 1.0, 1.0))), (5e-324, -1.0)),
 ])
 def test_domain_error_outranks_derivative_overflow(spec, point):
     with pytest.raises(NumericalError):
         jet1d(spec.components[0], point[0])
     with pytest.raises(DomainError):
         jet_multivariate(spec, point)
+    if isinstance(spec, Homothetical):  # the closed form reads the same value pass
+        with pytest.raises(DomainError):
+            hessian_det_closed(spec, point)
 
 
 @pytest.mark.parametrize("spec, points", [

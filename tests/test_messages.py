@@ -242,6 +242,42 @@ _CALLS = {
     "thm51-c-zero": lambda: make_thm51_family("c", mu=(1.0, 0.0)),
     "thm51-c-reciprocal-sum": lambda: make_thm51_family("c", mu=(1.0, 1.0)),
     "thm51-c-nan": lambda: make_thm51_family("c", mu=(1.0, NAN)),
+    "pow-gamma-text": lambda: PowFn("x", 0.0, 1.0),
+    "pow-gamma-huge-int": lambda: PowFn(10 ** 400, 0.0, 1.0),
+    "pow-alpha-bool": lambda: PowFn(1.0, 0.0, True),
+    "exp-lambda-none": lambda: ExpFn(1.0, None),
+    "logpow-m-list": lambda: LogPowFn(1.0, 1.0, [2.0]),
+    "power-d-text": lambda: Power("2"),
+    "scale-gamma-tuple": lambda: Scale((2.0,)),
+    "homothetical-components-none": lambda: Homothetical(None),
+    "homothetical-component-text": lambda: Homothetical((PowFn(1.0, 0.0, 1.0), "x")),
+    "composite-outer-text": lambda: Composite("x", (PowFn(1.0, 0.0, 1.0),)),
+    "composite-component-outer": lambda: Composite(Identity(), (Log(),)),
+    "acms-gamma-list": lambda: Acms([1.0], (1.0, 1.0), 0.5, 1.0),
+    "acms-betas-none": lambda: Acms(1.0, None, 0.5, 1.0),
+    "acms-betas-huge-int": lambda: Acms(1.0, (1.0, 10 ** 400), 0.5, 1.0),
+    "acms-outer-component": lambda: Acms(1.0, (1.0, 1.0), 0.5, 1.0, PowFn(1.0, 0.0, 1.0)),
+    "cobb-douglas-gamma-text": lambda: make_cobb_douglas("1", (0.5, 0.5)),
+    "cobb-douglas-alpha-text": lambda: make_cobb_douglas(1.0, ("x", 1.0)),
+    "cobb-douglas-alphas-number": lambda: make_cobb_douglas(1.0, 0.5),
+    "make-acms-gamma-none": lambda: make_acms(None, (1.0, 1.0), 0.5, 1.0),
+    "make-acms-betas-text": lambda: make_acms(1.0, (1.0, "x"), 0.5, 1.0),
+    "make-acms-rho-text": lambda: make_acms(1.0, (1.0, 1.0), "x", 1.0),
+    "make-acms-d-bool": lambda: make_acms(1.0, (1.0, 1.0), 0.5, True),
+    "make-acms-outer-text": lambda: make_acms(1.0, (1.0, 1.0), 0.5, 1.0, "log"),
+    "thm31-a-components-number": lambda: make_thm31_family("a", components=1.0),
+    "thm31-a-component-text": lambda: make_thm31_family(
+        "a", components=[ExpFn(1.0, 1.0), ExpFn(1.0, 1.0), "x"]),
+    "thm31-b-alpha-text": lambda: make_thm31_family("b", alphas=["x", 1.0]),
+    "thm31-b-gamma-text": lambda: make_thm31_family("b", alphas=[0.5, 0.5], gamma="x"),
+    "thm41-b-beta-none": lambda: make_thm41_family("b", alphas=(1.0, -1.0), betas=(None, 0.0)),
+    "thm41-b-outer-text": lambda: make_thm41_family("b", alphas=(1.0, -1.0), outer="x"),
+    "thm51-a-outer-text": lambda: make_thm51_family("a", alphas=(0.5, 0.5), outer="x"),
+    "thm51-b-sigma-text": lambda: make_thm51_family("b", sigma="x", betas=(1.0, 1.0)),
+    "thm51-b-sigma-huge": lambda: make_thm51_family("b", sigma=1e16, betas=(1.0, 1.0)),
+    "thm51-b-d-text": lambda: make_thm51_family("b", sigma=2.0, betas=(1.0, 1.0), d="x"),
+    "thm51-b-beta-text": lambda: make_thm51_family("b", sigma=2.0, betas=(1.0, "x")),
+    "thm51-c-mu-text": lambda: make_thm51_family("c", mu=(1.0, "x")),
 }
 
 _MESSAGES = {
@@ -370,7 +406,7 @@ _MESSAGES = {
     "acms-betas-empty": ("ValidationError", "acms: needs at least one beta"),
     "acms-betas-negative": ("ValidationError", "acms: betas[1] must be positive, got -1.0"),
     "acms-betas-nan": ("ValidationError", "acms: betas[1] must be finite, got nan"),
-    "acms-betas-text": ("ValueError", "could not convert string to float: 'x'"),
+    "acms-betas-text": ("ValidationError", "acms: betas[1] must be a number, got 'x'"),
     "acms-rho-zero": ("ValidationError", "acms: rho must be nonzero"),
     "acms-rho-inf": ("ValidationError", "acms: rho must be finite, got inf"),
     "acms-d-zero": ("ValidationError", "acms: d must be positive"),
@@ -435,6 +471,62 @@ _MESSAGES = {
     "thm51-c-reciprocal-sum":
         ("ValidationError", "case c needs 1/mu_1 + 1/mu_2 = 0, got mu = (1.0, 1.0)"),
     "thm51-c-nan": ("ValidationError", "logpow component: m must be finite, got nan"),
+    "pow-gamma-text": ("ValidationError", "pow component: gamma must be a number, got 'x'"),
+    "pow-gamma-huge-int": ("ValidationError", "pow component: gamma must be finite, got inf"),
+    "pow-alpha-bool": ("ValidationError", "pow component: alpha must be a number, got True"),
+    "exp-lambda-none": ("ValidationError", "exp component: lambda must be a number, got None"),
+    "logpow-m-list": ("ValidationError", "logpow component: m must be a number, got [2.0]"),
+    "power-d-text": ("ValidationError", "power outer: d must be a number, got '2'"),
+    "scale-gamma-tuple": ("ValidationError", "scale outer: gamma must be a number, got (2.0,)"),
+    "homothetical-components-none":
+        ("ValidationError", "homothetical: components must be a sequence of components, got None"),
+    "homothetical-component-text":
+        ("ValidationError", "homothetical: components[1] must be one of PowFn, ExpFn, "
+                            "LogPowFn; got 'x'"),
+    "composite-outer-text":
+        ("ValidationError", "composite: outer must be one of Identity, Power, Scale, "
+                            "Log; got 'x'"),
+    "composite-component-outer":
+        ("ValidationError", "composite: components[0] must be one of PowFn, ExpFn, "
+                            "LogPowFn; got Log()"),
+    "acms-gamma-list": ("ValidationError", "acms: gamma must be a number, got [1.0]"),
+    "acms-betas-none": ("ValidationError", "acms: betas must be a sequence of numbers, got None"),
+    "acms-betas-huge-int": ("ValidationError", "acms: betas[1] must be finite, got inf"),
+    "acms-outer-component":
+        ("ValidationError", "acms: outer must be one of Identity, Power, Scale, Log; got "
+                            "PowFn(gamma=1.0, beta=0.0, alpha=1.0)"),
+    "cobb-douglas-gamma-text":
+        ("ValidationError", "cobb-douglas: gamma must be a number, got '1'"),
+    "cobb-douglas-alpha-text":
+        ("ValidationError", "cobb-douglas: alphas[0] must be a number, got 'x'"),
+    "cobb-douglas-alphas-number":
+        ("ValidationError", "cobb-douglas: alphas must be a sequence of numbers, got 0.5"),
+    "make-acms-gamma-none": ("ValidationError", "acms: gamma must be a number, got None"),
+    "make-acms-betas-text": ("ValidationError", "acms: betas[1] must be a number, got 'x'"),
+    "make-acms-rho-text": ("ValidationError", "acms: rho must be a number, got 'x'"),
+    "make-acms-d-bool": ("ValidationError", "acms: d must be a number, got True"),
+    "make-acms-outer-text":
+        ("ValidationError", "acms: outer must be one of Identity, Power, Scale, Log; got 'log'"),
+    "thm31-a-components-number":
+        ("ValidationError", "homothetical: components must be a sequence of components, got 1.0"),
+    "thm31-a-component-text":
+        ("ValidationError", "homothetical: components[2] must be one of PowFn, ExpFn, "
+                            "LogPowFn; got 'x'"),
+    "thm31-b-alpha-text": ("ValidationError", "alphas[0] must be a number, got 'x'"),
+    "thm31-b-gamma-text": ("ValidationError", "gamma must be a number, got 'x'"),
+    "thm41-b-beta-none": ("ValidationError", "betas[0] must be a number, got None"),
+    "thm41-b-outer-text":
+        ("ValidationError", "composite: outer must be one of Identity, Power, Scale, "
+                            "Log; got 'x'"),
+    "thm51-a-outer-text":
+        ("ValidationError", "composite: outer must be one of Identity, Power, Scale, "
+                            "Log; got 'x'"),
+    "thm51-b-sigma-text": ("ValidationError", "sigma must be a number, got 'x'"),
+    "thm51-b-sigma-huge":
+        ("ValidationError", "acms: rho must be < 1 (got 1.0); use relax_rho to permit"),
+    "thm51-b-d-text": ("ValidationError", "acms: d must be a number, got 'x'"),
+    "thm51-b-beta-text": ("ValidationError", "acms: betas[1] must be a number, got 'x'"),
+    "thm51-c-mu-text": ("ValidationError", "mu[1] must be a number, got 'x'"),
 }
 
 
