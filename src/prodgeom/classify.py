@@ -254,9 +254,13 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
             raise ValidationError("case b needs sigma != 1 (sigma = 1 is case a)")
         if sigma <= 0.0:
             raise ValidationError("case b needs sigma > 0 so that rho < 1")
+        rho = (sigma - 1.0) / sigma
+        if not rho < 1.0:  # a huge sigma rounds rho to 1, an infinite one makes it nan
+            raise ValidationError(f"case b needs a sigma whose rho = (sigma - 1)/sigma "
+                                  f"rounds below 1; got sigma = {sigma!r}")
         if betas is None:
             raise ValidationError("case b needs the beta weights")
-        return make_acms(gamma, betas, (sigma - 1.0) / sigma, d, outer)
+        return make_acms(gamma, betas, rho, d, outer)
     if case == "c":
         if mu is None:
             raise ValidationError("case c needs the mu pair")

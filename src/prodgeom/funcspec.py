@@ -17,6 +17,10 @@ Component families:
 Specs are immutable after construction and compare structurally (kind plus
 bit-equal parameters); no "up to constants" normalisation is applied.
 
+Every model class (component, outer map, spec kind) is built by
+``_Model``'s one construction rule, from the ``CHECKS`` it declares beside
+its ``TAG`` and ``WIRE``.
+
 Each component class defines its kind once: a guarded ``value(x)``, its
 derivatives ``derivs(x, value)``, and its wire-format ``TAG`` and ``WIRE``
 field names (in dataclass field order). Each outer map likewise has a guarded
@@ -51,26 +55,55 @@ def _wire_values(obj) -> list:
     return [getattr(obj, name) for name in obj.__match_args__]
 
 
-def _check_wire(obj, label: str) -> None:
-    """The number and slot rules on a model object's ``WIRE`` fields
-    (``betas`` and ``components`` entry by entry): an ``outer`` field must be
-    one of the ``OuterFn`` classes and a ``components`` entry one of the
-    ``ComponentFn`` classes; any other value must be a finite real number by
-    ``_real``'s rule, an int too large for a float counting as infinite. An
-    error names ``label`` and the field by its wire name, formed only then."""
-    for name, value in zip(obj.WIRE, _wire_values(obj)):
-        kinds = (OuterFn.__args__ if name == "outer"
-                 else ComponentFn.__args__ if name == "components" else ())
-        for k, v in enumerate(value) if name in ("betas", "components") else [(None, value)]:
-            if isinstance(v, kinds) if kinds else type(v) is float and math.isfinite(v):
-                continue
-            where = f"{label}: {name}" if k is None else f"{label}: {name}[{k}]"
-            if kinds:
-                names = ", ".join(c.__name__ for c in kinds)
-                raise ValidationError(f"{where} must be one of {names}; got {v!r}")
-            number = _real(v, where)
-            if not math.isfinite(number):
-                raise ValidationError(f"{where} must be finite, got {number!r}")
+class _Model:
+    """The one construction rule of every model class (component, outer map
+    and spec kind), run when an object is built.
+
+    Each ``WIRE`` field is read in order, ``betas`` and ``components`` entry
+    by entry and stored as tuples: an ``outer`` field must be one of the
+    ``OuterFn`` classes and a ``components`` entry one of the ``ComponentFn``
+    classes; any other value must be a finite real number by ``_real``'s
+    rule (an int too large for a float counting as infinite) and is stored
+    as a Python float, so specs that compare equal evaluate and serialize
+    alike. Then each ``(attribute, "nonzero" | "positive")`` pair of the
+    class's ``CHECKS`` must hold. An error names the class's ``LABEL`` and
+    the field by its wire name.
+    """
+
+    CHECKS = ()
+
+    def __post_init__(self):
+        for name, attr in zip(self.WIRE, self.__match_args__):
+            value = getattr(self, attr)
+            seq = name in ("betas", "components")
+            kinds = (OuterFn.__args__ if name == "outer"
+                     else ComponentFn.__args__ if name == "components" else ())
+            if not (seq or kinds) and type(value) is float and math.isfinite(value):
+                continue  # the common case: a number field that holds a finite float
+            try:
+                entries = tuple(value) if seq else (value,)
+            except TypeError:
+                raise ValidationError(f"{self.LABEL}: {name} must be a sequence of "
+                                      f"{'components' if kinds else 'numbers'}, "
+                                      f"got {value!r}") from None
+            for k, v in enumerate(entries):
+                if isinstance(v, kinds) if kinds else type(v) is float and math.isfinite(v):
+                    continue
+                where = f"{self.LABEL}: {name}[{k}]" if seq else f"{self.LABEL}: {name}"
+                if kinds:
+                    names = ", ".join(c.__name__ for c in kinds)
+                    raise ValidationError(f"{where} must be one of {names}; got {v!r}")
+                number = _real(v, where)
+                if not math.isfinite(number):
+                    raise ValidationError(f"{where} must be finite, got {number!r}")
+                entries = entries[:k] + (number,) + entries[k + 1:]
+            stored = entries if seq else entries[0]
+            if stored is not value:
+                object.__setattr__(self, attr, stored)
+        for attr, rule in self.CHECKS:
+            if getattr(self, attr) <= 0.0 if rule == "positive" else getattr(self, attr) == 0.0:
+                name = self.WIRE[self.__match_args__.index(attr)]
+                raise ValidationError(f"{self.LABEL}: {name} must be {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +111,17 @@ def _check_wire(obj, label: str) -> None:
 
 
 @dataclass(frozen=True)
-class PowFn:
+class PowFn(_Model):
     """Shifted power component gamma * (x + beta)^alpha."""
 
     TAG = "pow"
     WIRE = ("gamma", "beta", "alpha")
+    LABEL = "pow component"
+    CHECKS = (("gamma", "nonzero"), ("alpha", "nonzero"))
 
     gamma: float
     beta: float
     alpha: float
-
-    def __post_init__(self):
-        _check_wire(self, "pow component")
-        if self.gamma == 0.0:
-            raise ValidationError("pow component: gamma must be nonzero")
-        if self.alpha == 0.0:
-            raise ValidationError("pow component: alpha must be nonzero")
 
     def value(self, x: float) -> float:
         b = x + self.beta
@@ -114,7 +142,7 @@ class PowFn:
 
 
 @dataclass(frozen=True)
-class ExpFn:
+class ExpFn(_Model):
     """Exponential component gamma * e^(lam * x).
 
     The rate parameter is named ``lam`` in code and ``"lambda"`` in the JSON
@@ -123,16 +151,11 @@ class ExpFn:
 
     TAG = "exp"
     WIRE = ("gamma", "lambda")
+    LABEL = "exp component"
+    CHECKS = (("gamma", "nonzero"), ("lam", "nonzero"))
 
     gamma: float
     lam: float
-
-    def __post_init__(self):
-        _check_wire(self, "exp component")
-        if self.gamma == 0.0:
-            raise ValidationError("exp component: gamma must be nonzero")
-        if self.lam == 0.0:
-            raise ValidationError("exp component: lambda must be nonzero")
 
     def value(self, x: float) -> float:
         return self.gamma * math.exp(self.lam * x)
@@ -143,22 +166,17 @@ class ExpFn:
 
 
 @dataclass(frozen=True)
-class LogPowFn:
+class LogPowFn(_Model):
     """Log-power component (a + b * ln x)^m."""
 
     TAG = "logpow"
     WIRE = ("a", "b", "m")
+    LABEL = "logpow component"
+    CHECKS = (("b", "nonzero"), ("m", "nonzero"))
 
     a: float
     b: float
     m: float
-
-    def __post_init__(self):
-        _check_wire(self, "logpow component")
-        if self.b == 0.0:
-            raise ValidationError("logpow component: b must be nonzero")
-        if self.m == 0.0:
-            raise ValidationError("logpow component: m must be nonzero")
 
     def value(self, x: float) -> float:
         if x <= 0.0:
@@ -190,7 +208,7 @@ ComponentFn = Union[PowFn, ExpFn, LogPowFn]
 
 
 @dataclass(frozen=True)
-class Identity:
+class Identity(_Model):
     """F(u) = u."""
 
     TAG = "identity"
@@ -204,18 +222,15 @@ class Identity:
 
 
 @dataclass(frozen=True)
-class Power:
-    """F(u) = u^d with d != 0."""
+class Power(_Model):
+    """F(u) = u^d."""
 
     TAG = "power"
     WIRE = ("d",)
+    LABEL = "power outer"
+    CHECKS = (("d", "nonzero"),)
 
     d: float
-
-    def __post_init__(self):
-        _check_wire(self, "power outer")
-        if self.d == 0.0:
-            raise ValidationError("power outer: d must be nonzero")
 
     def value(self, u: float) -> float:
         if u <= 0.0 and not float(self.d).is_integer():
@@ -231,18 +246,15 @@ class Power:
 
 
 @dataclass(frozen=True)
-class Scale:
-    """F(u) = gamma * u with gamma > 0."""
+class Scale(_Model):
+    """F(u) = gamma * u."""
 
     TAG = "scale"
     WIRE = ("gamma",)
+    LABEL = "scale outer"
+    CHECKS = (("gamma", "positive"),)
 
     gamma: float
-
-    def __post_init__(self):
-        _check_wire(self, "scale outer")
-        if self.gamma <= 0.0:
-            raise ValidationError("scale outer: gamma must be positive")
 
     def value(self, u: float) -> float:
         return self.gamma * u
@@ -252,7 +264,7 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class Log:
+class Log(_Model):
     """F(u) = ln u, defined for u > 0."""
 
     TAG = "log"
@@ -274,7 +286,7 @@ OuterFn = Union[Identity, Power, Scale, Log]
 # Multivariate spec kinds
 
 
-class _Kind:
+class _Kind(_Model):
     """What every spec kind shares: ``kind`` is its wire ``TAG``."""
 
     @property
@@ -286,14 +298,9 @@ class _Product(_Kind):
     """A product kind: a non-empty tuple of components, one per variable."""
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "components", tuple(self.components))
-        except TypeError:
-            raise ValidationError(f"{self.TAG}: components must be a sequence of components, "
-                                  f"got {self.components!r}") from None
+        super().__post_init__()
         if not self.components:
             raise ValidationError("a spec needs at least one component")
-        _check_wire(self, self.TAG)
 
     @property
     def n(self) -> int:
@@ -304,7 +311,7 @@ class _Product(_Kind):
 class Homothetical(_Product):
     """Product form f(x) = f1(x1) * ... * fn(xn)."""
 
-    TAG = "homothetical"
+    TAG = LABEL = "homothetical"
     WIRE = ("components",)
 
     components: tuple
@@ -314,7 +321,7 @@ class Homothetical(_Product):
 class Composite(_Product):
     """Outer-composed product f(x) = F(h1(x1) * ... * hn(xn))."""
 
-    TAG = "composite"
+    TAG = LABEL = "composite"
     WIRE = ("outer", "components")
 
     outer: OuterFn
@@ -326,14 +333,13 @@ class Acms(_Kind):
     """CES form f(x) = F(gamma * (sum_i (beta_i x_i)^rho)^(d/rho)).
 
     ``make_acms``, the package's one builder of CES specs (``parse_spec``,
-    ``make_thm51_family`` and verify call it), additionally enforces rho < 1
-    unless relaxed; the dataclass itself only requires the always-mandatory
-    constraints so that relaxed specs stay representable. It is the one
-    place that converts betas to floats.
+    ``make_thm51_family`` and verify call it), is the one rho < 1 gate, so
+    that relaxed specs stay representable.
     """
 
-    TAG = "acms"
+    TAG = LABEL = "acms"
     WIRE = ("gamma", "betas", "rho", "d", "outer")
+    CHECKS = (("gamma", "positive"), ("rho", "nonzero"), ("d", "positive"))
 
     gamma: float
     betas: tuple
@@ -342,19 +348,12 @@ class Acms(_Kind):
     outer: OuterFn = Identity()
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", _reals(self.betas, "acms: betas"))
-        _check_wire(self, "acms")
-        if self.gamma <= 0.0:
-            raise ValidationError("acms: gamma must be positive")
-        if len(self.betas) < 1:
+        super().__post_init__()
+        if not self.betas:
             raise ValidationError("acms: needs at least one beta")
         for k, b in enumerate(self.betas):
             if b <= 0.0:
                 raise ValidationError(f"acms: betas[{k}] must be positive, got {b!r}")
-        if self.rho == 0.0:
-            raise ValidationError("acms: rho must be nonzero")
-        if self.d <= 0.0:
-            raise ValidationError("acms: d must be positive")
 
     @property
     def n(self) -> int:
@@ -400,8 +399,7 @@ def make_acms(gamma: float, betas: Sequence[float], rho: float, d: float,
     (the formulas stay well defined, the substitution elasticity becomes
     1/(1-rho) <= 0 for rho > 1).
     """
-    spec = Acms(gamma=_real(gamma, "acms: gamma"), betas=betas, rho=_real(rho, "acms: rho"),
-                d=_real(d, "acms: d"), outer=outer)
+    spec = Acms(gamma, betas, rho, d, outer)
     if not relax_rho and spec.rho >= 1.0:
         raise ValidationError(
             f"acms: rho must be < 1 (got {spec.rho!r}); use relax_rho to permit")

@@ -177,6 +177,11 @@ def test_classify_ces_flags_unconstrained_log_shape():
     assert "constraint" in verdict.notes
 
 
+def test_classify_ces_rejects_an_object_that_is_not_a_spec():
+    with pytest.raises(SpecError, match="unknown kind"):
+        classify_ces(PowFn(1.0, 0.0, 2.0))
+
+
 def test_make_thm51_case_a():
     spec = make_thm51_family("a", alphas=(1 / 3, 2 / 3), outer=Power(3.0))
     verdict = ces_probe(spec, seed=42)

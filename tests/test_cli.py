@@ -946,6 +946,14 @@ def test_classify_csv_matches_golden(capsys):
     assert out == (Path(__file__).parent / "golden" / "classify_thm31a.csv").read_text()
 
 
+def test_classify_perfect_substitutes_matches_golden(capsys):
+    # a relaxed CES spec with rho = 1: one none_ces row with the perfect-substitutes note
+    code, out, _ = _run(capsys, "classify", "--spec", DATA / "acms_rho1.json", "--relax-rho",
+                        "--format", "jsonl")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "classify_acms_rho1.jsonl").read_text()
+
+
 def test_eval_grid_matches_golden(capsys):
     # the README's grid through plain eval's column value pass
     code, out, _ = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",

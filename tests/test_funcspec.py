@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,13 +18,16 @@ from prodgeom import (
     Identity,
     Log,
     LogPowFn,
+    NumericalError,
     ParseError,
     PowFn,
     Power,
     ProdgeomError,
     Scale,
     ValidationError,
+    elasticity_report,
     evaluate,
+    gauss_kronecker,
     jet1d,
     make_acms,
     make_cobb_douglas,
@@ -146,33 +150,31 @@ def test_serialize_field_order():
         '{"type":"logpow","a":1.0,"b":2.0,"m":0.5}]}')
 
 
+# a field's value as a float in range or as an int, ints above 2**53 included
+_INTS = st.integers(-2 ** 64, 2 ** 64)
+_NONZERO = st.one_of(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3), _INTS.filter(bool))
+_POSITIVE = st.one_of(st.floats(0.1, 3.0), st.integers(1, 2 ** 64))
 _components = st.one_of(
-    st.builds(PowFn,
-              gamma=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
-              beta=st.floats(-1.0, 2.0),
-              alpha=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3)),
-    st.builds(ExpFn,
-              gamma=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
-              lam=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3)),
-    st.builds(LogPowFn,
-              a=st.floats(-2.0, 2.0),
-              b=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
-              m=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3)),
+    st.builds(PowFn, gamma=_NONZERO, beta=st.one_of(st.floats(-1.0, 2.0), _INTS),
+              alpha=_NONZERO),
+    st.builds(ExpFn, gamma=_NONZERO, lam=_NONZERO),
+    st.builds(LogPowFn, a=st.one_of(st.floats(-2.0, 2.0), _INTS), b=_NONZERO, m=_NONZERO),
 )
 _outers = st.one_of(
     st.just(Identity()), st.just(Log()),
-    st.builds(Power, d=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3)),
-    st.builds(Scale, gamma=st.floats(0.1, 3.0)),
+    st.builds(Power, d=_NONZERO),
+    st.builds(Scale, gamma=_POSITIVE),
 )
 _specs = st.one_of(
     st.builds(Homothetical, components=st.lists(_components, min_size=1, max_size=4).map(tuple)),
     st.builds(Composite, outer=_outers,
               components=st.lists(_components, min_size=1, max_size=4).map(tuple)),
     st.builds(Acms,
-              gamma=st.floats(0.1, 3.0),
-              betas=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4).map(tuple),
-              rho=st.floats(-2.0, 0.9).filter(lambda v: abs(v) > 1e-3),
-              d=st.floats(0.1, 3.0),
+              gamma=_POSITIVE,
+              betas=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+              rho=st.one_of(st.floats(-2.0, 0.9).filter(lambda v: abs(v) > 1e-3),
+                            st.integers(-2 ** 64, -1)),
+              d=_POSITIVE,
               outer=_outers),
 )
 
@@ -185,15 +187,31 @@ def test_parse_serialize_round_trip(spec):
     assert parse_spec(serialize_spec(spec)) == spec
 
 
+def _numbers(obj) -> list:
+    """Every number field of a model object, its slots' fields included."""
+    found = []
+    for name in obj.__match_args__:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            found += _numbers(v) if hasattr(v, "WIRE") else [v]
+    return found
+
+
+# numpy scalars and Fractions, which every field converts to a Python float
+_SCALARS = st.one_of(
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.fractions(),
+)
 # a value no field accepts, or one only some do: non-finite and huge numbers,
 # bools, text, None, lists and tuples, and model objects of every kind
 _ANY = st.one_of(
-    st.floats(), st.integers(),
+    st.floats(), st.integers(), _SCALARS,
     st.sampled_from([10 ** 400, -10 ** 400, True, False, None, "x", "1.5"]),
     st.text(max_size=3), st.lists(st.floats(), max_size=2),
     st.tuples(st.floats()), _components, _outers,
 )
-_NUMBER = st.one_of(st.floats(0.1, 3.0), st.sampled_from([-1.0, 0.5, 2.0]), _ANY)
+_NUMBER = st.one_of(st.floats(0.1, 3.0), st.sampled_from([-1.0, 0.5, 2.0]),
+                    st.floats(0.1, 3.0).map(np.float32), st.fractions(1, 3).filter(bool), _ANY)
 _NUMBERS = st.one_of(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3),
                      st.lists(_NUMBER, max_size=3), _ANY)
 _COMPONENTS = st.one_of(st.lists(_components, min_size=1, max_size=3),
@@ -220,13 +238,14 @@ _CONSTRUCTORS = [
 def test_constructors_return_or_raise_a_validation_error(data):
     # every model constructor and spec builder applies the number and slot
     # rules: whatever its arguments, it returns or raises a ValidationError,
-    # and what it returns, in a spec of its own, evaluates to a float or a
-    # ProdgeomError
+    # what it returns stores every number as a Python float, and, in a spec
+    # of its own, evaluates to a float or a ProdgeomError
     build, fields = data.draw(st.sampled_from(_CONSTRUCTORS))
     try:
         built = build(*[data.draw(field) for field in fields])
     except ValidationError:
         return
+    assert all(type(v) is float for v in _numbers(built))
     if isinstance(built, (PowFn, ExpFn, LogPowFn)):
         built = Homothetical((built,))
     elif not hasattr(built, "kind"):  # an outer map
@@ -235,6 +254,56 @@ def test_constructors_return_or_raise_a_validation_error(data):
         assert isinstance(evaluate(built, [1.5] * built.n), float)
     except ProdgeomError:
         pass
+
+
+@pytest.mark.parametrize("cast", [int, np.int64, np.float64, np.float32, Fraction],
+                         ids=["int", "int64", "float64", "float32", "fraction"])
+@pytest.mark.parametrize("build, args", [
+    (PowFn, (2, 1, 3)), (ExpFn, (2, -1)), (LogPowFn, (1, 2, 3)), (Power, (2,)), (Scale, (3,)),
+    (Acms, (2, (1, 3), -1, 2)), (make_acms, (2, (1, 3), -1, 2)),
+], ids=["pow", "exp", "logpow", "power", "scale", "acms", "make-acms"])
+def test_number_fields_are_stored_as_python_floats(cast, build, args):
+    given = [tuple(map(cast, a)) if isinstance(a, tuple) else cast(a) for a in args]
+    stored = _numbers(build(*given))
+    assert [type(v) for v in stored] == [float] * len(stored)
+    assert stored == [float(v) for a in given for v in (a if isinstance(a, tuple) else (a,))]
+
+
+def _float32_cobb_douglas(alpha):
+    return Homothetical((PowFn(1.0, 0.0, alpha), PowFn(1.0, 0.0, 0.7)))
+
+
+@pytest.mark.parametrize("point", [(1.7, 2.3), (0.5, 4.0), (3.0, 0.25)])
+def test_a_float32_field_gives_its_float_twin_bit_for_bit(point):
+    spec = _float32_cobb_douglas(np.float32(0.3))
+    twin = _float32_cobb_douglas(float(np.float32(0.3)))
+    assert spec == twin
+    jet, twin_jet = jet_multivariate(spec, point), jet_multivariate(twin, point)
+    curvature, twin_curvature = gauss_kronecker(spec, point), gauss_kronecker(twin, point)
+    report, twin_report = elasticity_report(spec, point), elasticity_report(twin, point)
+    assert _bits([evaluate(spec, point)]) == _bits([evaluate(twin, point)])
+    assert _bits([jet.value, *jet.gradient, *np.ravel(jet.hessian)]) == \
+        _bits([twin_jet.value, *twin_jet.gradient, *np.ravel(twin_jet.hessian)])
+    assert _bits([curvature.omega, curvature.hessian_det, curvature.gk_curvature]) == \
+        _bits([twin_curvature.omega, twin_curvature.hessian_det, twin_curvature.gk_curvature])
+    assert _bits([report.bordered_det, *np.ravel(report.hicks), *np.ravel(report.allen)]) == \
+        _bits([twin_report.bordered_det, *np.ravel(twin_report.hicks),
+               *np.ravel(twin_report.allen)])
+
+
+@pytest.mark.parametrize("spec", [
+    Homothetical((PowFn(2 ** 53 + 1, 0, 1),)), Homothetical((PowFn(10 ** 300, 0, 1),)),
+    _float32_cobb_douglas(np.float32(0.3)),
+], ids=["int-above-2**53", "int-10**300", "float32"])
+def test_round_trip_of_non_float_fields(spec):
+    assert parse_spec(serialize_spec(spec)) == spec
+
+
+def test_numpy_field_overflow_is_a_numerical_error():
+    # a numpy float64 field is stored as a Python float, so its power
+    # overflows as Python's does, not as a numpy RuntimeWarning
+    with pytest.raises(NumericalError):
+        evaluate(Homothetical((PowFn(np.float64(1e300), 0.0, 2.0),)), (1e10,))
 
 
 def test_make_cobb_douglas_components():

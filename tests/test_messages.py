@@ -275,6 +275,7 @@ _CALLS = {
     "thm51-a-outer-text": lambda: make_thm51_family("a", alphas=(0.5, 0.5), outer="x"),
     "thm51-b-sigma-text": lambda: make_thm51_family("b", sigma="x", betas=(1.0, 1.0)),
     "thm51-b-sigma-huge": lambda: make_thm51_family("b", sigma=1e16, betas=(1.0, 1.0)),
+    "thm51-b-sigma-inf": lambda: make_thm51_family("b", sigma=INF, betas=(1.0, 1.0)),
     "thm51-b-d-text": lambda: make_thm51_family("b", sigma=2.0, betas=(1.0, 1.0), d="x"),
     "thm51-b-beta-text": lambda: make_thm51_family("b", sigma=2.0, betas=(1.0, "x")),
     "thm51-c-mu-text": lambda: make_thm51_family("c", mu=(1.0, "x")),
@@ -523,7 +524,11 @@ _MESSAGES = {
                             "Log; got 'x'"),
     "thm51-b-sigma-text": ("ValidationError", "sigma must be a number, got 'x'"),
     "thm51-b-sigma-huge":
-        ("ValidationError", "acms: rho must be < 1 (got 1.0); use relax_rho to permit"),
+        ("ValidationError", "case b needs a sigma whose rho = (sigma - 1)/sigma rounds "
+                            "below 1; got sigma = 1e+16"),
+    "thm51-b-sigma-inf":
+        ("ValidationError", "case b needs a sigma whose rho = (sigma - 1)/sigma rounds "
+                            "below 1; got sigma = inf"),
     "thm51-b-d-text": ("ValidationError", "acms: d must be a number, got 'x'"),
     "thm51-b-beta-text": ("ValidationError", "acms: betas[1] must be a number, got 'x'"),
     "thm51-c-mu-text": ("ValidationError", "mu[1] must be a number, got 'x'"),
