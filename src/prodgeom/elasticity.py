@@ -59,6 +59,13 @@ def _positive_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _pair(spec: FunctionSpec, i: int, j: int):
+    # an index is what operator.index accepts (numpy integers too), not a bool
+    try:
+        if isinstance(i, bool) or isinstance(j, bool):
+            raise TypeError
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise ValidationError(f"pair indices must be integers, got ({i!r},{j!r})") from None
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise ValidationError(f"pair ({i},{j}) out of range for {spec.n} variables")
     if i == j:

@@ -1,4 +1,7 @@
-"""Shared fixtures, and the hypothesis profile of the CLI fuzz."""
+"""Shared fixtures, the hypothesis profile of the CLI fuzz, and the table of
+golden CLI invocations."""
+
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -8,6 +11,22 @@ from prodgeom import funcspec, jets
 # ``--hypothesis-profile=fuzz`` runs every property without an explicit
 # example count, the CLI fuzz among them, at 10,000 examples
 settings.register_profile("fuzz", max_examples=10_000, deadline=None)
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+INVOCATIONS = GOLDEN / "invocations.txt"
+
+
+def golden_invocations() -> list:
+    """The rows of ``tests/golden/invocations.txt`` as (golden file name,
+    argv), in table order; lines that are blank or start with ``#`` are not
+    rows."""
+    rows = []
+    for line in INVOCATIONS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            golden, *argv = line.split(" ")
+            rows.append((golden, argv))
+    return rows
 
 
 @pytest.fixture

@@ -1,16 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Criteria 1-10 run the named verification checks at their pinned seeds and
-tolerances; criterion 11 exercises this checkout's CLI end to end against the
-committed golden files. Run with ``pytest tests/test_acceptance.py -v``.
+tolerances; criterion 11 runs this checkout's CLI end to end on each row of
+``tests/golden/invocations.txt`` against its committed golden file. Run with
+``pytest tests/test_acceptance.py -v``.
 """
 
 import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
+from conftest import GOLDEN, ROOT, golden_invocations
 from prodgeom.verify import (
     check_allen_singular_certificates,
     check_ces_constant_sigma,
@@ -26,9 +27,6 @@ from prodgeom.verify import (
 
 SEED = 42
 TOL = 1e-8
-ROOT = Path(__file__).parent.parent
-DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(criterion, result):
@@ -90,34 +88,21 @@ def _cli(*argv):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "prodgeom", *argv],
-                          capture_output=True, text=True, cwd=ROOT, env=env)
+                          capture_output=True, cwd=ROOT, env=env)
     return proc.returncode, proc.stdout
 
 
-DOCUMENTED_INVOCATIONS = (
-    (("curvature", "--spec", str(DATA / "cobb_douglas_crs.json"),
-      "--points", "grid:0.5..2.0x0.5..2.0:5"),
-     GOLDEN / "curvature_cobb_douglas_grid.csv"),
-    (("elasticity", "--spec", str(DATA / "acms_rho_half.json"),
-      "--points", str(DATA / "pts.csv")),
-     GOLDEN / "elasticity_acms_pts.csv"),
-    (("classify", "--spec", str(DATA / "thm31a.json"), "--format", "jsonl"),
-     GOLDEN / "classify_thm31a.jsonl"),
-)
-
-
 def test_criterion_11_cli_determinism_and_golden_files():
-    for argv, golden in DOCUMENTED_INVOCATIONS:
-        code_1, out_1 = _cli(*argv)
-        code_2, out_2 = _cli(*argv)
-        assert code_1 == code_2 == 0, f"{argv} exited {code_1}/{code_2}"
-        assert out_1 == out_2, f"{argv} is not deterministic"
-        expected = golden.read_text()
-        assert out_1 == expected, f"{argv} deviates from {golden.name}"
-    start = time.monotonic()
-    code, out = _cli("verify", "--seed", "42")
-    elapsed = time.monotonic() - start
-    assert code == 0, out
-    assert elapsed < 30.0
-    print(f"PASS criterion 11: CLI golden files byte-identical; "
-          f"verify --seed 42 exit 0 in {elapsed:.2f}s (< 30s)")
+    # every row of tests/golden/invocations.txt in a child process; its bytes
+    # equal the golden file, as the in-process run's do (test_cli's
+    # test_golden_invocation), so each row is deterministic across processes
+    rows, slowest = golden_invocations(), 0.0
+    for golden, argv in rows:
+        start = time.monotonic()
+        code, out = _cli(*argv)
+        slowest = max(slowest, time.monotonic() - start)
+        assert code == 0, f"{argv} exited {code}"
+        assert out == (GOLDEN / golden).read_bytes(), f"{argv} deviates from {golden}"
+    assert slowest < 30.0
+    print(f"PASS criterion 11: {len(rows)} CLI golden files byte-identical, "
+          f"verify --seed 42 among them; slowest exit 0 in {slowest:.2f}s (< 30s)")

@@ -146,6 +146,7 @@ def _certificate_points(rng, n, m):
             for _ in range(m)]
 
 
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("homothetical", "composite")),
        n=st.integers(1, 5), exps=st.integers(0, 3), m=st.integers(0, 12),

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prodgeom
+from conftest import GOLDEN, INVOCATIONS, ROOT, golden_invocations
 from prodgeom import cli, fd_jet, gauss_kronecker
 from prodgeom.cli import BLOCK_ROWS, _parse_grid, run
 from prodgeom.jets import _jet_columns, norm_rel_gaps
@@ -820,6 +822,7 @@ _csv_float = st.one_of(st.sampled_from(_CSV_FLOATS), st.floats())
 _csv_text = st.text(st.sampled_from(list('ab1. ,"\n\r')), max_size=6)
 
 
+@pytest.mark.fuzz
 @given(data=st.data(), header=st.lists(_csv_text, min_size=2, max_size=4),
        width=st.integers(2, 4), count=st.integers(0, 4),
        coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
@@ -851,6 +854,7 @@ _json_text = st.text(st.sampled_from(list('a1 ,"\\\n\r\t\x00\x1f\x7f%é\u2028\U0
                      max_size=6)
 
 
+@pytest.mark.fuzz
 @given(data=st.data(), header=st.lists(_json_text, min_size=1, max_size=4, unique=True),
        count=st.integers(0, 4))
 def test_jsonl_writer_bytes_equal_json_dumps_of_each_row(data, header, count):
@@ -887,7 +891,7 @@ def test_one_parser_serves_every_run(capsys, monkeypatch):
     for argv in [(*golden, "--bogus"), ("verify", "--tol", "nan"),
                  ("curvature", "--points", "grid:0.5..2.0x0.5..2.0:5")]:
         assert _run(capsys, *argv)[0] == 2
-    expected = (Path(__file__).parent / "golden" / "curvature_cobb_douglas_grid.csv").read_text()
+    expected = (GOLDEN / "curvature_cobb_douglas_grid.csv").read_text()
     assert _run(capsys, *golden) == (0, expected, "")
     first = _run(capsys, "--help")
     assert first[0] == 0 and first[1].startswith("usage: prodgeom")
@@ -939,50 +943,31 @@ def test_grid_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, comm
             assert (code, out, err) == _run(capsys, *args, "--points", path)
 
 
-def test_classify_csv_matches_golden(capsys):
-    # the JSON certificate is a quoted cell, each of its quotes doubled
-    code, out, _ = _run(capsys, "classify", "--spec", DATA / "thm31a.json")
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / "classify_thm31a.csv").read_text()
+@pytest.mark.parametrize("golden, argv", [pytest.param(golden, argv, id=golden)
+                                           for golden, argv in golden_invocations()])
+def test_golden_invocation(capsys, monkeypatch, golden, argv):
+    # each row of tests/golden/invocations.txt, run from the repo root,
+    # prints its golden file's bytes
+    monkeypatch.chdir(ROOT)
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-def test_classify_perfect_substitutes_matches_golden(capsys):
-    # a relaxed CES spec with rho = 1: one none_ces row with the perfect-substitutes note
-    code, out, _ = _run(capsys, "classify", "--spec", DATA / "acms_rho1.json", "--relax-rho",
-                        "--format", "jsonl")
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / "classify_acms_rho1.jsonl").read_text()
-
-
-def test_eval_grid_matches_golden(capsys):
-    # the README's grid through plain eval's column value pass
-    code, out, _ = _run(capsys, "eval", "--spec", DATA / "cobb_douglas_crs.json",
-                        "--points", "grid:0.5..2.0x0.5..2.0:5")
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / "eval_cobb_douglas_grid.csv").read_text()
-
-
-@pytest.mark.parametrize("argv, golden", [
-    # every row hicks_undefined: null Hicks and Allen cells, bordered_det 0.0
-    (["elasticity", "--spec", DATA / "ratio.json", "--points", "grid:0.5..2.0x0.5..2.0:3"],
-     "elasticity_ratio_grid.jsonl"),
-    # x1 <= 1 is outside log_hole's domain: domain_error rows of nulls, fd_gap included
-    (["curvature", "--spec", DATA / "log_hole.json", "--points", "grid:0.5..2.0x0.3..1.1:3",
-      "--fd-check"], "curvature_log_hole_fd.jsonl"),
-], ids=["hicks-undefined", "domain-error"])
-def test_missing_cells_jsonl_match_golden(capsys, argv, golden):
-    code, out, _ = _run(capsys, *argv, "--format", "jsonl")
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / golden).read_text()
-
-
-def test_allen_undefined_rows_match_golden(capsys):
-    # (x1^2 / (x2 x3))^2 is Allen-singular everywhere: allen_undefined rows
-    # with empty Allen cells, and domain_error rows where x1 = -1
-    code, out, _ = _run(capsys, "elasticity", "--spec", DATA / "thm41b.json",
-                        "--points", "grid:-1.0..2.0x0.5..2.0x0.5..2.0:3")
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / "elasticity_thm41b_grid.csv").read_text()
+def test_golden_table_names_each_golden_once():
+    # an orphan golden file or a row naming a missing file fails here; every
+    # argument is one shell word without quoting, so a plain shell loop
+    # splits a row as golden_invocations does
+    assert INVOCATIONS.read_text().endswith("\n")  # read's last line needs its newline
+    rows = golden_invocations()
+    named = Counter(golden for golden, _ in rows)
+    on_disk = {p.name for p in GOLDEN.iterdir()} - {INVOCATIONS.name}
+    assert named == Counter(on_disk)
+    for golden, argv in rows:
+        assert all(re.fullmatch(r"[\w.:/=+-]+", arg) for arg in argv), golden
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--spec", "--points") and not value.startswith("grid:"):
+                assert (ROOT / value).is_file(), (golden, value)
 
 
 def test_grid_with_the_wrong_axis_count_exits_2(capsys):
@@ -1046,15 +1031,8 @@ def test_failed_allocation_exits_4(tmp_path):
     assert wide.stderr.startswith("error: out of memory: ") and wide.stderr.count("\n") == 1
     fits = capped("curvature", "--spec", DATA / "cobb_douglas_crs.json",
                   "--points", "grid:0.5..2.0x0.5..2.0:5")
-    golden = (Path(__file__).parent / "golden" / "curvature_cobb_douglas_grid.csv").read_text()
+    golden = (GOLDEN / "curvature_cobb_douglas_grid.csv").read_text()
     assert (fits.returncode, fits.stdout, fits.stderr) == (0, golden, "")
-
-
-def test_verify_seed_42_matches_golden(capsys):
-    # the contract run's stdout, byte for byte
-    code, out, err = _run(capsys, "verify", "--seed", "42")
-    assert (code, err) == (0, "")
-    assert out == (Path(__file__).parent / "golden" / "verify_seed42.txt").read_text()
 
 
 def test_grid_points_memory_does_not_grow_with_the_rows():

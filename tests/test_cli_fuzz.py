@@ -6,9 +6,10 @@ one ``error:`` line, every JSONL line is strict JSON, no CSV cell is an
 infinite float, and a cell is missing exactly where its row's status says
 a quantity is undefined (``_check_missing_cells``). Tier-1 runs
 hypothesis's default number of examples; the ``fuzz`` profile
-(``tests/conftest.py``) runs 10,000:
+(``tests/conftest.py``) runs 10,000, as CI's fuzz step does for every test
+marked ``fuzz``, this module among them:
 
-    PYTHONPATH=src python -m pytest -q tests/test_cli_fuzz.py --hypothesis-profile=fuzz
+    PYTHONPATH=src python -m pytest -q -m fuzz --hypothesis-profile=fuzz
 """
 
 import contextlib
@@ -18,10 +19,13 @@ import json
 import math
 import re
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from prodgeom.cli import run
+
+pytestmark = pytest.mark.fuzz
 
 # the domain edges, signed zero, subnormal and tiny values, huge values, and
 # the non-finite ones

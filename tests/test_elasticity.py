@@ -94,6 +94,14 @@ def test_hicks_pair_validation():
         hicks(PRODUCT, (1.0, 1.0), 1, 1)
     with pytest.raises(ValidationError):
         hicks(PRODUCT, (1.0, 1.0), 0, 2)
+    # an index is an integer, numpy's included, and never a bool
+    for measure in (hicks, allen):
+        for index in (1.0, "1", None, True):
+            with pytest.raises(ValidationError, match="pair indices must be integers"):
+                measure(PRODUCT, (1.0, 2.0), index, 2)
+            with pytest.raises(ValidationError, match="pair indices must be integers"):
+                measure(PRODUCT, (1.0, 2.0), 2, index)
+        assert measure(PRODUCT, (1.0, 2.0), np.int64(1), 2) == measure(PRODUCT, (1.0, 2.0), 1, 2)
 
 
 def test_hicks_zero_gradient():
@@ -425,6 +433,7 @@ def _report_bits(value, gradient, hessian, hicks_m, det, allen_m) -> list:
                                      *np.ravel(hicks_m), *np.ravel(allen_m))]
 
 
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),

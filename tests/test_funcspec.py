@@ -181,6 +181,7 @@ _specs = st.one_of(
 
 # at least 200 examples, and the loaded profile's count where it is larger
 # (the CI fuzz step's 10,000)
+@pytest.mark.fuzz
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(spec=_specs)
 def test_parse_serialize_round_trip(spec):
@@ -233,6 +234,7 @@ _CONSTRUCTORS = [
 ]
 
 
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(data=st.data())
 def test_constructors_return_or_raise_a_validation_error(data):
@@ -503,6 +505,7 @@ _JET_COORDS = _EDGE_COORDS + (1e-160, 1e77, 1e150)
 
 # at least 300 examples, and the loaded profile's count where it is larger
 # (the CI fuzz step's 10,000)
+@pytest.mark.fuzz
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
@@ -527,6 +530,7 @@ _REPEAT_COORDS = (0.0, -0.0, 5e-324, 1.0, -1.0, math.exp(-1.0), math.e, 0.5, 2.0
                   1e77, 1e150, 1e200)
 
 
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),

@@ -481,6 +481,7 @@ def test_batch_bitwise_equals_gauss_kronecker(seed, kind, n, m):
 _REPEAT_COORDS = (0.0, -0.0, 5e-324, 1.0, -1.0, math.e, 0.5, 2.0, 1e-160, 1e150, 1e200)
 
 
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
@@ -673,6 +674,7 @@ def test_closed_form_failure_takes_lu_route(capsys, tmp_path, alphas, point, det
 _ROBUST_COORDS = _JET_COORDS + (1e300, 1e-300, 5e-324)
 
 
+@pytest.mark.fuzz
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),

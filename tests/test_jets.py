@@ -368,6 +368,7 @@ def _fd_spec(rng, kind, n):
 
 # at least 150 examples, and the loaded profile's count where it is larger
 # (the CI fuzz step's 10,000)
+@pytest.mark.fuzz
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
