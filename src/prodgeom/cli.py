@@ -5,8 +5,8 @@ Subcommands: ``eval``, ``curvature``, ``elasticity``, ``classify``,
 descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
 per axis, inclusive endpoints, row-major order). Rows are emitted in input
 order, CSV or JSONL, with identical numeric values in both encodings; stdout
-is written once, after the last row. Both formats encode a block a column
-at a time (``_writer``), and grid coordinates once per axis value. A CSV
+is written once, after the last row. Both formats encode a block's floats
+in one pass (``_writer``), and grid coordinates once per axis value. A CSV
 cell follows ``csv.writer``'s QUOTE_MINIMAL rule (``_csv_cell``); a JSONL
 line fills a template of the header's keys, built once, with the encoded
 cells, giving the bytes of ``json.dumps`` with ASCII-escaped text. A nan
@@ -170,14 +170,15 @@ def _writer(header: list, fmt: str, out):
     ``write(columns)`` for JSONL.
 
     ``columns`` holds the cells by column: a float array, or a sequence of
-    text. Both formats encode a column at once, by one rule: a float column
-    as ``repr`` over ``tolist()``, its non-finite cells then fixed per
-    format (a nan is a missing cell, empty in CSV and ``null`` in JSONL;
-    ±inf keeps its repr in CSV and is ``Infinity``/``-Infinity`` in JSONL),
-    and text through ``_csv_cell`` in CSV and ``encode_basestring_ascii`` in
-    JSONL. ``lead`` holds each CSV row's leading text, already encoded (a
-    grid's coordinates). A CSV line joins its cells with commas, the bytes
-    of ``csv.writer(out, lineterminator="\\n")``; a JSONL line fills one
+    text. Both formats encode a block by one rule: its float columns are
+    stacked, ``repr`` runs over one ``tolist()``, and the non-finite cells of
+    one ``isfinite`` scan are then fixed per format (a nan is a missing
+    cell, empty in CSV and ``null`` in JSONL; ±inf keeps its repr in CSV and
+    is ``Infinity``/``-Infinity`` in JSONL); text goes through ``_csv_cell``
+    in CSV and ``encode_basestring_ascii`` in JSONL. ``lead`` holds each
+    CSV row's leading text, already encoded (a grid's coordinates). A CSV
+    line joins its cells with commas, the bytes of
+    ``csv.writer(out, lineterminator="\\n")``; a JSONL line fills one
     template of the header's keys, built once, with the bytes of
     ``json.dumps(row, separators=(",", ":"))``."""
     csv_out = fmt == "csv"
@@ -187,18 +188,21 @@ def _writer(header: list, fmt: str, out):
         text = encode_basestring_ascii
         special = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
-    def cells(col):
-        if not isinstance(col, np.ndarray):
-            return list(map(text, col))
-        encoded = list(map(repr, col.tolist()))
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            encoded[i] = special[encoded[i]]
-        return encoded
+    def cells(columns):  # the encoded cells of each column, in order
+        floats = [col for col in columns if isinstance(col, np.ndarray)]
+        if floats:
+            stacked = np.stack(floats)
+            encoded = [list(map(repr, col)) for col in stacked.tolist()]
+            for k, i in np.argwhere(~np.isfinite(stacked)).tolist():
+                encoded[k][i] = special[encoded[k][i]]
+            floats = iter(encoded)
+        return [next(floats) if isinstance(col, np.ndarray) else list(map(text, col))
+                for col in columns]
     if csv_out:
         out.write(",".join(map(_csv_cell, header)) + "\n")
 
         def write(columns, lead=None):
-            lines = map(",".join, zip(*map(cells, columns)))
+            lines = map(",".join, zip(*cells(columns)))
             if lead is not None:
                 lines = map(",".join, zip(lead, lines))
             out.writelines([line + "\n" for line in lines])
@@ -207,7 +211,7 @@ def _writer(header: list, fmt: str, out):
                               for h in header) + "}\n"
 
     def write(columns):
-        out.writelines(map(template.__mod__, zip(*map(cells, columns))))
+        out.writelines(map(template.__mod__, zip(*cells(columns))))
     return write
 
 

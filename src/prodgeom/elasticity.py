@@ -89,16 +89,17 @@ def _allen_entry(weight, xa, xb, cofactor, det):
     return weight / (xa * xb) * cofactor / det
 
 
-def _hicks_from_jet(jet: Jet2N, pt, a: int, b: int) -> float:
-    # canonical ordering makes H_ij == H_ji bit for bit
+def _hicks_from_jet(grad: list, hess: list, pt, a: int, b: int) -> float:
+    # H_ab from a jet's gradient and Hessian as Python lists (tolist(), once
+    # per jet); canonical ordering makes H_ij == H_ji bit for bit
     a, b = (a, b) if a < b else (b, a)
-    fa, fb = float(jet.gradient[a]), float(jet.gradient[b])
+    fa, fb = grad[a], grad[b]
     for k, f in ((a, fa), (b, fb)):
         if f == 0.0:
             raise ZeroGradientError(f"partial derivative {k + 1} vanishes at {tuple(pt)!r}")
     try:
-        num, den, undefined = _hicks_parts(pt[a], pt[b], fa, fb, float(jet.hessian[a, a]),
-                                           float(jet.hessian[a, b]), float(jet.hessian[b, b]))
+        num, den, undefined = _hicks_parts(pt[a], pt[b], fa, fb, hess[a][a], hess[a][b],
+                                           hess[b][b])
     except ZeroDivisionError:  # the partials are nonzero but their products underflow
         raise ZeroGradientError(
             f"partial derivatives {a + 1} and {b + 1} underflow at {tuple(pt)!r}") from None
@@ -121,7 +122,8 @@ def hicks(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     """
     a, b = _pair(spec, i, j)
     pt = _positive_point(spec, point)
-    return _hicks_from_jet(jet_multivariate(spec, pt), pt, a, b)
+    jet = jet_multivariate(spec, pt)
+    return _hicks_from_jet(jet.gradient.tolist(), jet.hessian.tolist(), pt, a, b)
 
 
 def _bordered(gradient: np.ndarray, hessian: np.ndarray, det):
@@ -235,16 +237,17 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
     if not math.isfinite(det):
         raise NumericalError(f"non-finite bordered determinant at {tuple(pt)!r}")
     hicks_m = np.full((n, n), math.nan)
+    grad, hess = jet.gradient.tolist(), jet.hessian.tolist()
     for a in range(n):
         for b in range(a + 1, n):
             try:
-                hicks_m[a, b] = hicks_m[b, a] = _hicks_from_jet(jet, pt, a, b)
+                hicks_m[a, b] = hicks_m[b, a] = _hicks_from_jet(grad, hess, pt, a, b)
             except (HicksUndefined, ZeroGradientError):
                 pass
     singular = _det_ratios(det, border) <= SINGULARITY_REL
     allen_m = None
     if not singular:
-        weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
+        weight = math.fsum(x * g for x, g in zip(pt, grad))
         allen_m = np.full((n, n), math.nan)
         cof = iter(_cofactors(border[None], upper=True)[0])  # in the loop's (a < b) order
         for a in range(n):
@@ -346,10 +349,11 @@ def ces_probe(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
     values = []
     for p in sample_points:
         jet = jet_multivariate(spec, _positive_point(spec, p))
+        grad, hess = jet.gradient.tolist(), jet.hessian.tolist()
         for a in range(spec.n):
             for b in range(a + 1, spec.n):
                 try:
-                    values.append(_hicks_from_jet(jet, p, a, b))
+                    values.append(_hicks_from_jet(grad, hess, p, a, b))
                 except HicksUndefined as e:
                     raise HicksUndefined(f"probe point {tuple(p)!r}: {e}") from None
     spread = max(values) - min(values)

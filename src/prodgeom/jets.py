@@ -8,16 +8,21 @@ that assembly. All arithmetic is 64-bit floating point. The assembly takes
 floats for one point or, in ``_jet_columns``, numpy columns with one entry
 per point (nan where the value pass flags it), with the same operations in
 the same order on both; its helpers return Hessian entry rules, which
-``_fill`` alone turns into a matrix, once per jet. The finite-difference
-stencil is written once the same way: ``fd_jet`` calls a black-box evaluator
-per stencil point, and ``_fd_columns`` evaluates a spec at one stencil point
-of every row at once, from each axis's term columns formed once per block.
+``_fill`` alone turns into a matrix, once per jet; the product rule's
+entries share running products, each in index order from 1.0
+(``_product_parts``). The finite-difference stencil is written once the
+same way: ``fd_jet`` calls a black-box evaluator per stencil point, and
+``_fd_columns`` evaluates a spec at one stencil point of every row at once,
+from each axis's term columns formed once per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,19 +98,26 @@ def _fill(n, shape, rules):
 def _product_parts(jets, vals):
     """Gradient (a list) and Hessian entry rules (for ``_fill``) of the
     product of the factor jets, whose values are ``vals``: floats, or (m,)
-    columns over m points, whose entries are then (m,) columns."""
-    n = len(jets)
+    columns over m points, whose entries are then (m,) columns.
 
-    def prod_except(skip):
-        p = 1.0
-        for k in range(n):
-            if k not in skip:
-                p *= vals[k]
-        return p
+    Every product of the other values runs from 1.0 in index order, from
+    shared prefixes; ``off(i, j)`` keeps the product skipping i up to j for
+    the next j (``_fill``'s order; any other order rebuilds it) and
+    multiplies in the tail past j, so O(n) products stay live. ``mul``
+    returns a new column, so no shared product is ever written into."""
+    prefix = list(accumulate(vals[:-1], mul, initial=1.0))  # prefix[i]: of vals[:i]
+    skip = [reduce(mul, vals[i + 1:], p) for i, p in enumerate(prefix)]
+    run = [None, None, None]  # (i, j, the product skipping i of vals[:j])
 
-    du = [jets[i].d1 * prod_except((i,)) for i in range(n)]
-    return du, (lambda i: jets[i].d2 * prod_except((i,)),
-                lambda i, j: jets[i].d1 * jets[j].d1 * prod_except((i, j)))
+    def off(i, j):
+        ri, rj, p = run
+        if ri != i or rj > j:
+            rj, p = i + 1, prefix[i]
+        run[:] = i, j, reduce(mul, vals[rj:j], p)
+        return jets[i].d1 * jets[j].d1 * reduce(mul, vals[j + 1:], run[2])
+
+    du = [jet.d1 * p for jet, p in zip(jets, skip)]
+    return du, (lambda i: jets[i].d2 * skip[i], off)
 
 
 def _acms_parts(spec: Acms, pt, s, pw=pow):
@@ -160,7 +172,7 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
     except (OverflowError, ZeroDivisionError):
         raise NumericalError(f"jet assembly overflowed at {tuple(pt)!r}") from None
     gradient = np.array(grad, dtype=float)
-    if not (np.isfinite(gradient).all() and np.isfinite(hess).all()):
+    if not all(map(math.isfinite, [*grad, *hess.ravel().tolist()])):
         raise NumericalError(f"non-finite jet at point {tuple(pt)!r}")
     return Jet2N(value, gradient, hess, factors)
 

@@ -29,7 +29,7 @@ from .funcspec import (
     Power,
     _column_pow,
     _point_rows,
-    evaluate,
+    _values,
     make_acms,
     make_cobb_douglas,
 )
@@ -211,9 +211,10 @@ def _hicks_pairs(spec, points) -> dict:
     out = {}
     for p in points:
         jet = jet_multivariate(spec, p)
+        grad, hess = jet.gradient.tolist(), jet.hessian.tolist()
         for i in range(1, spec.n + 1):
             for j in range(i + 1, spec.n + 1):
-                out[(p, i, j)] = _hicks_from_jet(jet, p, i - 1, j - 1)
+                out[(p, i, j)] = _hicks_from_jet(grad, hess, p, i - 1, j - 1)
     return out
 
 
@@ -358,7 +359,8 @@ def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8) -> CheckR
         else:
             spec = _random_acms(rng, n=rng.randint(2, 3))
         point = points_loguniform(spec.n, 1, rng)[0]
-        g_gap, h_gap = norm_rel_gaps(fd_jet(lambda p: evaluate(spec, p), point),
+        # fd_jet's stencil points are lists of n floats: the value pass reads them as they are
+        g_gap, h_gap = norm_rel_gaps(fd_jet(lambda q: _values(spec, q)[2], point),
                                      jet_multivariate(spec, point))
         worst_g = max(worst_g, g_gap)
         worst_h = max(worst_h, h_gap)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import prodgeom
@@ -818,33 +818,49 @@ def test_jsonl_writer_bytes_equal_json_dumps():
 # signed zeros, nan, infinities, the smallest subnormal, and the floats
 # whose repr switches to or from exponent notation
 _CSV_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e16, 1e22]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
 _csv_float = st.one_of(st.sampled_from(_CSV_FLOATS), st.floats())
 _csv_text = st.text(st.sampled_from(list('ab1. ,"\n\r')), max_size=6)
 
 
+def _block_columns(text, min_width):
+    # min_width to 12 columns of one row count: each a float array, an
+    # all-non-finite float array or text, in any order (an elasticity block
+    # mixes 102 float columns with one of text)
+    def columns(count):
+        def cells(cell):
+            return st.lists(cell, min_size=count, max_size=count)
+        return st.lists(st.one_of(cells(_csv_float).map(np.array),
+                                  cells(st.sampled_from(_NON_FINITE)).map(np.array),
+                                  cells(text)), min_size=min_width, max_size=12)
+    return st.integers(0, 4).flatmap(columns)
+
+
+def _rows(columns):
+    # the block's rows as json.dumps and csv.writer take them, a nan as None
+    return [[(None if math.isnan(col[i]) else col[i].item()) if isinstance(col, np.ndarray)
+             else col[i] for col in columns] for i in range(len(columns[0]))]
+
+
 @pytest.mark.fuzz
-@given(data=st.data(), header=st.lists(_csv_text, min_size=2, max_size=4),
-       width=st.integers(2, 4), count=st.integers(0, 4),
+@example(header=["x1", "status"], coords=[1.5],
+         columns=[np.array([math.nan, math.inf, -math.inf]), ["ok", "a,b", ""]])
+@given(header=st.lists(_csv_text, min_size=2, max_size=12), columns=_block_columns(_csv_text, 2),
        coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
-def test_csv_writer_bytes_equal_csv_writer(data, header, width, count, coords):
+def test_csv_writer_bytes_equal_csv_writer(header, columns, coords):
     # the writer's cell rule is csv.writer's QUOTE_MINIMAL at lineterminator
-    # "\n", with a nan in a float column (an array, encoded at once) as a
-    # missing cell: a column of floats or of text, and a row's leading cells
-    # as text already encoded. Rows have 2+ cells, as the CLI's do
-    # (csv.writer quotes a lone empty cell)
-    columns = [np.array(data.draw(st.lists(_csv_float, min_size=count, max_size=count)))
-               if data.draw(st.booleans(), label="float column")
-               else data.draw(st.lists(_csv_text, min_size=count, max_size=count))
-               for _ in range(width)]
-    rows = [[(None if math.isnan(col[i]) else col[i].item()) if isinstance(col, np.ndarray)
-             else col[i] for col in columns] for i in range(count)]
+    # "\n", with a nan in a float column (an array; a block's are encoded at
+    # once) as a missing cell: a column of floats or of text, and a row's
+    # leading cells as text already encoded. Rows have 2+ cells, as the CLI's
+    # do (csv.writer quotes a lone empty cell)
+    rows = _rows(columns)
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(
         [header] + rows + [[*coords, *row] for row in rows])
     text = io.StringIO()
     write = cli._writer(header, "csv", text)
     write(columns)
-    write(columns, [",".join(map(repr, coords))] * count)
+    write(columns, [",".join(map(repr, coords))] * len(rows))
     assert text.getvalue() == expected.getvalue()
 
 
@@ -855,23 +871,63 @@ _json_text = st.text(st.sampled_from(list('a1 ,"\\\n\r\t\x00\x1f\x7f%é\u2028\U0
 
 
 @pytest.mark.fuzz
-@given(data=st.data(), header=st.lists(_json_text, min_size=1, max_size=4, unique=True),
-       count=st.integers(0, 4))
-def test_jsonl_writer_bytes_equal_json_dumps_of_each_row(data, header, count):
+@example(keys=[f"k{k}" for k in range(12)],
+         columns=[["ok", '"'], np.array([math.inf, math.nan]), np.array([1.0, -0.0])])
+@given(keys=st.lists(_json_text, min_size=12, max_size=12, unique=True),
+       columns=_block_columns(_json_text, 1))
+def test_jsonl_writer_bytes_equal_json_dumps_of_each_row(keys, columns):
     # every JSONL line has the bytes of json.dumps over the row keyed by the
-    # header, with a nan in a float column (an array, encoded at once) as None
-    columns = [np.array(data.draw(st.lists(_csv_float, min_size=count, max_size=count)))
-               if data.draw(st.booleans(), label="float column")
-               else data.draw(st.lists(_json_text, min_size=count, max_size=count))
-               for _ in header]
-    rows = [[(None if math.isnan(col[i]) else col[i].item()) if isinstance(col, np.ndarray)
-             else col[i] for col in columns] for i in range(count)]
+    # header, with a nan in a float column (an array; a block's are encoded
+    # at once) as None
+    header = keys[:len(columns)]
     text = io.StringIO()
     write = cli._writer(header, "jsonl", text)
     write(columns)
     write(columns)
     assert text.getvalue() == 2 * "".join(
-        json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows)
+        json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+        for row in _rows(columns))
+
+
+def _column_cells(col, fmt):
+    # the reference rule, one column at a time: a float column as repr over
+    # tolist() with its non-finite cells fixed per format, text through the
+    # format's own rule
+    if not isinstance(col, np.ndarray):
+        return list(map(cli._csv_cell if fmt == "csv" else json.encoder.encode_basestring_ascii,
+                        col))
+    special = ({"nan": "", "inf": "inf", "-inf": "-inf"} if fmt == "csv"
+               else {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"})
+    return [repr(v) if math.isfinite(v) else special[repr(v)] for v in col.tolist()]
+
+
+def test_writer_gives_an_elasticity_block_its_per_column_bytes():
+    # an n = 10 elasticity block: 10 coordinates, value, 45 Hicks and 45
+    # Allen pairs and the bordered det (102 float columns) and the status,
+    # 12 rows; Allen-singular rows have nan Allen cells, a domain_error row
+    # is nan from the value on, and one Allen column is nan in every row
+    rng = random.Random(25)
+    status = rng.choices(["ok", "allen_undefined", "hicks_undefined"], k=12)
+    status[5] = "domain_error"
+    block = np.array([[rng.choice([0.5, -0.0, 5e-324, 1e16, math.inf, -math.inf,
+                                   rng.uniform(-1e3, 1e3)]) for _ in range(102)]
+                      for _ in range(12)])
+    block[:, 10:56][[s == "hicks_undefined" for s in status], ::7] = math.nan
+    block[:, 56:101][[s != "ok" for s in status]] = math.nan
+    block[5, 10:] = block[:, 60] = math.nan
+    columns = [*block.T, status]
+    header = ([f"x{k + 1}" for k in range(10)] + ["value"] + [f"hicks_{k}" for k in range(45)]
+              + [f"allen_{k}" for k in range(45)] + ["bordered_det", "status"])
+    for fmt in ("csv", "jsonl"):
+        text = io.StringIO()
+        cli._writer(header, fmt, text)(columns)
+        cells = list(zip(*(_column_cells(col, fmt) for col in columns)))
+        if fmt == "csv":
+            expected = [",".join(header)] + [",".join(row) for row in cells]
+        else:
+            expected = ["{" + ",".join(f'"{h}":{c}' for h, c in zip(header, row)) + "}"
+                        for row in cells]
+        assert text.getvalue() == "".join(line + "\n" for line in expected)
 
 
 def test_one_parser_serves_every_run(capsys, monkeypatch):

@@ -268,6 +268,56 @@ def test_one_hessian_fill_per_jet(monkeypatch, spec):
     assert fills == [(3, ()), (3, (2,))]
 
 
+def _prod_except(vals, skip):
+    # the product rule's reference: 1.0 times every value not skipped, in index order
+    p = 1.0
+    for k, v in enumerate(vals):
+        if k not in skip:
+            p = p * v
+    return p
+
+
+# signed zeros, subnormals, nan, the infinities, and values whose products overflow
+_PRODUCT_FLOATS = [0.0, -0.0, 5e-324, -2.5e-308, math.nan, math.inf, -math.inf, 1.7e308,
+                   -1e154, 1e-160]
+_product_float = st.one_of(st.sampled_from(_PRODUCT_FLOATS), st.floats())
+
+
+def _hexes(x):
+    # a nan's sign and payload are not compared: they can depend on the
+    # operand order that the interpreter's float multiply happens to use
+    return [v.hex() for v in np.ravel(np.asarray(x, dtype=float)).tolist()]
+
+
+@pytest.mark.fuzz
+@given(data=st.data(), n=st.integers(1, 12), m=st.one_of(st.none(), st.integers(0, 4)))
+def test_product_parts_bitwise_equal_prod_except(data, n, m):
+    # the gradient and every Hessian entry rule of _product_parts have the
+    # bits of the reference product skipping one or two indices, on floats
+    # (m None) and on (m,) columns, whether the pairs come in _fill's order or
+    # in any other; no factor column is written into. The callers run it
+    # under np.errstate, as here
+    def draw():
+        if m is None:
+            return data.draw(_product_float)
+        return np.array(data.draw(st.lists(_product_float, min_size=m, max_size=m)))
+
+    factors = [jets.Jet1(draw(), draw(), draw()) for _ in range(n)]
+    vals = [f.value for f in factors]
+    before = [_hexes(x) for f in factors for x in (f.value, f.d1, f.d2)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    with np.errstate(all="ignore"):
+        du, (diag, off) = jets._product_parts(factors, vals)
+        for i in range(n):
+            assert _hexes(du[i]) == _hexes(factors[i].d1 * _prod_except(vals, (i,)))
+            assert _hexes(diag(i)) == _hexes(factors[i].d2 * _prod_except(vals, (i,)))
+        for order in (pairs, data.draw(st.permutations(pairs), label="pair order")):
+            for i, j in order:
+                expected = factors[i].d1 * factors[j].d1 * _prod_except(vals, (i, j))
+                assert _hexes(off(i, j)) == _hexes(expected), (i, j)
+    assert [_hexes(x) for f in factors for x in (f.value, f.d1, f.d2)] == before
+
+
 def test_point_arity_checked():
     spec = make_cobb_douglas(1.0, (1.0, 2.0))
     with pytest.raises(ValidationError):
