@@ -126,19 +126,19 @@ def hicks(spec: FunctionSpec, point: Sequence[float], i: int, j: int) -> float:
     return _hicks_from_jet(jet.gradient.tolist(), jet.hessian.tolist(), pt, a, b)
 
 
-def _bordered(gradient: np.ndarray, hessian: np.ndarray, det):
-    # the bordered matrix, or an (m, n+1, n+1) stack of them, and det of it
+def _bordered(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    # the bordered matrix, or an (m, n+1, n+1) stack of them
     border = np.zeros(gradient.shape[:-1] + (gradient.shape[-1] + 1,) * 2)
     border[..., 0, 1:] = border[..., 1:, 0] = gradient
     border[..., 1:, 1:] = hessian
-    return border, det(border)
+    return border
 
 
 def _bordered_ratios(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     # the _det_ratios of the bordered matrix of each row of (m, n) gradients
     # and (m, n, n) Hessians, bit for bit those of plu_det's determinants
-    border, det = _bordered(gradient, hessian, plu_dets)
-    return _det_ratios(det, border)
+    border = _bordered(gradient, hessian)
+    return _det_ratios(plu_dets(border), border)
 
 
 def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
@@ -148,7 +148,8 @@ def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
     The determinant uses partial-pivot elimination.
     """
     jet = jet_multivariate(spec, _positive_point(spec, point))
-    return _bordered(jet.gradient, jet.hessian, plu_det)
+    border = _bordered(jet.gradient, jet.hessian)
+    return border, plu_det(border)
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,7 +219,7 @@ class ElasticityReport:
     def cofactors(self) -> np.ndarray:
         """The n x n signed cofactors of the inner (Hessian) entries of the
         bordered matrix, formed from ``jet`` on first read and kept."""
-        border, _ = _bordered(self.jet.gradient, self.jet.hessian, plu_det)
+        border = _bordered(self.jet.gradient, self.jet.hessian)
         return _cofactors(border[None], upper=False).reshape(self.jet.n, self.jet.n)
 
 
@@ -233,7 +234,8 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
     pt = _positive_point(spec, point)
     jet = jet_multivariate(spec, pt)
     n = jet.n
-    border, det = _bordered(jet.gradient, jet.hessian, plu_det)
+    border = _bordered(jet.gradient, jet.hessian)
+    det = plu_det(border)
     if not math.isfinite(det):
         raise NumericalError(f"non-finite bordered determinant at {tuple(pt)!r}")
     hicks_m = np.full((n, n), math.nan)
@@ -288,7 +290,8 @@ def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
     value, gradient, hessian, _, ok = _jet_columns(spec, x)
     ok &= _positive_rows(x)  # the positivity guard outranks any jet error
     a, b = np.triu_indices(n, 1)
-    border, det = _bordered(gradient, hessian, plu_dets)
+    border = _bordered(gradient, hessian)
+    det = plu_dets(border)
     num, den, undefined = _hicks_parts(x[:, a], x[:, b], gradient[:, a], gradient[:, b],
                                        hessian[:, a, a], hessian[:, a, b], hessian[:, b, b],
                                        lambda p, q: np.where(q == 0.0, math.nan, p / q))

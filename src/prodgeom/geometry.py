@@ -7,7 +7,8 @@ For the graph of f in (n+1)-space the Gauss-Kronecker curvature is
 so omega >= 1 always and a developable graph is one with G identically zero.
 For product-form (homothetical) specs the Hessian determinant additionally
 has a closed form in the component log-derivatives; the partial-pivot LU
-determinant stays available as an independent oracle against it.
+determinant stays available as an independent oracle against it: ``plu_det``
+on one matrix (on Python floats up to order 25), ``plu_dets`` on a stack, bit for bit alike.
 ``gauss_kronecker_batch`` computes many points at once, bit for bit as
 ``gauss_kronecker`` point by point.
 """
@@ -27,32 +28,57 @@ from .jets import Jet2N, _factor_jet, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
 
 
-@np.errstate(all="ignore")  # a determinant that overflows is inf, quietly
+#: The widest matrix ``plu_det`` eliminates on Python floats; ``plu_dets`` takes wider ones.
+_SCALAR_LU_MAX = 25
+
+
+def _float_matrices(a, ndim: int, rule: str) -> np.ndarray:
+    # a as a float array of ndim axes, the last two equal; complex, text or object dtypes refused
+    try:
+        m = np.asarray(a)
+    except ValueError:  # ragged rows
+        raise ValidationError(f"{rule} of real numbers, got {a!r:.60}") from None
+    if m.dtype.kind not in "biuf" or m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"{rule} of real numbers, got {m.dtype} of shape {m.shape}")
+    return m.astype(float, copy=False)
+
+
 def plu_det(matrix: np.ndarray) -> float:
     """Determinant by Gaussian elimination with partial pivoting.
 
-    Matrices here are small dense symmetric blocks (n <= ~10); no blocking
-    or scaling refinements are needed at that size.
+    Step k pivots on the first largest |a_ik| (the first nan wins, as in
+    ``np.argmax``; a zero gives 0.0), swaps whole rows (det flips sign), sets
+    det *= pivot and makes each lower row r x - (r[k] / pivot) * u, u the pivot
+    row. It runs on Python floats: at the orders met here (n + 1 <= ~11) a
+    vectorised step's numpy calls cost more than its arithmetic. Past order
+    ``_SCALAR_LU_MAX``, the crossover measured on a 2-core x86 host, ``plu_dets``
+    takes the matrix as a stack of one: the same steps, the same bits.
     """
-    m = np.array(matrix, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValidationError(f"determinant needs a square matrix, got {m.shape}")
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[p, k] == 0.0:
+    m = _float_matrices(matrix, 2, "determinant needs a square (n, n) array")
+    if len(m) > _SCALAR_LU_MAX:
+        return float(plu_dets(m[None])[0])
+    rows, det = m.tolist(), 1.0
+    while rows:  # step k on the trailing (n - k)-square block
+        p = 0
+        for i in range(1, len(rows)):  # the first largest |a_ik|, or the first nan
+            a, big = abs(rows[i][0]), abs(rows[p][0])
+            if big == big and (a > big or a != a):
+                p = i
+        pivot = rows[p][0]
+        if pivot == 0.0:
             return 0.0
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            det = -det
-        det *= m[k, k]
-        if k + 1 < n:
-            m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
-    return float(det)
+        if p:
+            rows[0], rows[p], det = rows[p], rows[0], -det
+        det *= pivot
+        u, rest = rows[0][1:], []
+        for r in rows[1:]:
+            f = r[0] / pivot
+            rest.append([x - f * y for x, y in zip(r[1:], u)])
+        rows = rest
+    return det  # overflow is inf and inf / inf nan, quietly: Python floats never warn
 
 
-@np.errstate(all="ignore")  # as plu_det
+@np.errstate(all="ignore")  # overflow is inf and inf / inf nan, quietly, as in plu_det
 def plu_dets(stack: np.ndarray) -> np.ndarray:
     """Determinants of a (k, m, m) stack of matrices, bit for bit as ``plu_det``.
 
@@ -63,9 +89,7 @@ def plu_dets(stack: np.ndarray) -> np.ndarray:
     The Python loop runs over elimination steps, each updating one (m, m, k)
     copy with the stack axis last in place, which pays off for many minors.
     """
-    s = np.asarray(stack, dtype=float)
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
-        raise ValidationError(f"stacked determinant needs a (k, m, m) array, got {s.shape}")
+    s = _float_matrices(stack, 3, "stacked determinant needs a (k, m, m) array")
     count, n = s.shape[:2]
     m = s.transpose(1, 2, 0).copy()
     stacked, det = np.arange(count), np.ones(count)

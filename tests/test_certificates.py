@@ -61,8 +61,8 @@ def _loop_corollary42(spec, sample_points, tol):
         rec = gauss_kronecker(spec, p)
         _positive_point(spec, p)
         gks.append(abs(rec.gk_curvature))
-        border, det = _bordered(rec.jet.gradient, rec.jet.hessian, plu_det)
-        rels.append(_scale_relative(det, border))
+        border = _bordered(rec.jet.gradient, rec.jet.hessian)
+        rels.append(_scale_relative(plu_det(border), border))
     max_gk, max_rel_det = _max(gks), _max(rels)
     gk_zero = max_gk <= tol
     allen_singular = max_rel_det <= tol

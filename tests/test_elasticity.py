@@ -424,6 +424,15 @@ def test_report_forms_its_cofactors_on_first_read(monkeypatch):
         report.bordered_det = 0.0
 
 
+def test_first_cofactors_read_runs_no_scalar_determinant(monkeypatch):
+    # the cofactors read the bordered matrix alone, not its determinant
+    report = elasticity_report(make_cobb_douglas(1.0, (0.25, 0.25, 0.5)), (1.0, 2.0, 3.0))
+    calls, real = [], elasticity.plu_det
+    monkeypatch.setattr(elasticity, "plu_det", lambda m: calls.append(m) or real(m))
+    sizes = _minor_counts(monkeypatch)
+    assert report.cofactors.shape == (3, 3) and sizes == [9] and calls == []
+
+
 # the jets' edge coordinates, a zero of (x - 1)-type factors, and 1e300
 _BATCH_COORDS = _JET_COORDS + (1.0, 1e300)
 

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodgeom import (
@@ -273,8 +273,9 @@ def test_gk_permutation_invariance():
 
 
 def test_plu_det_against_numpy():
+    # orders 20 and 40 lie past _SCALAR_LU_MAX: LAPACK checks the stack-of-one route too
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 5, 8):
+    for n in (1, 2, 3, 5, 8, 20, 40):
         for _ in range(10):
             m = rng.normal(size=(n, n))
             assert plu_det(m) == pytest.approx(float(np.linalg.det(m)), rel=1e-10)
@@ -315,6 +316,108 @@ def test_det_ratios_one_matrix_equals_its_row_in_a_stack(case):
     stacked = geometry._det_ratios(np.array([2.0, det]), np.stack([np.eye(len(matrix)), matrix]))
     assert type(one) is float and one == ratio
     assert _bits([one]) == _bits(stacked[1:]) and stacked[0] == 2.0
+
+
+# plu_det as it was before its Python-float route, kept verbatim as the reference
+@np.errstate(all="ignore")  # a determinant that overflows is inf, quietly
+def _plu_det_numpy_loop(matrix: np.ndarray) -> float:
+    """Determinant by Gaussian elimination with partial pivoting.
+
+    Matrices here are small dense symmetric blocks (n <= ~10); no blocking
+    or scaling refinements are needed at that size.
+    """
+    m = np.array(matrix, dtype=float)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValidationError(f"determinant needs a square matrix, got {m.shape}")
+    det = 1.0
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        if m[p, k] == 0.0:
+            return 0.0
+        if p != k:
+            m[[k, p]] = m[[p, k]]
+            det = -det
+        det *= m[k, k]
+        if k + 1 < n:
+            m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
+    return float(det)
+
+
+def _assert_same_det(matrix) -> None:
+    # plu_det has the bits of the numpy loop above; a nan's sign and payload
+    # are not compared
+    got, want = plu_det(matrix), _plu_det_numpy_loop(matrix)
+    assert type(got) is float
+    assert math.isnan(got) and math.isnan(want) or got.hex() == want.hex()
+
+
+# signed zeros, subnormals, nan, the infinities, magnitudes whose products
+# overflow or underflow, and small values that tie in |pivot|
+_DET_FLOATS = [0.0, -0.0, 5e-324, -2.5e-308, math.nan, math.inf, -math.inf, 1e300, -1e300,
+               1e-300, 1.0, -1.0, 2.0, 0.5]
+
+
+@st.composite
+def _edge_matrices(draw):
+    # an n x n matrix, n on both sides of _SCALAR_LU_MAX: gaussian entries times
+    # a drawn power of ten, maybe a zero block, and a drawn share of the entries
+    # replaced from a drawn palette
+    n = draw(st.integers(1, geometry._SCALAR_LU_MAX + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(n, n)) * 10.0 ** draw(st.one_of(st.just(0), st.integers(-300, 300)))
+    if draw(st.booleans()):  # a zero pivot at a drawn step, unless the palette fills it
+        step = draw(st.integers(0, n - 1))
+        m[step:, :step + 1] = 0.0
+    palette = draw(st.lists(st.one_of(st.sampled_from(_DET_FLOATS), st.floats()), max_size=4))
+    if palette:
+        m = np.where(rng.random((n, n)) < draw(st.sampled_from([0.1, 0.5, 1.0])),
+                     rng.choice(palette, size=(n, n)), m)
+    if draw(st.booleans()):  # symmetric, signed zeros kept
+        m = np.where(np.triu(np.ones((n, n), dtype=bool)), m, m.T)
+    return m
+
+
+@pytest.mark.fuzz
+@settings(deadline=None)
+@given(matrix=_edge_matrices())
+@example(matrix=np.array([[0.0, 1.0, 2.0], [math.nan, 3.0, 4.0], [0.0, 6.0, 7.0]]))  # nan pivot
+@example(matrix=np.array([[1.0, 2.0, 3.0], [-1.0, 5.0, 1.0], [1.0, 0.5, 3.0]]))  # |pivot| tie
+def test_plu_det_bitwise_equals_the_numpy_loop(matrix):
+    _assert_same_det(matrix)
+
+
+def test_plu_det_routes_meet_at_scalar_lu_max(monkeypatch):
+    # order _SCALAR_LU_MAX runs on Python floats and the next order on plu_dets,
+    # both with the numpy loop's bits, on gaussian, symmetric and special matrices
+    stacks, real = [], geometry.plu_dets
+    monkeypatch.setattr(geometry, "plu_dets", lambda s: stacks.append(len(s)) or real(s))
+    rng = np.random.default_rng(11)
+    for n in (geometry._SCALAR_LU_MAX, geometry._SCALAR_LU_MAX + 1):
+        stacks.clear()
+        m = rng.normal(size=(n, n))
+        special = m.copy()
+        special[rng.integers(n, size=3), rng.integers(n, size=3)] = [math.nan, math.inf, -0.0]
+        for matrix in (m, m + m.T, special, np.rint(m), m * 1e30, m * 1e-30):
+            _assert_same_det(matrix)
+        assert stacks == ([] if n == geometry._SCALAR_LU_MAX else [1] * 6)
+
+
+@pytest.mark.parametrize("det, malformed", [
+    (plu_det, 5.0), (plu_det, None), (plu_det, [[1, 2], [3]]), (plu_det, [[1 + 2j, 0], [0, 1]]),
+    (plu_det, "x"), (plu_det, [1.0, 2.0]), (plu_det, np.zeros((2, 3))),
+    (plu_det, np.eye(2, dtype=complex)), (plu_det, [[None, 1.0], [1.0, 1.0]]),
+    (plu_dets, "x"), (plu_dets, [[[1, 2], [3]]]), (plu_dets, [[[1j]]]), (plu_dets, None),
+])
+def test_determinants_reject_malformed_input(det, malformed):
+    # not a bare IndexError, ValueError or TypeError: the shape rule
+    with pytest.raises(ValidationError, match=r"needs a .* array of real numbers"):
+        det(malformed)
+
+
+def test_empty_determinants():
+    assert plu_det(np.zeros((0, 0))) == 1.0
+    assert plu_dets(np.zeros((0, 3, 3))).tolist() == []
 
 
 def _bits(values) -> list:
