@@ -582,6 +582,8 @@ def _core_value(spec: FunctionSpec, core: np.ndarray) -> tuple:
     column, the CES core gamma * s^(d/rho) and the outer map's ``value``, run
     row by row on Python floats unless the map is linear."""
     u = spec.gamma * _column_pow(core, spec.d / spec.rho) if isinstance(spec, Acms) else core
+    if isinstance(spec, Acms) and spec.d / spec.rho == 0.0:  # s^0.0 is 1.0 even at a
+        u = np.where(np.isnan(core), math.nan, u)  # failed guard's nan s: keep the row failed
     if isinstance(spec, Homothetical):
         return u, u
     outer = spec.outer

@@ -1,19 +1,11 @@
 """Second-order differentiation: closed-form jets plus a finite-difference oracle.
 
-A 1-D jet is the triple (value, first derivative, second derivative) of a
-component at a point. Multivariate jets are assembled exactly from 1-D jets
-through the product and chain rules, never from finite differences;
-``fd_jet`` is the independent central-difference route used to cross-check
-that assembly. All arithmetic is 64-bit floating point. The assembly takes
-floats for one point or, in ``_jet_columns``, numpy columns with one entry
-per point (nan where the value pass flags it), with the same operations in
-the same order on both; its helpers return Hessian entry rules, which
-``_fill`` alone turns into a matrix, once per jet; the product rule's
-entries share running products, each in index order from 1.0
-(``_product_parts``). The finite-difference stencil is written once the
-same way: ``fd_jet`` calls a black-box evaluator per stencil point, and
-``_fd_columns`` evaluates a spec at one stencil point of every row at once,
-from each axis's term columns formed once per block.
+A 1-D jet is (value, f', f'') of a component at a point; multivariate jets
+are assembled exactly from them by the product and chain rules, and
+``fd_jet`` is the independent central-difference oracle. The assembly and
+the stencil are each written once for one point's floats and for numpy
+columns over many points (``_jet_columns``, ``_fd_columns``), with the same
+64-bit operations in the same order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ValidationError
 from .funcspec import (_LINEAR_OUTER, Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow,
                        _coords, _core_value, _map_rows, _point, _term_column, _term_core,
                        _value_pass, _values, evaluate)
@@ -45,10 +37,8 @@ class Jet1:
 
 @dataclass(frozen=True, eq=False)
 class Jet2N:
-    """Value, gradient and (exactly symmetric) Hessian at a point.
-
-    ``factors``: the 1-D jets a homothetical jet was built from (None otherwise).
-    """
+    """Value, gradient and (exactly symmetric) Hessian at a point; ``factors``
+    are the 1-D jets a homothetical jet was built from (None otherwise)."""
 
     value: float
     gradient: np.ndarray
@@ -70,11 +60,9 @@ def _factor_jet(c: ComponentFn, x: float, v: float) -> Jet1:
 
 def jet1d(c: ComponentFn, x: float) -> Jet1:
     """Exact (value, f', f'') of a component at x: ``c.value(x)`` and
-    ``c.derivs(x, value)``, whose docstrings give the formulas.
-
-    Raises DomainError when x violates the component guard and
-    NumericalError where the jet overflows or is not finite.
-    """
+    ``c.derivs(x, value)``, whose docstrings give the formulas. Raises
+    DomainError when x violates the component guard and NumericalError
+    where the jet overflows or is not finite."""
     [x] = _coords((x,))
     try:
         return _factor_jet(c, x, c.value(x))
@@ -102,8 +90,7 @@ def _product_parts(jets, vals):
 
     Every product of the other values runs from 1.0 in index order, from
     shared prefixes; ``off(i, j)`` keeps the product skipping i up to j for
-    the next j (``_fill``'s order; any other order rebuilds it) and
-    multiplies in the tail past j, so O(n) products stay live. ``mul``
+    the next j in ``_fill``'s order, so O(n) products stay live. ``mul``
     returns a new column, so no shared product is ever written into."""
     prefix = list(accumulate(vals[:-1], mul, initial=1.0))  # prefix[i]: of vals[:i]
     skip = [reduce(mul, vals[i + 1:], p) for i, p in enumerate(prefix)]
@@ -124,8 +111,7 @@ def _acms_parts(spec: Acms, pt, s, pw=pow):
     """Gradient and Hessian rules of the CES core g = gamma * s^(d/rho), from the
     sum s (a float or a column, as in ``_product_parts``; ``pw`` computes ``**``)."""
     rho, q = spec.rho, spec.d / spec.rho
-    ds = []
-    d2s = []
+    ds, d2s = [], []
     for b, x in zip(spec.betas, pt):
         base = b * x
         ds.append(rho * b * pw(base, rho - 1.0))
@@ -186,19 +172,12 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     and ``ok`` (m,). Where ``ok`` holds, a row has the bits of
     ``jet_multivariate`` at its point; elsewhere that call raises.
 
-    The value pass runs first, so every guard does too
-    (``funcspec._value_pass``, bit for bit as ``funcspec._values``). Each
-    axis runs its term and its component's ``derivs`` once per distinct
-    coordinate (a grid block holds few distinct values per axis) and gathers
-    the results back to the rows. A row whose value is not finite (where
-    ``_values`` raises) gets nan coordinates and u before the CES parts or
-    the outer map's ``derivs`` run (a power of a negative base would be
-    complex), and a coordinate whose term is not finite gets a nan
-    coordinate for its ``derivs``; such a row stays flagged. Derivatives run
-    through each component's and outer map's own scalar ``derivs``; a linear
-    outer map's constant pair is read once and filled into columns. Only
-    + - * / run on whole columns, in the order of the scalar assembly, which
-    is shared.
+    The value pass (``funcspec._value_pass``) runs first. Each component's
+    ``derivs`` runs once per distinct coordinate of its axis and the outer
+    map's row by row (a linear map's constants once), all on Python floats.
+    A row whose value or term is not finite gets nan inputs first (a power
+    of a negative base would be complex), so it stays flagged. Only + - * /
+    run on whole columns, in the order of the scalar assembly, which is shared.
     """
     groups, distinct, terms, core, u, value = _value_pass(spec, points)
     failed = ~np.isfinite(value)
@@ -231,41 +210,45 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     return value, gradient, hessian, factors, ok
 
 
-#: Relative central-difference steps: h = FD_REL_FIRST * max(1, |x_i|) for
-#: first derivatives, h = FD_REL_SECOND * max(1, |x_i|) for second ones;
-#: they balance truncation against rounding for 64-bit floats.
+#: Relative central-difference steps, h = FD_REL_* * max(1, |x_i|) for first and for
+#: second derivatives; they balance truncation against rounding for 64-bit floats.
 FD_REL_FIRST = 6e-6
 FD_REL_SECOND = 2e-4
 
 
-def _fd_parts(f, pt, mx=max):
-    """Value, gradient (a list) and Hessian of ``fd_jet`` from stencil values.
+def _fd_parts(pt, term, finish, mx=max):
+    """Value, gradient (a list) and Hessian of ``fd_jet``'s stencil at ``pt``:
+    floats, or (k,) columns over k points with ``mx`` the elementwise max.
 
-    ``f(deltas)`` is the function at ``pt`` moved by ``(axis, step)`` pairs
-    (``()`` for ``pt`` itself); it is called in a fixed order: f0, the
-    +-h pair of each axis, then for each axis i its +-h pair and the four
-    corners with each later axis j. Each axis's four moves (+-h for first
-    and for second derivatives) are formed once, so every call that moves
-    an axis by a step hands ``f`` the same pair object. ``pt`` holds floats,
-    or (k,) columns with ``mx`` taking the elementwise maximum.
-    """
+    A stencil point moves one or two axes of ``pt`` by +-h. ``term(k, x)``
+    maps axis k's coordinate x, once at ``pt`` and once per (axis, step)
+    pair, and a stencil value is ``finish`` of the n mapped coordinates,
+    taken in a fixed order: f0, the +-h pair of each axis, then for each
+    axis i its +-h pair and the four corners with each later axis j."""
     n = len(pt)
     shape = getattr(pt[0], "shape", ())
+    base = [term(k, x) for k, x in enumerate(pt)]
 
-    def moves(rel):  # (h, (i, h), (i, -h)) of each axis i
-        return [(h, (i, h), (i, -h)) for i, h in enumerate([rel * mx(1.0, abs(x)) for x in pt])]
+    def moves(rel):  # (h, (i, term at x_i + h), (i, term at x_i - h)) of each axis i
+        return [(h, (i, term(i, x + h)), (i, term(i, x - h)))
+                for i, (x, h) in enumerate(zip(pt, [rel * mx(1.0, abs(x)) for x in pt]))]
+
+    def f(*moved):  # finish at pt with the moved axes' terms
+        terms = list(base)
+        for i, t in moved:
+            terms[i] = t
+        return finish(terms)
 
     first, second = moves(FD_REL_FIRST), moves(FD_REL_SECOND)
-    f0 = f(())
-    grad = [(f((up,)) - f((down,))) / (2.0 * h) for h, up, down in first]
+    f0 = f()
+    grad = [(f(up) - f(down)) / (2.0 * h) for h, up, down in first]
     hess = np.zeros((n, n) + shape)
     for i, (h, up, down) in enumerate(second):
-        hess[i, i] = (f((up,)) - 2.0 * f0 + f((down,))) / (h * h)
+        hess[i, i] = (f(up) - 2.0 * f0 + f(down)) / (h * h)
         for j in range(i + 1, n):
             hj, up_j, down_j = second[j]
-            hess[i, j] = hess[j, i] = (f((up, up_j)) - f((up, down_j))
-                                       - f((down, up_j))
-                                       + f((down, down_j))) / (4.0 * h * hj)
+            hess[i, j] = hess[j, i] = (f(up, up_j) - f(up, down_j) - f(down, up_j)
+                                       + f(down, down_j)) / (4.0 * h * hj)
     return f0, grad, hess
 
 
@@ -275,65 +258,74 @@ def fd_jet(evaluator: Callable[[Sequence[float]], float], point: Sequence[float]
     Gradient entries come from the two-point central difference, diagonal
     Hessian entries from the 3-point stencil and mixed entries from the
     4-point cross stencil, with the fixed steps ``FD_REL_FIRST`` and
-    ``FD_REL_SECOND``. The evaluator is called one stencil point at a time.
-    Raises NumericalError when a stencil point leaves the evaluator's
-    domain, the evaluator returns a non-finite value, or a gradient or
-    Hessian entry is not finite (a stencil sum can overflow although every
-    value is finite).
+    ``FD_REL_SECOND``, calling the evaluator on one stencil point's list of
+    floats at a time. Raises ValidationError for a point with no coordinate,
+    and NumericalError naming the stencil point where it leaves the
+    evaluator's domain or the evaluator overflows, divides by zero or
+    returns a non-finite value, or where an entry is not finite (a stencil
+    sum can overflow although every value is finite).
     """
     pt = _coords(point)
+    if not pt:
+        raise ValidationError("a finite-difference jet needs a point with a coordinate")
 
-    def ev(deltas):
-        q = list(pt)
-        for idx, dh in deltas:
-            q[idx] += dh
+    def ev(q):
         try:
             v = float(evaluator(q))
         except DomainError as e:
             raise NumericalError(f"stencil point {tuple(q)!r} left the domain: {e}") from e
         except OverflowError:
             raise NumericalError(f"evaluator overflowed at {tuple(q)!r}") from None
+        except ZeroDivisionError:
+            raise NumericalError(f"evaluator divided by zero at {tuple(q)!r}") from None
         if not math.isfinite(v):
             raise NumericalError(f"evaluator returned non-finite value at {tuple(q)!r}")
         return v
 
-    f0, grad, hess = _fd_parts(ev, pt)
+    f0, grad, hess = _fd_parts(pt, lambda k, x: x, ev)
     if not all(map(math.isfinite, [*grad, *hess.ravel().tolist()])):
         raise NumericalError(f"non-finite finite-difference jet at {tuple(pt)!r}")
+    return Jet2N(f0, np.array(grad, dtype=float), hess)
+
+
+def _fd_point(spec: FunctionSpec, pt: list):
+    """``fd_jet(lambda q: _values(spec, q)[2], pt)`` at a list of n floats, bit
+    for bit, from the axes' terms; None where that call raises: a guard fails,
+    a power overflows, or an entry is not finite (as a non-finite value makes one)."""
+    acms = isinstance(spec, Acms)
+
+    def term(k, x):  # axis k's term of _values, with its guard
+        if not acms:
+            return spec.components[k].value(x)
+        if x <= 0.0:
+            raise DomainError(f"acms needs strictly positive inputs; x{k + 1} = {x!r}")
+        return (spec.betas[k] * x) ** spec.rho
+
+    def finish(terms):  # _values' value from the terms
+        core = _term_core(spec, terms)
+        u = spec.gamma * core ** (spec.d / spec.rho) if acms else core
+        return u if isinstance(spec, Homothetical) else spec.outer.value(u)
+
+    try:
+        f0, grad, hess = _fd_parts(pt, term, finish)
+    except (DomainError, OverflowError, ZeroDivisionError):
+        return None
+    if not all(map(math.isfinite, [*grad, *hess.ravel().tolist()])):
+        return None
     return Jet2N(f0, np.array(grad, dtype=float), hess)
 
 
 def _fd_columns(spec: FunctionSpec, points: np.ndarray):
     """``fd_jet(lambda q: evaluate(spec, q), p)`` at every row p of a (k, n)
     point array, as columns: (value (k,), gradient (k, n), Hessian (k, n, n),
-    failed (k,)).
-
-    Each axis's term column (``funcspec._term_column``) is evaluated five
-    times per block: at the points and at each of its four moved
-    coordinates, x_i +- h for first and for second derivatives (a moved
-    coordinate is the same add whichever stencil asks for it). Each stencil
-    point then combines the cached columns of all rows at once
-    (``funcspec._term_core``) and finishes its own row map
-    (``funcspec._core_value``), so memory stays O(k n) apart from the
-    Hessian. ``failed`` marks the rows with a gradient or Hessian entry that
-    is not finite, which is where that ``fd_jet`` call raises: every stencil
-    value enters some entry, so a stencil point that fails the value pass
-    (nan) makes one so too. Every other row has its bits.
-    """
-    moved = {}  # id of an (axis, step) pair of _fd_parts -> its term column
-
-    def ev(deltas):
-        terms = list(base)
-        for move in deltas:
-            idx, dh = move
-            if id(move) not in moved:  # _fd_parts keeps each pair alive
-                moved[id(move)] = _term_column(spec, idx, points[:, idx] + dh)
-            terms[idx] = moved[id(move)]
-        return _core_value(spec, _term_core(spec, terms))[1]
-
+    failed (k,)), from ``_fd_parts`` on the columns: five term columns per
+    axis, one row map per stencil point, memory O(k n) apart from the
+    Hessian. ``failed`` marks the rows with an entry that is not finite (a
+    failed stencil value is nan), where that call raises; the rest have its bits."""
     with np.errstate(all="ignore"):  # a failed row's numbers are discarded
-        base = [_term_column(spec, k, col) for k, col in enumerate(points.T)]
-        value, grad, hess = _fd_parts(ev, list(points.T), np.maximum)
+        value, grad, hess = _fd_parts(list(points.T), lambda k, x: _term_column(spec, k, x),
+                                      lambda terms: _core_value(spec, _term_core(spec, terms))[1],
+                                      np.maximum)
     gradient, hessian = np.stack(grad, axis=1), hess.transpose(2, 0, 1)
     failed = ~(np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2)))
     return value, gradient, hessian, failed
@@ -360,11 +352,9 @@ def _fd_gaps(spec: FunctionSpec, points: np.ndarray, gradient: np.ndarray,
              hessian: np.ndarray) -> np.ndarray:
     """``max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), exact))``
     at every row p of a (k, n) point array, whose exact jets have the
-    gradients (k, n) and Hessians (k, n, n) given, bit for bit.
-
-    The FD jets are formed in columns (``_fd_columns``). A row they flag goes
-    through ``fd_jet`` itself, in row order, which raises that row's
-    NumericalError; so the first such row decides the error.
+    gradients (k, n) and Hessians (k, n, n) given, bit for bit, from
+    ``_fd_columns``. A row they flag goes through ``fd_jet`` itself, in row
+    order, so the first such row raises its NumericalError.
     """
     _, fd_gradient, fd_hessian, failed = _fd_columns(spec, points)
     with np.errstate(all="ignore"):

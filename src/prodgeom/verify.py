@@ -17,32 +17,13 @@ import numpy as np
 from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
 from .elasticity import (_bordered_ratios, _hicks_from_jet, _positive_rows, bordered_hessian,
                          ces_probe, elasticity_report, hicks)
-from .errors import HicksUndefined, ZeroGradientError
-from .funcspec import (
-    Acms,
-    Composite,
-    Homothetical,
-    Identity,
-    Log,
-    LogPowFn,
-    PowFn,
-    Power,
-    _column_pow,
-    _point_rows,
-    _values,
-    make_acms,
-    make_cobb_douglas,
-)
-from .geometry import (
-    _det_ratios,
-    gauss_kronecker,
-    gauss_kronecker_batch,
-    hessian_det_closed,
-    hessian_det_direct,
-    is_developable,
-    plu_dets,
-)
-from .jets import _jet_columns, fd_jet, jet_multivariate, norm_rel_gaps
+from .errors import DomainError, HicksUndefined, ZeroGradientError
+from .funcspec import (Acms, Composite, Homothetical, Identity, Log, LogPowFn, PowFn, Power,
+                       _column_pow, _point_rows, _values, make_acms, make_cobb_douglas)
+from .geometry import (_closed_form, _det_ratios, gauss_kronecker, gauss_kronecker_batch,
+                       hessian_det_closed, hessian_det_direct, is_developable, plu_det, plu_dets)
+from .jets import (Jet2N, _chain, _fd_point, _fill, _jet_columns, fd_jet, jet_multivariate,
+                   norm_rel_gaps)
 from .sampling import points_loguniform, random_component, random_composite, random_homothetical, random_outer
 
 
@@ -60,6 +41,21 @@ def _random_acms(rng: random.Random, n: int = 2) -> Acms:
                      rho=rho, d=rng.uniform(0.5, 2.0), outer=random_outer(rng))
 
 
+def _det_routes(spec, point) -> tuple:
+    """(``hessian_det_direct``, ``hessian_det_closed``) of a homothetical spec
+    at a point, bit for bit, from one jet's Hessian and factors. Where a
+    route is not finite, or the closed form overflows or meets a zero factor
+    value, that route's own call runs and raises its error, LU's first."""
+    jet = jet_multivariate(spec, point)
+    direct = plu_det(jet.hessian)
+    try:
+        closed = _closed_form(jet.factors)
+    except (OverflowError, ZeroDivisionError):
+        closed = math.nan
+    return (direct if math.isfinite(direct) else hessian_det_direct(spec, point),
+            closed if math.isfinite(closed) else hessian_det_closed(spec, point))
+
+
 def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     """Closed-form product-Hessian determinant against the LU oracle."""
     rng = random.Random(seed)
@@ -67,8 +63,7 @@ def check_det_closed_vs_lu(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     for _ in range(200):
         spec = random_homothetical(rng, n_range=(2, 5))
         point = points_loguniform(spec.n, 1, rng)[0]
-        direct = hessian_det_direct(spec, point)
-        closed = hessian_det_closed(spec, point)
+        direct, closed = _det_routes(spec, point)
         gap = abs(closed - direct) / max(1.0, abs(direct))
         worst = max(worst, gap)
     return CheckResult("det_closed_vs_lu", worst <= tol,
@@ -99,15 +94,12 @@ def _flatness_evidence(spec, points):
 
     A flat certificate must hold three ways: the closed-form curvature, the
     LU-oracle curvature, and the LU determinant read as numerically zero at
-    the scale of the Hessian itself (``geometry._det_ratios``). The last
-    carries the honest elimination noise floor (a few units of machine
-    epsilon) that a sub-float tolerance is expected to trip over.
-
-    The points run as one block through ``gauss_kronecker_batch`` and
-    ``plu_dets``, bit for bit as ``gauss_kronecker`` and ``plu_det`` point by
-    point, and the LU determinants are divided by the block's omega^(n+2),
-    formed as the curvature's own (``_column_pow``). Once every point is
-    checked (``_point_rows``), the block's first row error is raised.
+    the scale of the Hessian itself (``geometry._det_ratios``), which carries
+    the elimination noise floor that a sub-float tolerance trips over. The
+    points run as one block (``gauss_kronecker_batch``, ``plu_dets``), bit
+    for bit as ``gauss_kronecker`` and ``plu_det`` point by point, the LU
+    curvature dividing by the block's own omega^(n+2); the block's first row
+    error is raised once every point is checked.
     """
     block = gauss_kronecker_batch(spec, points)
     for error in block.errors:
@@ -205,17 +197,29 @@ def check_ces_constant_sigma(seed: int = 42, tol: float = 1e-8) -> CheckResult:
     return CheckResult("ces_constant_sigma", passed, "; ".join(details))
 
 
-def _hicks_pairs(spec, points) -> dict:
-    # H_ij of every pair i < j at every point, keyed (point, i, j) and read
-    # from one jet per point
-    out = {}
-    for p in points:
-        jet = jet_multivariate(spec, p)
-        grad, hess = jet.gradient.tolist(), jet.hessian.tolist()
-        for i in range(1, spec.n + 1):
-            for j in range(i + 1, spec.n + 1):
-                out[(p, i, j)] = _hicks_from_jet(grad, hess, p, i - 1, j - 1)
-    return out
+def _hicks_pairs(jet, p) -> dict:
+    # H_ij of every pair i < j at point p, keyed (p, i, j), read from its jet
+    grad, hess = jet.gradient.tolist(), jet.hessian.tolist()
+    return {(p, i, j): _hicks_from_jet(grad, hess, p, i - 1, j - 1)
+            for i in range(1, jet.n + 1) for j in range(i + 1, jet.n + 1)}
+
+
+def _outer_jet(spec: Composite, point, inner: Jet2N) -> Jet2N:
+    """``jet_multivariate(spec, point)`` for a composite spec, bit for bit, from
+    ``inner``, the jet of ``Homothetical(spec.components)`` there (value u), by
+    ``jets._chain`` on its gradient and Hessian entries. Where the outer map fails
+    its guard, overflows, divides by zero or is not finite, that call runs and raises."""
+    u, grad, hess = inner.value, inner.gradient.tolist(), inner.hessian.tolist()
+    try:
+        value = spec.outer.value(u)
+        grad, rules = _chain(*spec.outer.derivs(u), grad,
+                             (lambda i: hess[i][i], lambda i, j: hess[i][j]))
+        hess = _fill(len(grad), (), rules)
+    except (DomainError, OverflowError, ZeroDivisionError):
+        return jet_multivariate(spec, point)
+    if not all(map(math.isfinite, [value, *grad, *hess.ravel().tolist()])):
+        return jet_multivariate(spec, point)
+    return Jet2N(value, np.array(grad, dtype=float), hess)
 
 
 def check_hicks_outer_invariance(seed: int = 42, tol: float = 1e-8) -> CheckResult:
@@ -230,17 +234,21 @@ def check_hicks_outer_invariance(seed: int = 42, tol: float = 1e-8) -> CheckResu
         attempts += 1
         inner = random_homothetical(rng, n_range=(2, 3), positive=True)
         points = points_loguniform(inner.n, 2, rng)
+        jets, base = [], {}
         try:
-            base = _hicks_pairs(inner, points)
+            for p in points:
+                jets.append(jet_multivariate(inner, p))
+                base.update(_hicks_pairs(jets[-1], p))
         except (HicksUndefined, ZeroGradientError):
             continue
         if any(abs(v) > 50.0 for v in base.values()):
             continue
         accepted += 1
         for outer in outers:
-            wrapped = _hicks_pairs(Composite(outer, inner.components), points)
-            for key, h_inner in base.items():
-                worst = max(worst, abs(wrapped[key] - h_inner))
+            spec = Composite(outer, inner.components)
+            for p, jet in zip(points, jets):
+                for key, h in _hicks_pairs(_outer_jet(spec, p, jet), p).items():
+                    worst = max(worst, abs(h - base[key]))
     passed = accepted == cases and worst <= tol
     return CheckResult("hicks_outer_invariance", passed,
                        f"max |H(F.g) - H(g)| {worst:.3e} over {accepted} specs x 3 outers "
@@ -359,9 +367,9 @@ def check_jets_vs_finite_difference(seed: int = 42, tol: float = 1e-8) -> CheckR
         else:
             spec = _random_acms(rng, n=rng.randint(2, 3))
         point = points_loguniform(spec.n, 1, rng)[0]
-        # fd_jet's stencil points are lists of n floats: the value pass reads them as they are
-        g_gap, h_gap = norm_rel_gaps(fd_jet(lambda q: _values(spec, q)[2], point),
-                                     jet_multivariate(spec, point))
+        # the stencil on the point's floats, or fd_jet on the value pass, which raises
+        approx = _fd_point(spec, list(point)) or fd_jet(lambda q: _values(spec, q)[2], point)
+        g_gap, h_gap = norm_rel_gaps(approx, jet_multivariate(spec, point))
         worst_g = max(worst_g, g_gap)
         worst_h = max(worst_h, h_gap)
     passed = worst_g <= 1e-6 and worst_h <= 1e-4

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from prodgeom import funcspec, jets
+from prodgeom import funcspec, geometry, jets, verify
 
 # ``--hypothesis-profile=fuzz`` runs every property without an explicit
 # example count, the CLI fuzz among them, at 10,000 examples
@@ -15,6 +15,8 @@ settings.register_profile("fuzz", max_examples=10_000, deadline=None)
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 INVOCATIONS = GOLDEN / "invocations.txt"
+# verify's exit code and stdout digest per seed, read by tests/test_verify_seeds.py
+VERIFY_SEEDS = GOLDEN / "verify_seeds.json"
 
 
 def golden_invocations() -> list:
@@ -32,7 +34,8 @@ def golden_invocations() -> list:
 @pytest.fixture
 def scalar_value_calls(monkeypatch):
     """The points of every call to the scalar value pass ``funcspec._values``,
-    through each module binding of it (``evaluate``'s and the jets')."""
+    through each module binding of it (``evaluate``'s, the jets', the
+    closed-form determinant's and verify's)."""
     calls = []
     real = funcspec._values
 
@@ -40,6 +43,6 @@ def scalar_value_calls(monkeypatch):
         calls.append(tuple(pt))
         return real(spec, pt)
 
-    for module in (funcspec, jets):
+    for module in (funcspec, jets, geometry, verify):
         monkeypatch.setattr(module, "_values", counted)
     return calls

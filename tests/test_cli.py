@@ -22,7 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import prodgeom
-from conftest import GOLDEN, INVOCATIONS, ROOT, golden_invocations
+from conftest import GOLDEN, INVOCATIONS, ROOT, VERIFY_SEEDS, golden_invocations
 from prodgeom import cli, fd_jet, gauss_kronecker
 from prodgeom.cli import BLOCK_ROWS, _parse_grid, run
 from prodgeom.jets import _jet_columns, norm_rel_gaps
@@ -1011,19 +1011,37 @@ def test_golden_invocation(capsys, monkeypatch, golden, argv):
 
 
 def test_golden_table_names_each_golden_once():
-    # an orphan golden file or a row naming a missing file fails here; every
+    # an orphan golden file or a row naming a missing file fails here (the
+    # verify seed record is read by its own test); every
     # argument is one shell word without quoting, so a plain shell loop
     # splits a row as golden_invocations does
     assert INVOCATIONS.read_text().endswith("\n")  # read's last line needs its newline
     rows = golden_invocations()
     named = Counter(golden for golden, _ in rows)
-    on_disk = {p.name for p in GOLDEN.iterdir()} - {INVOCATIONS.name}
+    on_disk = {p.name for p in GOLDEN.iterdir()} - {INVOCATIONS.name, VERIFY_SEEDS.name}
     assert named == Counter(on_disk)
     for golden, argv in rows:
         assert all(re.fullmatch(r"[\w.:/=+-]+", arg) for arg in argv), golden
         for flag, value in zip(argv, argv[1:]):
             if flag in ("--spec", "--points") and not value.startswith("grid:"):
                 assert (ROOT / value).is_file(), (golden, value)
+
+
+def test_ces_point_outside_the_domain_is_a_domain_error_row_where_d_over_rho_underflows(
+        capsys, tmp_path):
+    # d / rho = 5e-324 / 2.5 is 0.0: the row at x1 = -1 read "ok" with value
+    # 1.0 in eval, and curvature raised a bare TypeError from a complex power
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind":"acms","gamma":1,"betas":[1.0],"rho":2.5,"d":5e-324,'
+                    '"outer":{"type":"identity"}}')
+    points = tmp_path / "pts.csv"
+    points.write_text("-1.0\n2.0\n")
+    for command in ("eval", "curvature"):
+        code, out, err = _run(capsys, command, "--spec", spec, "--points", points,
+                              "--relax-rho", "--fd-check", "--format", "jsonl")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert (code, err) == (0, "")
+        assert [(r["status"], r["value"]) for r in rows] == [("domain_error", None), ("ok", 1.0)]
 
 
 def test_grid_with_the_wrong_axis_count_exits_2(capsys):

@@ -585,6 +585,18 @@ def test_linear_outer_runs_on_columns(monkeypatch, outer):
     assert calls and set(calls) == {("value", np.ndarray)}
 
 
+def test_value_columns_flag_a_ces_guard_where_d_over_rho_underflows():
+    # d / rho = 5e-324 / 2.5 is 0.0 and pow(nan, 0.0) is 1.0, so the nan of
+    # the failed guard at x1 = -1 vanished from the core: that row read 1.0
+    # where evaluate raises, and its jet columns took a complex power
+    spec = make_acms(1.0, (1.0,), 2.5, 5e-324, relax_rho=True)
+    value, _, _, _, ok = _jet_columns(spec, np.array([[-1.0], [2.0]]))
+    assert ok.tolist() == [False, True] and math.isnan(value[0])
+    assert value[1] == evaluate(spec, (2.0,)) == 1.0
+    with pytest.raises(DomainError):
+        evaluate(spec, (-1.0,))
+
+
 def test_value_columns_makes_no_scalar_call(scalar_value_calls):
     # flagged rows are left to the caller's own per-point function
     spec = make_cobb_douglas(1.0, (0.3, 0.7))

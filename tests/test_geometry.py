@@ -805,8 +805,11 @@ def test_public_functions_return_or_raise_a_prodgeom_error(seed, kind, outer, n,
         calls += [lambda fn=fn, p=p, i=i, j=j: fn(spec, p, i, j)
                   for fn in (hicks, allen) for i, j in pairs]
         calls.append(lambda p=p: fd_jet(lambda q: evaluate(spec, q), p))
+        # an evaluator that divides by zero at the point itself
+        calls.append(lambda p=p: fd_jet(lambda q: evaluate(spec, q) / (q[0] - p[0]), p))
         calls += [lambda c=c, x=x: jet1d(c, x)
                   for c, x in zip(getattr(spec, "components", ()), p)]
+    calls.append(lambda: fd_jet(lambda q: evaluate(spec, q), ()))  # no coordinate
     for call in calls:
         try:
             call()

@@ -30,13 +30,15 @@ from prodgeom import (
     make_cobb_douglas,
 )
 from prodgeom import cli, funcspec, jets
-from prodgeom.jets import _fd_columns, _fd_gaps, _jet_columns
+from prodgeom.funcspec import _values
+from prodgeom.jets import FD_REL_FIRST, FD_REL_SECOND, _fd_columns, _fd_gaps, _fd_point, _jet_columns
 from prodgeom.sampling import (
     points_loguniform,
     random_composite,
     random_homothetical,
     random_outer,
 )
+from test_funcspec import _EDGE_OUTERS, _edge_spec
 
 E = math.e
 
@@ -376,6 +378,28 @@ def test_fd_jet_non_finite_stencil_sum_is_numerical_error():
         fd_jet(lambda q: evaluate(spec, q), (1.5e8,))
     _, _, _, failed = _fd_columns(spec, np.array([[1.5e8], [2.0]]))
     assert failed.tolist() == [True, False]
+    assert _fd_point(spec, [1.5e8]) is None and _fd_point(spec, [2.0]) is not None
+
+
+def test_fd_paths_flag_a_ces_stencil_point_outside_the_domain_where_d_over_rho_underflows():
+    # x1 - h < 0 for the second-derivative step at x1 = 1e-5; with d / rho
+    # = 0.0 the core there would read s^0 = 1.0 although the guard failed
+    spec = make_acms(1.0, (1.0,), 2.5, 5e-324, relax_rho=True)
+    with pytest.raises(NumericalError, match="left the domain"):
+        fd_jet(lambda q: _values(spec, q)[2], [1e-5])
+    assert _fd_point(spec, [1e-5]) is None and _fd_point(spec, [2.0]) is not None
+    assert _fd_columns(spec, np.array([[1e-5], [2.0]]))[3].tolist() == [True, False]
+
+
+def test_fd_jet_rejects_a_point_with_no_coordinate():
+    with pytest.raises(ValidationError, match="needs a point with a coordinate"):
+        fd_jet(lambda q: 1.0, ())
+
+
+def test_fd_jet_evaluator_dividing_by_zero_is_numerical_error():
+    # the stencil point is named, as for an overflow
+    with pytest.raises(NumericalError, match=r"evaluator divided by zero at \(2\.0,\)"):
+        fd_jet(lambda q: 1.0 / (q[0] - 2.0), (2.0,))
 
 
 def test_fd_columns_makes_no_scalar_call(scalar_value_calls):
@@ -442,6 +466,61 @@ def test_fd_columns_bitwise_equal_fd_jet(seed, kind, n, m):
         assert not failed[i]
         assert [float(v).hex() for v in (value[i], *gradient[i], *np.ravel(hessian[i]))] == \
             [float(v).hex() for v in (jet.value, *jet.gradient, *np.ravel(jet.hessian))]
+
+
+# at least 300 examples, and the loaded profile's count where it is larger
+# (the CI fuzz step's 10,000)
+@pytest.mark.fuzz
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("homothetical", "composite", "acms")),
+       outer=st.sampled_from(sorted(_EDGE_OUTERS)), n=st.integers(1, 10))
+def test_fd_point_bitwise_equal_fd_jet(seed, kind, outer, n):
+    # the stencil on one point's floats has the bits of fd_jet on the value
+    # pass (value, gradient and Hessian), and gives None exactly where that
+    # call raises; both share _fd_parts, so fd_jet is also held to the
+    # stencil written out here. Axes differ in their steps, so a term cached
+    # under the wrong axis or step shows up
+    rng = random.Random(seed)
+    spec = _edge_spec(rng, kind, outer, n)
+    pt = [rng.choice(_FD_COORDS) if rng.random() < 0.2 else rng.uniform(0.3, 3.0)
+          for _ in range(n)]
+    got = _fd_point(spec, pt)
+    try:
+        jet = fd_jet(lambda q: _values(spec, q)[2], pt)
+    except NumericalError as e:
+        assert got is None, f"fd_jet raises {e!r}"
+        return
+    assert got is not None
+    bits = [float(v).hex() for v in (jet.value, *jet.gradient, *np.ravel(jet.hessian))]
+    assert [float(v).hex() for v in (got.value, *got.gradient, *np.ravel(got.hessian))] == bits
+    assert [v.hex() for v in _fd_stencil_written_out(lambda q: _values(spec, q)[2], pt)] == bits
+
+
+def _fd_stencil_written_out(f, pt) -> list:
+    # fd_jet's value, gradient and Hessian (row-major) at a list of floats,
+    # each stencil point's coordinates moved in place
+    n = len(pt)
+    h1 = [FD_REL_FIRST * max(1.0, abs(x)) for x in pt]
+    h2 = [FD_REL_SECOND * max(1.0, abs(x)) for x in pt]
+
+    def at(*moves):
+        q = list(pt)
+        for i, dh in moves:
+            q[i] += dh
+        return f(q)
+
+    f0 = at()
+    hess = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        up, down = (i, h2[i]), (i, -h2[i])
+        hess[i][i] = (at(up) - 2.0 * f0 + at(down)) / (h2[i] * h2[i])
+        for j in range(i + 1, n):
+            up_j, down_j = (j, h2[j]), (j, -h2[j])
+            hess[i][j] = hess[j][i] = (at(up, up_j) - at(up, down_j) - at(down, up_j)
+                                       + at(down, down_j)) / (4.0 * h2[i] * h2[j])
+    grad = [(at((i, h1[i])) - at((i, -h1[i]))) / (2.0 * h1[i]) for i in range(n)]
+    return [f0, *grad, *(v for row in hess for v in row)]
 
 
 def test_fd_gaps_keeps_the_result_of_a_flagged_row(monkeypatch):
