@@ -44,7 +44,6 @@ from .geometry import (
     CurvatureRecord,
     gauss_kronecker,
     gauss_kronecker_batch,
-    hessian,
     hessian_det_closed,
     hessian_det_direct,
     is_developable,

@@ -153,12 +153,11 @@ def bordered_hessian(spec: FunctionSpec, point: Sequence[float]):
 
 
 @functools.lru_cache(maxsize=16)
-def _minor_index(n: int, upper: bool):
-    # the (rows, cols, signs) that cut each chosen inner entry's minor out of
-    # the (n+1)x(n+1) bordered matrix: the strict upper triangle in
-    # np.triu_indices order, or all n^2 row by row; the arrays are shared by
-    # every caller, so they are read-only
-    a, b = np.triu_indices(n, 1) if upper else np.indices((n, n)).reshape(2, -1)
+def _minor_index(n: int):
+    # the (rows, cols, signs) that cut each strict-upper inner entry's minor,
+    # in np.triu_indices order, out of the (n+1)x(n+1) bordered matrix; the
+    # arrays are shared by every caller, so they are read-only
+    a, b = np.triu_indices(n, 1)
     keep = np.array([[r for r in range(n + 1) if r != c + 1] for c in range(n)])
     table = keep[a, :, None], keep[b, None, :], np.where((a + b) % 2, -1.0, 1.0)
     for t in table:
@@ -170,11 +169,11 @@ def _minor_index(n: int, upper: bool):
 COFACTOR_STACK = 400
 
 
-def _cofactors(border: np.ndarray, upper: bool) -> np.ndarray:
-    # the (m, entries) signed cofactors of the chosen inner entries (as in
+def _cofactors(border: np.ndarray) -> np.ndarray:
+    # the (m, pairs) signed cofactors of the strict-upper inner entries (as in
     # _minor_index) of an (m, n+1, n+1) stack, bit for bit per-minor plu_det
     n = border.shape[-1] - 1
-    rows, cols, signs = _minor_index(n, upper)
+    rows, cols, signs = _minor_index(n)
     step = max(1, COFACTOR_STACK // max(1, len(signs)))  # n = 1 has no upper entry
     dets = [plu_dets(border[s:s + step, rows, cols].reshape(-1, n, n))
             for s in range(0, len(border), step)]
@@ -215,13 +214,6 @@ class ElasticityReport:
     def value(self) -> float:
         return self.jet.value
 
-    @functools.cached_property
-    def cofactors(self) -> np.ndarray:
-        """The n x n signed cofactors of the inner (Hessian) entries of the
-        bordered matrix, formed from ``jet`` on first read and kept."""
-        border = _bordered(self.jet.gradient, self.jet.hessian)
-        return _cofactors(border[None], upper=False).reshape(self.jet.n, self.jet.n)
-
 
 # numpy's overflow warnings are silenced: a non-finite result raises NumericalError
 @np.errstate(all="ignore")
@@ -251,7 +243,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
     if not singular:
         weight = math.fsum(x * g for x, g in zip(pt, grad))
         allen_m = np.full((n, n), math.nan)
-        cof = iter(_cofactors(border[None], upper=True)[0])  # in the loop's (a < b) order
+        cof = iter(_cofactors(border[None])[0])  # in the loop's (a < b) order
         for a in range(n):
             for b in range(a + 1, n):
                 try:
@@ -268,8 +260,7 @@ def elasticity_report(spec: FunctionSpec, point: Sequence[float]) -> ElasticityR
 
 class ElasticityBlock(NamedTuple):
     """Row i has the bits of ``elasticity_report(spec, points[i])`` (``allen`` nan where
-    ``singular``, the report's None), or is nan with the report's error in ``errors[i]``.
-    It holds no cofactors; ``elasticity_report(spec, points[i]).cofactors`` forms row i's."""
+    ``singular``, the report's None), or is nan with the report's error in ``errors[i]``."""
 
     value: np.ndarray
     gradient: np.ndarray
@@ -303,7 +294,7 @@ def elasticity_report_batch(spec: FunctionSpec, points) -> ElasticityBlock:
     weight = np.array([math.fsum((xi * g).tolist()) if good else math.nan
                        for xi, g, good in zip(x, gradient, regular.tolist())])
     cof = np.full((len(x), len(a)), math.nan)
-    cof[regular] = _cofactors(border[regular], upper=True)
+    cof[regular] = _cofactors(border[regular])
     allen_p = _allen_entry(weight[:, None], x[:, a], x[:, b], cof, det[:, None])
     failed |= ~(singular | np.isfinite(allen_p).all(axis=1))
     hicks_m, allen_m = np.full((2, len(x), n, n), math.nan)

@@ -491,8 +491,10 @@ def _values(spec: FunctionSpec, pt: list):
         else:
             raise ValidationError(f"unknown spec kind {spec!r}")
         value = u if isinstance(spec, Homothetical) else spec.outer.value(u)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         raise NumericalError(f"function value overflowed at {tuple(pt)!r}") from None
+    except ZeroDivisionError:  # a denominator that underflowed to 0
+        raise NumericalError(f"function value underflowed at {tuple(pt)!r}") from None
     if not math.isfinite(value):
         raise NumericalError(f"non-finite function value at {tuple(pt)!r}")
     return parts, u, value
@@ -500,7 +502,8 @@ def _values(spec: FunctionSpec, pt: list):
 
 def evaluate(spec: FunctionSpec, point: Sequence[float]) -> float:
     """Function value at a point; raises DomainError outside the domain and
-    NumericalError where the value overflows or is not finite."""
+    NumericalError where the value overflows, divides by an underflowed zero
+    or is not finite."""
     return _values(spec, _point(spec, point))[2]
 
 

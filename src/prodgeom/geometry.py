@@ -138,15 +138,10 @@ def _det_ratios(det, matrix):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def hessian(spec: FunctionSpec, point: Sequence[float]) -> np.ndarray:
-    """Symmetric Hessian matrix of the spec at the point (exact assembly)."""
-    return jet_multivariate(spec, point).hessian
-
-
 def hessian_det_direct(spec: FunctionSpec, point: Sequence[float]) -> float:
     """Hessian determinant via partial-pivot elimination (the oracle route).
     Raises NumericalError where it is not finite (an overflow, quietly inf)."""
-    det = plu_det(hessian(spec, point))
+    det = plu_det(jet_multivariate(spec, point).hessian)
     if not math.isfinite(det):
         raise NumericalError(f"non-finite LU determinant at {tuple(map(float, point))!r}")
     return det

@@ -62,12 +62,14 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
     """Exact (value, f', f'') of a component at x: ``c.value(x)`` and
     ``c.derivs(x, value)``, whose docstrings give the formulas. Raises
     DomainError when x violates the component guard and NumericalError
-    where the jet overflows or is not finite."""
+    where the jet overflows, divides by an underflowed zero or is not finite."""
     [x] = _coords((x,))
     try:
         return _factor_jet(c, x, c.value(x))
-    except (OverflowError, ZeroDivisionError):  # a denominator that underflowed to 0
+    except OverflowError:
         raise NumericalError(f"1-D jet overflowed at x = {x!r}") from None
+    except ZeroDivisionError:  # a denominator that underflowed to 0
+        raise NumericalError(f"1-D jet underflowed at x = {x!r}") from None
 
 
 def _fill(n, shape, rules):
@@ -140,7 +142,8 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
     guard before any derivative is formed; the Hessian is filled once per
     unordered index pair, so symmetry holds exactly. Raises DomainError
     outside the domain, ValidationError for a point of the wrong arity and
-    NumericalError where the value or a derivative overflows.
+    NumericalError where the value or a derivative overflows or divides by
+    an underflowed zero.
     """
     pt = _point(spec, point)
     parts, u, value = _values(spec, pt)
@@ -155,8 +158,10 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
             factors = None
             grad, rules = _chain(*spec.outer.derivs(u), grad, rules)
         hess = _fill(spec.n, (), rules)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         raise NumericalError(f"jet assembly overflowed at {tuple(pt)!r}") from None
+    except ZeroDivisionError:  # a denominator that underflowed to 0
+        raise NumericalError(f"jet assembly underflowed at {tuple(pt)!r}") from None
     gradient = np.array(grad, dtype=float)
     if not all(map(math.isfinite, [*grad, *hess.ravel().tolist()])):
         raise NumericalError(f"non-finite jet at point {tuple(pt)!r}")

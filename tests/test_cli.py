@@ -404,6 +404,8 @@ _CES_RHO_MINUS_1 = ('{"kind":"acms","gamma":1,"betas":[0.4,1],"rho":-1,"d":1,'
                     '"outer":{"type":"identity"}}')
 _SHIFTED_SQRT = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":1,'
                  '"alpha":0.5},{"type":"pow","gamma":1,"beta":1,"alpha":0.5}]}')
+_SHIFTED_X = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":1,'
+              '"alpha":1},{"type":"pow","gamma":1,"beta":1,"alpha":1}]}')
 _EXP = '{"kind":"homothetical","components":[{"type":"exp","gamma":1.0,"lambda":1.0}]}'
 _EXP_X = ('{"kind":"composite","outer":{"type":"identity"},"components":[{"type":"exp",'
           '"gamma":1.0,"lambda":1.0},{"type":"pow","gamma":1.0,"beta":0.0,"alpha":1.0}]}')
@@ -419,8 +421,10 @@ _HUGE_X = '{"kind":"homothetical","components":[{"type":"pow","gamma":1e300,"bet
     ("eval", _CES_RHO_MINUS_1, "5e-324,1"),
     ("curvature", _CES_RHO_MINUS_1, "5e-324,1"),
     ("elasticity", _CES_RHO_MINUS_1, "5e-324,1"),
-    # x1 * x2 underflows to 0 in the Allen weight sum_k x_k f_k / (x1 x2)
+    # 1 / (x1 f_1) overflows at a subnormal x1, so H_12 is infinite
     ("elasticity", _SHIFTED_SQRT, "5e-324,0.4"),
+    # (x1 + 1)(x2 + 1): x1 * x2 underflows to 0 in the Allen entry W / (x1 x2)
+    ("elasticity", _SHIFTED_X, "1e-170,1e-170"),
     # e^x: f'^2 overflows in omega
     ("curvature", _EXP, "360"),
     # e^x1 * x2: omega and the LU determinant overflow, so gk would be nan
@@ -431,8 +435,8 @@ _HUGE_X = '{"kind":"homothetical","components":[{"type":"pow","gamma":1e300,"bet
     # 2 f0 overflows, so fd_gap would be inf
     ("eval --fd-check", _HUGE_X, "1.5e8"),
 ], ids=["curvature-omega", "eval-ces", "curvature-ces", "elasticity-ces", "elasticity-weight",
-        "curvature-omega-inf", "curvature-det-inf", "elasticity-bordered-inf",
-        "eval-fd-gap-inf"])
+        "elasticity-pair-product", "curvature-omega-inf", "curvature-det-inf",
+        "elasticity-bordered-inf", "eval-fd-gap-inf"])
 def test_extreme_point_exits_3(capsys, tmp_path, command, spec_text, point):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text)
@@ -1060,6 +1064,21 @@ def test_huge_grid_exits_2(capsys, count):
                           "--points", f"grid:0.5..2.0x0.5..2.0:{count}")
     assert (code, out) == (2, "")
     assert err == f"error: grid sample count {count} is too large\n"
+
+
+def test_grid_rows_past_the_index_range_exit_2_in_process(capsys):
+    # seven axes of 1,000 samples are 10**21 rows: each axis is formed, the
+    # row count is refused before any row exists
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "curvature", "--spec", DATA / "cobb_douglas_crs.json",
+                              "--points", "grid:" + "x".join(["0..1"] * 7) + ":1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: grid sample count 1000 is too large\n"
+    assert peak < 1_000_000
 
 
 def test_grid_rows_past_the_index_range_exit_2():

@@ -119,6 +119,20 @@ def test_hicks_zero_gradient():
     assert math.isnan(elasticity_report(PRODUCT, (1e-200, 1e-200)).hicks[0, 1])
 
 
+def test_allen_weight_over_a_pair_product_that_underflows_is_numerical_error():
+    # (x1 + 1)(x2 + 1) at (1e-170, 1e-170): the point is regular, but x1 * x2
+    # is 0 in A_12 = W / (x1 x2) * C_12 / det; the batch keeps its other rows
+    spec = Homothetical((PowFn(1.0, 1.0, 1.0), PowFn(1.0, 1.0, 1.0)))
+    message = "x1 * x2 underflows to 0 at (1e-170, 1e-170)"
+    with pytest.raises(NumericalError) as raised:
+        elasticity_report(spec, (1e-170, 1e-170))
+    assert str(raised.value) == message
+    block = elasticity_report_batch(spec, [(1e-170, 1e-170), (1.0, 2.0)])
+    assert [str(e) for e in block.errors[:1]] == [message] and block.errors[1] is None
+    assert np.isnan(block.allen[0]).all()
+    assert block.allen[1, 0, 1] == elasticity_report(spec, (1.0, 2.0)).allen[0, 1]
+
+
 def test_hicks_undefined_for_perfect_substitutes():
     linear = make_acms(1.0, (1.0, 2.0), 1.0, 1.0, relax_rho=True)
     with pytest.raises(HicksUndefined):
@@ -315,7 +329,6 @@ def test_elasticity_report_regular_point():
     assert report.allen is not None
     assert report.allen[0, 1] == pytest.approx(1.0, rel=1e-12)
     assert report.bordered_det == pytest.approx(0.25, rel=1e-12)
-    assert report.cofactors.shape == (2, 2)
 
 
 def test_elasticity_report_singular_bordered():
@@ -348,11 +361,12 @@ def test_elasticity_report_non_finite_is_numerical_error(spec, point, message):
 
 
 def _cofactors_by_minor(border):
-    # the per-minor route: delete row and column, plu_det, apply the sign
+    # the strict-upper cofactors by the per-minor route: delete row and
+    # column, plu_det, apply the sign (the lower triangle stays 0)
     n = border.shape[0] - 1
     cof = np.zeros((n, n))
     for a in range(n):
-        for b in range(n):
+        for b in range(a + 1, n):
             minor = np.delete(np.delete(border, a + 1, axis=0), b + 1, axis=1)
             sign = -1.0 if (a + b) % 2 else 1.0
             cof[a, b] = sign * plu_det(minor)
@@ -373,21 +387,23 @@ def _random_spec(rng, kind, n):
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["homothetical", "composite", "acms"]),
        n=st.sampled_from([2, 3, 5, 10]))
-def test_report_cofactors_bitwise_equal_per_minor_route(seed, kind, n):
+def test_report_allen_bitwise_equal_per_minor_route(seed, kind, n):
     rng = random.Random(seed)
     spec = _random_spec(rng, kind, n)
     point = points_loguniform(n, 1, rng)[0]
     report = elasticity_report(spec, point)
     border, det = bordered_hessian(spec, point)
-    expected = _cofactors_by_minor(border)
-    assert report.cofactors.view(np.int64).tolist() == expected.view(np.int64).tolist()
     assert np.float64(report.bordered_det).view(np.int64) == np.float64(det).view(np.int64)
     if report.allen is not None:
-        # A_1n from the per-minor cofactor
+        # every A_ab from its per-minor cofactor, both ways round
+        expected = _cofactors_by_minor(border)
         weight = math.fsum(x * g for x, g in zip(point, report.jet.gradient))
-        expected_allen = float(weight / (point[0] * point[n - 1]) * expected[0, n - 1] / det)
-        assert allen(spec, point, 1, n).hex() == expected_allen.hex()
-        assert allen(spec, point, n, 1).hex() == expected_allen.hex()
+        for a in range(n):
+            for b in range(a + 1, n):
+                want = float(weight / (point[a] * point[b]) * expected[a, b] / det).hex()
+                assert float(report.allen[a, b]).hex() == float(report.allen[b, a]).hex() == want
+        assert allen(spec, point, 1, n).hex() == allen(spec, point, n, 1).hex() == \
+            float(report.allen[0, n - 1]).hex()
 
 
 def _minor_counts(monkeypatch) -> list:
@@ -413,24 +429,14 @@ def test_batch_forms_the_upper_cofactors_of_allen_regular_rows_only(monkeypatch,
         assert sizes[0] == rows and sum(sizes[1:]) == rows * minors
 
 
-def test_report_forms_its_cofactors_on_first_read(monkeypatch):
+def test_report_forms_the_upper_cofactors_of_an_allen_regular_point_only(monkeypatch):
     sizes = _minor_counts(monkeypatch)
     report = elasticity_report(RATIO, (1.0, 1.0))
     assert report.allen is None and sizes == []
-    cofactors = report.cofactors
-    assert cofactors.shape == (2, 2) and sizes == [4]
-    assert report.cofactors is cofactors and sizes == [4]
+    report = elasticity_report(make_cobb_douglas(1.0, (0.25, 0.25, 0.5)), (1.0, 2.0, 3.0))
+    assert report.allen is not None and sizes == [3]
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.bordered_det = 0.0
-
-
-def test_first_cofactors_read_runs_no_scalar_determinant(monkeypatch):
-    # the cofactors read the bordered matrix alone, not its determinant
-    report = elasticity_report(make_cobb_douglas(1.0, (0.25, 0.25, 0.5)), (1.0, 2.0, 3.0))
-    calls, real = [], elasticity.plu_det
-    monkeypatch.setattr(elasticity, "plu_det", lambda m: calls.append(m) or real(m))
-    sizes = _minor_counts(monkeypatch)
-    assert report.cofactors.shape == (3, 3) and sizes == [9] and calls == []
 
 
 # the jets' edge coordinates, a zero of (x - 1)-type factors, and 1e300
@@ -527,8 +533,8 @@ def test_batch_rows_and_errors(monkeypatch):
 
 
 def _loop_report(spec, point):
-    """The report by the per-pair loops on Python floats that its column
-    formulas replaced: (Hicks, Allen or None, bordered det, cofactors)."""
+    """The report written out as per-pair loops on Python floats, each
+    cofactor from its own minor: (Hicks, Allen or None, bordered det)."""
     border, det = bordered_hessian(spec, point)  # the orthant guard and the plu_det route
     pt = [float(x) for x in point]
     jet = jet_multivariate(spec, pt)
@@ -553,9 +559,9 @@ def _loop_report(spec, point):
                 raise NumericalError(
                     f"infinite Hicks elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
             hicks_m[a, b] = hicks_m[b, a] = h
-    cof = _cofactors_by_minor(border)
     if abs(det) <= SINGULARITY_REL * det_scale(border):
-        return hicks_m, None, det, cof
+        return hicks_m, None, det
+    cof = _cofactors_by_minor(border)
     weight = math.fsum(x * g for x, g in zip(pt, jet.gradient))
     allen_m = np.full((n, n), math.nan)
     for a in range(n):
@@ -569,7 +575,7 @@ def _loop_report(spec, point):
                 raise NumericalError(
                     f"non-finite Allen elasticity for pair ({a + 1},{b + 1}) at {tuple(pt)!r}")
             allen_m[a, b] = allen_m[b, a] = v
-    return hicks_m, allen_m, det, cof
+    return hicks_m, allen_m, det
 
 
 @settings(max_examples=60, deadline=None)
@@ -578,8 +584,8 @@ def _loop_report(spec, point):
        outer=st.sampled_from(sorted(_EDGE_OUTERS)),
        n=st.integers(1, 10), m=st.integers(1, 3))
 def test_report_bitwise_equals_per_pair_loops(seed, kind, outer, n, m):
-    # the report's one set of column formulas against the float loops: every
-    # number has their bits, or the report raises their error
+    # the report against the float loops written out above: every number
+    # has their bits, or the report raises their error
     rng = random.Random(seed)
     spec = _edge_spec(rng, kind, outer, n)
     for _ in range(m):
@@ -587,7 +593,7 @@ def test_report_bitwise_equals_per_pair_loops(seed, kind, outer, n, m):
                  for _ in range(n)]
         with np.errstate(all="ignore"):
             try:
-                hicks_m, allen_m, det, cof = _loop_report(spec, point)
+                hicks_m, allen_m, det = _loop_report(spec, point)
             except ProdgeomError as e:
                 with pytest.raises(type(e)) as raised:
                     elasticity_report(spec, point)
@@ -595,9 +601,8 @@ def test_report_bitwise_equals_per_pair_loops(seed, kind, outer, n, m):
                 continue
         rep = elasticity_report(spec, point)
         assert (rep.allen is None) == (allen_m is None)
-        assert [float(v).hex() for v in (rep.bordered_det, *np.ravel(rep.hicks),
-                                         *np.ravel(rep.cofactors))] == \
-            [float(v).hex() for v in (det, *np.ravel(hicks_m), *np.ravel(cof))]
+        assert [float(v).hex() for v in (rep.bordered_det, *np.ravel(rep.hicks))] == \
+            [float(v).hex() for v in (det, *np.ravel(hicks_m))]
         if allen_m is not None:
             assert [v.hex() for v in np.ravel(rep.allen).tolist()] == \
                 [v.hex() for v in np.ravel(allen_m).tolist()]

@@ -32,7 +32,6 @@ from prodgeom import (
     fd_jet,
     gauss_kronecker,
     gauss_kronecker_batch,
-    hessian,
     hessian_det_closed,
     hessian_det_direct,
     hicks,
@@ -52,18 +51,18 @@ from test_funcspec import _EDGE_OUTERS, _JET_COORDS, _edge_spec
 
 
 def test_hessian_monomial():
-    assert hessian(make_cobb_douglas(1.0, (2.0, 3.0)), (1.0, 1.0)).tolist() == \
+    assert jet_multivariate(make_cobb_douglas(1.0, (2.0, 3.0)), (1.0, 1.0)).hessian.tolist() == \
         [[2.0, 6.0], [6.0, 6.0]]
 
 
 def test_hessian_sqrt():
-    assert hessian(make_cobb_douglas(1.0, (0.5, 0.5)), (1.0, 1.0)).tolist() == \
+    assert jet_multivariate(make_cobb_douglas(1.0, (0.5, 0.5)), (1.0, 1.0)).hessian.tolist() == \
         [[-0.25, 0.25], [0.25, -0.25]]
 
 
 def test_hessian_single_variable_at_zero():
     spec = Homothetical((PowFn(1.0, 0.0, 2.0),))
-    assert hessian(spec, (0.0,)).tolist() == [[2.0]]
+    assert jet_multivariate(spec, (0.0,)).hessian.tolist() == [[2.0]]
     assert hessian_det_direct(spec, (0.0,)) == 2.0
 
 
@@ -687,7 +686,7 @@ def test_coordinate_that_is_not_a_number_is_validation_error(point):
     # by numpy (which would report a non-finite value at (1.0, nan))
     spec = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 1.0)))
     calls = [lambda fn=fn: fn(spec, point)
-             for fn in (evaluate, jet_multivariate, hessian, hessian_det_direct,
+             for fn in (evaluate, jet_multivariate, hessian_det_direct,
                         hessian_det_closed, gauss_kronecker, bordered_hessian,
                         elasticity_report)]
     calls += [lambda fn=fn: fn(spec, point, 1, 2) for fn in (hicks, allen)]
@@ -799,7 +798,7 @@ def test_public_functions_return_or_raise_a_prodgeom_error(seed, kind, outer, n,
              lambda: ces_probe(spec, points * 2)]
     for p in points:
         calls += [lambda fn=fn, p=p: fn(spec, p)
-                  for fn in (evaluate, jet_multivariate, hessian, hessian_det_direct,
+                  for fn in (evaluate, jet_multivariate, hessian_det_direct,
                              hessian_det_closed, gauss_kronecker, bordered_hessian,
                              elasticity_report)]
         calls += [lambda fn=fn, p=p, i=i, j=j: fn(spec, p, i, j)

@@ -80,9 +80,22 @@ def test_jet1d_domain_guards():
 def test_jet1d_overflow_is_numerical_error():
     with pytest.raises(NumericalError):
         jet1d(ExpFn(gamma=1.0, lam=2.0), 1000.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    # ln(x): the chain rule's F'' = -1/u^2 divides by u * u = 0
+    (lambda: jet_multivariate(Composite(Log(), (PowFn(1, 0, 1),)), (1e-200,)),
+     "jet assembly underflowed at (1e-200,)"),
     # x * x underflows to 0 in f'' = ... - m u^(m-1) b / x^2
-    with pytest.raises(NumericalError):
-        jet1d(LogPowFn(a=1.0, b=1.0, m=1.0), 1e-300)
+    (lambda: jet1d(LogPowFn(1, 1, 1), 1e-300), "1-D jet underflowed at x = 1e-300"),
+    # 0.4 * 5e-324 underflows to 0, and rho = -1 divides by it
+    (lambda: evaluate(make_acms(1, (0.4, 1), -1, 1), (5e-324, 1)),
+     "function value underflowed at (5e-324, 1.0)"),
+], ids=["jet_multivariate", "jet1d", "evaluate"])
+def test_a_denominator_that_underflows_is_named_an_underflow(call, message):
+    with pytest.raises(NumericalError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 @settings(max_examples=200, deadline=None)
