@@ -50,19 +50,19 @@ from .geometry import (
 )
 from .elasticity import (
     CesVerdict,
+    Corollary42Report,
     ElasticityBlock,
     ElasticityReport,
     allen,
     bordered_hessian,
     ces_probe,
+    check_corollary42,
     elasticity_report,
     elasticity_report_batch,
     hicks,
 )
 from .classify import (
     ClassificationVerdict,
-    Corollary42Report,
-    check_corollary42,
     classify_allen_singular,
     classify_ces,
     classify_developable,

@@ -18,8 +18,9 @@ Verdicts use fixed family tags:
   shape without the reciprocal-sum constraint does NOT have constant
   elasticity and is rejected with an explanatory note.
 
-Classification is purely symbolic; the numeric confirmations live in
-`geometry.is_developable`, `elasticity.ces_probe` and `check_corollary42`.
+Classification is purely symbolic: this module imports no numeric code.
+The numeric confirmations live in `geometry.is_developable`, and in
+`elasticity.ces_probe` and `elasticity.check_corollary42` (Corollary 4.2).
 Symbolic sum constraints are tested to 1e-12 absolute, tight enough to
 separate user intent from float noise in exact decimals.
 """
@@ -29,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .errors import SpecError, ValidationError
 from .funcspec import (
@@ -43,16 +42,12 @@ from .funcspec import (
     LogPowFn,
     OuterFn,
     PowFn,
-    _point_rows,
     _pow_product,
     _real,
     _reals,
     make_acms,
     make_cobb_douglas,
 )
-from .geometry import gauss_kronecker_batch
-from .elasticity import _bordered_ratios, _positive_point, _positive_rows
-from .sampling import points_loguniform
 
 #: Absolute tolerance for symbolic parameter constraints (sum of exponents).
 PARAM_TOL = 1e-12
@@ -274,52 +269,3 @@ def make_thm51_family(case: str, *, alphas: Sequence[float] | None = None,
             raise ValidationError(f"case c needs 1/mu_1 + 1/mu_2 = 0, got mu = {mus!r}")
         return spec
     raise ValidationError(f"unknown case {case!r}, expected 'a', 'b' or 'c'")
-
-
-@dataclass(frozen=True)
-class Corollary42Report:
-    """Joint zero test of curvature and bordered determinant over samples."""
-
-    gk_all_zero: bool
-    allen_all_singular: bool
-    equivalent: bool
-    max_abs_gk: float
-    max_rel_bordered_det: float
-
-
-def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
-                      seed: int = 42) -> Corollary42Report:
-    """Check that zero curvature and a singular bordered matrix coincide.
-
-    Applies to product specs with at least one exponential component (the
-    regime where one component log-derivative ratio is constant). Evaluates
-    |G| <= tol and the scale-relative |det H^B| (``geometry._det_ratios``)
-    <= tol at every sample and reports whether the two predicates agree.
-    The samples run as one block (``gauss_kronecker_batch``, then the
-    bordered determinants on the stack), bit for bit as point by point. Every
-    sample point is checked first (``funcspec._point_rows``), then the first
-    row error is raised.
-    """
-    if not isinstance(spec, Homothetical):
-        raise SpecError(f"this check needs a homothetical spec, got {spec.kind}")
-    if not _exp_indices(spec.components):
-        raise SpecError("this check needs at least one exponential component")
-    if sample_points is None:
-        sample_points = points_loguniform(spec.n, 20, seed)
-    sample_points = list(sample_points)
-    if not sample_points:
-        raise ValidationError("needs at least one sample point")
-    x = _point_rows(spec, sample_points)
-    block = gauss_kronecker_batch(spec, x)
-    for p, good, error in zip(sample_points, _positive_rows(x).tolist(), block.errors):
-        if error is not None:
-            raise error
-        if not good:
-            _positive_point(spec, p)  # the bordered matrix lives on the positive orthant
-    max_gk = float(np.max(np.abs(block.gk_curvature), initial=0.0))
-    max_rel_det = float(np.max(_bordered_ratios(block.gradient, block.hessian), initial=0.0))
-    gk_zero = max_gk <= tol
-    allen_singular = max_rel_det <= tol
-    return Corollary42Report(gk_all_zero=gk_zero, allen_all_singular=allen_singular,
-                             equivalent=gk_zero == allen_singular,
-                             max_abs_gk=max_gk, max_rel_bordered_det=max_rel_det)

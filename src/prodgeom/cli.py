@@ -3,7 +3,9 @@
 Subcommands: ``eval``, ``curvature``, ``elasticity``, ``classify``,
 ``verify``. Point batches come from a headerless CSV file or an inline grid
 descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
-per axis, inclusive endpoints, row-major order). Rows are emitted in input
+per axis, inclusive endpoints, row-major order). Number text (points cells,
+grid bounds and count, ``--pairs``, ``--tol``, ``--seed``) must be ASCII
+without ``_`` (``_ascii_number``). Rows are emitted in input
 order, CSV or JSONL, with identical numeric values in both encodings; stdout
 is written once, after the last row. Both formats encode a block's floats
 in one pass (``_writer``), and grid coordinates once per axis value. A CSV
@@ -43,6 +45,22 @@ from .jets import _fd_gaps, _jet_columns, jet_multivariate
 from .verify import run_checks
 
 
+def _ascii_number(kind):
+    """``kind`` (float or int) on number text, raising ValueError on text
+    that is not ASCII or holds ``_``, which ``kind`` alone reads as Unicode
+    digits or PEP 515 digit-group underscores. The parser keeps ``kind``'s
+    name, which argparse quotes in its messages."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"invalid {kind.__name__} text {text!r}")
+        return kind(text)
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_float, _int = _ascii_number(float), _ascii_number(int)
+
+
 def _parse_grid(desc: str) -> tuple:
     """The axes of a ``grid:`` descriptor: each axis's values as a float
     array, and as CSV text (each value formatted once). The grid's points
@@ -52,7 +70,7 @@ def _parse_grid(desc: str) -> tuple:
     if not sep:
         raise ValidationError(f"grid descriptor {desc!r} is missing the sample count")
     try:
-        k = int(count_part)
+        k = _int(count_part)
     except ValueError:
         raise ValidationError(f"grid sample count {count_part!r} is not an integer") from None
     if k < 1:
@@ -64,7 +82,7 @@ def _parse_grid(desc: str) -> tuple:
         if not sep:
             raise ValidationError(f"grid axis {axis!r} must look like <lo>..<hi>")
         try:
-            lo, hi = float(lo_s), float(hi_s)
+            lo, hi = _float(lo_s), _float(hi_s)
         except ValueError:
             raise ValidationError(f"grid axis {axis!r} has non-numeric bounds") from None
         try:  # an axis no allocator can grant, or beyond numpy's index range
@@ -108,7 +126,7 @@ def _load_points(source: str, n: int) -> tuple:
                     continue
                 cells = line.split(",")
                 try:
-                    point = tuple(float(c) for c in cells)
+                    point = tuple(map(_float, cells))
                 except ValueError:
                     raise ValidationError(
                         f"{source}:{lineno}: non-numeric coordinate in {line!r}") from None
@@ -144,7 +162,7 @@ def _parse_pairs(text: str, n: int) -> list:
         if not sep:
             raise ValidationError(f"pair {chunk!r} must look like i,j")
         try:
-            i, j = int(i_s), int(j_s)
+            i, j = _int(i_s), _int(j_s)
         except ValueError:
             raise ValidationError(f"pair {chunk!r} has non-integer indices") from None
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -379,8 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("classify", help="symbolic family classification"),
                needs_points=False)
     ver = sub.add_parser("verify", help="run the named verification checks")
-    ver.add_argument("--tol", type=float, default=1e-8)
-    ver.add_argument("--seed", type=int, default=42)
+    ver.add_argument("--tol", type=_float, default=1e-8)
+    ver.add_argument("--seed", type=_int, default=42)
     return parser
 
 

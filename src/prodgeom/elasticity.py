@@ -20,6 +20,11 @@ matches a per-minor ``plu_det`` bit for bit. For two variables the two measures
 coincide; both are invariant under smooth monotone outer transforms F(u) with
 nonzero slope, for every n (C_ij / det(H^B) scales by 1/F', the weight by F').
 Indices are 1-based; elasticities live on the strictly positive orthant.
+
+Two numeric confirmations of ``classify``'s symbolic results live here:
+``ces_probe`` (one constant Hicks elasticity, Theorem 5.1) and
+``check_corollary42`` (Corollary 4.2: with an exponential component, zero
+curvature exactly where the bordered matrix is singular).
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (AllenUndefined, DomainError, HicksUndefined, NumericalError,
+from .errors import (AllenUndefined, DomainError, HicksUndefined, NumericalError, SpecError,
                      ValidationError, ZeroGradientError)
-from .funcspec import FunctionSpec, _per_point, _point, _point_rows
-from .geometry import _det_ratios, plu_det, plu_dets
+from .funcspec import ExpFn, FunctionSpec, Homothetical, _per_point, _point, _point_rows
+from .geometry import _det_ratios, gauss_kronecker_batch, plu_det, plu_dets
 from .jets import Jet2N, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
 
@@ -354,3 +359,52 @@ def ces_probe(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
     return CesVerdict(is_constant=spread <= tol,
                       sigma=math.fsum(values) / len(values),
                       spread=spread)
+
+
+@dataclass(frozen=True)
+class Corollary42Report:
+    """Joint zero test of curvature and bordered determinant over samples.
+
+    ``equivalent`` is whether ``gk_all_zero`` agrees with every bordered
+    determinant's ``geometry._det_ratios`` being at most the tolerance.
+    """
+
+    gk_all_zero: bool
+    equivalent: bool
+    max_abs_gk: float
+
+
+def check_corollary42(spec: FunctionSpec, sample_points=None, tol: float = 1e-8,
+                      seed: int = 42) -> Corollary42Report:
+    """Check that zero curvature and a singular bordered matrix coincide.
+
+    Applies to product specs with at least one exponential component (the
+    regime where one component log-derivative ratio is constant). Evaluates
+    |G| <= tol and the scale-relative |det H^B| (``geometry._det_ratios``)
+    <= tol at every sample and reports whether the two predicates agree.
+    The samples run as one block (``gauss_kronecker_batch``, then the
+    bordered determinants on the stack), bit for bit as point by point. Every
+    sample point is checked first (``funcspec._point_rows``), then the first
+    row error is raised.
+    """
+    if not isinstance(spec, Homothetical):
+        raise SpecError(f"this check needs a homothetical spec, got {spec.kind}")
+    if not any(isinstance(c, ExpFn) for c in spec.components):
+        raise SpecError("this check needs at least one exponential component")
+    if sample_points is None:
+        sample_points = points_loguniform(spec.n, 20, seed)
+    sample_points = list(sample_points)
+    if not sample_points:
+        raise ValidationError("needs at least one sample point")
+    x = _point_rows(spec, sample_points)
+    block = gauss_kronecker_batch(spec, x)
+    for p, good, error in zip(sample_points, _positive_rows(x).tolist(), block.errors):
+        if error is not None:
+            raise error
+        if not good:
+            _positive_point(spec, p)  # the bordered matrix lives on the positive orthant
+    max_gk = float(np.max(np.abs(block.gk_curvature), initial=0.0))
+    gk_zero = max_gk <= tol
+    singular = float(np.max(_bordered_ratios(block.gradient, block.hessian), initial=0.0)) <= tol
+    return Corollary42Report(gk_all_zero=gk_zero, equivalent=gk_zero == singular,
+                             max_abs_gk=max_gk)

@@ -212,14 +212,13 @@ class CurvatureRecord:
     """Curvature quantities of the graph of a spec at one point.
 
     ``gk_curvature`` equals ``hessian_det / omega ** (n + 2)`` by
-    construction, with omega >= 1 always. ``jet`` is the one jet every
-    field was read from; ``value`` is its value slot.
+    construction (n is ``jet.n``), with omega >= 1 always. ``jet`` is the
+    one jet every field was read from; ``value`` is its value slot.
     """
 
     omega: float
     hessian_det: float
     gk_curvature: float
-    n: int
     jet: Jet2N = field(compare=False, repr=False)
 
     @property
@@ -258,7 +257,7 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
     if not (math.isfinite(omega) and math.isfinite(det) and math.isfinite(gk)):
         raise NumericalError(f"non-finite omega, determinant or curvature at "
                              f"{tuple(map(float, point))!r}")
-    return CurvatureRecord(omega=omega, hessian_det=det, gk_curvature=gk, n=n, jet=jet)
+    return CurvatureRecord(omega=omega, hessian_det=det, gk_curvature=gk, jet=jet)
 
 
 def _squared_norms(gradient: np.ndarray) -> np.ndarray:

@@ -97,12 +97,11 @@ def random_outer(rng: random.Random) -> OuterFn:
 
 
 def random_composite(rng: random.Random, n: int | None = None,
-                     n_range: tuple = (2, 4),
-                     kinds: Sequence[str] = COMPONENT_KINDS) -> Composite:
+                     n_range: tuple = (2, 4)) -> Composite:
     """Random outer-composed spec with a positive inner product.
 
     The inner components are forced positive on the box so that log and
     fractional-power outers are always admissible.
     """
-    inner = random_homothetical(rng, n=n, n_range=n_range, positive=True, kinds=kinds)
+    inner = random_homothetical(rng, n=n, n_range=n_range, positive=True)
     return Composite(random_outer(rng), inner.components)

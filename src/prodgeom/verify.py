@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import check_corollary42, make_thm31_family, make_thm41_family, make_thm51_family
+from .classify import make_thm31_family, make_thm41_family, make_thm51_family
 from .elasticity import (_bordered_ratios, _hicks_from_jet, _positive_rows, bordered_hessian,
-                         ces_probe, elasticity_report, hicks)
+                         ces_probe, check_corollary42, elasticity_report, hicks)
 from .errors import DomainError, HicksUndefined, ZeroGradientError
 from .funcspec import (Acms, Composite, Homothetical, Identity, Log, LogPowFn, PowFn, Power,
                        _column_pow, _point_rows, _values, make_acms, make_cobb_douglas)

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeom import geometry, jets, verify
-from prodgeom.classify import Corollary42Report, _exp_indices, check_corollary42
-from prodgeom.elasticity import _bordered, _positive_point, bordered_hessian
+from prodgeom.classify import _exp_indices
+from prodgeom.elasticity import (Corollary42Report, _bordered, _positive_point, bordered_hessian,
+                                 check_corollary42)
 from prodgeom.errors import DomainError, NumericalError, ProdgeomError, SpecError, ValidationError
 from prodgeom.funcspec import Composite, ExpFn, Homothetical, Identity, PowFn, Power, _point_rows
 from prodgeom.geometry import det_scale, gauss_kronecker, is_developable, plu_det
@@ -63,12 +64,10 @@ def _loop_corollary42(spec, sample_points, tol):
         gks.append(abs(rec.gk_curvature))
         border = _bordered(rec.jet.gradient, rec.jet.hessian)
         rels.append(_scale_relative(plu_det(border), border))
-    max_gk, max_rel_det = _max(gks), _max(rels)
+    max_gk = _max(gks)
     gk_zero = max_gk <= tol
-    allen_singular = max_rel_det <= tol
-    return Corollary42Report(gk_all_zero=gk_zero, allen_all_singular=allen_singular,
-                             equivalent=gk_zero == allen_singular,
-                             max_abs_gk=max_gk, max_rel_bordered_det=max_rel_det)
+    return Corollary42Report(gk_all_zero=gk_zero, equivalent=gk_zero == (_max(rels) <= tol),
+                             max_abs_gk=max_gk)
 
 
 def _loop_flatness(spec, points):
@@ -111,8 +110,7 @@ def _outcome(fn, *args):
     except ProdgeomError as e:
         return type(e), str(e)
     if isinstance(result, Corollary42Report):
-        result = (result.gk_all_zero, result.allen_all_singular, result.equivalent,
-                  result.max_abs_gk, result.max_rel_bordered_det)
+        result = (result.gk_all_zero, result.equivalent, result.max_abs_gk)
     if isinstance(result, float):
         result = (result,)
     return tuple(v if isinstance(v, bool) else v.hex() for v in result)
@@ -244,7 +242,7 @@ def test_zero_gradient_reads_as_singular():
         assert det == det_scale(border) == 0.0
         assert verify._singular_evidence(spec, [(1.0, 1.0)]) == 0.0
     report = check_corollary42(spec, [(1.0, 1.0)])
-    assert report.max_rel_bordered_det == report.max_abs_gk == 0.0 and report.equivalent
+    assert report.max_abs_gk == 0.0 and report.gk_all_zero and report.equivalent
 
 
 def test_singular_evidence_keeps_the_result_of_a_flagged_row(monkeypatch):

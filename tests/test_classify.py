@@ -1,10 +1,15 @@
-"""Tests for the symbolic family deciders, constructors and the joint zero check."""
+"""Tests for the symbolic family deciders, constructors and the joint zero check
+(``elasticity.check_corollary42``)."""
 
+import ast
+import inspect
 import math
 import random
 
 import pytest
 
+import prodgeom
+from prodgeom import classify, elasticity
 from prodgeom import (
     Acms,
     Composite,
@@ -223,14 +228,13 @@ def test_unconstrained_log_pair_is_not_ces():
 def test_check_corollary42_two_exponentials():
     spec = Homothetical((ExpFn(1.0, 1.0), ExpFn(1.0, 2.0), PowFn(1.0, 0.0, 3.0)))
     report = check_corollary42(spec, seed=42)
-    assert report.gk_all_zero and report.allen_all_singular and report.equivalent
+    assert report.gk_all_zero and report.equivalent  # so the bordered matrices are singular
 
 
 def test_check_corollary42_single_exponential():
     spec = Homothetical((ExpFn(1.0, 1.0), PowFn(1.0, 0.0, 2.0), PowFn(1.0, 0.0, 3.0)))
     report = check_corollary42(spec, seed=42)
-    assert not report.gk_all_zero and not report.allen_all_singular
-    assert report.equivalent
+    assert not report.gk_all_zero and report.equivalent  # so not all of them singular
 
 
 def test_check_corollary42_rejects_non_positive_sample():
@@ -243,6 +247,19 @@ def test_check_corollary42_rejects_non_positive_sample():
 def test_check_corollary42_requires_exponential():
     with pytest.raises(SpecError):
         check_corollary42(make_cobb_douglas(1.0, (0.5, 0.5)))
+
+
+def test_classify_imports_no_numeric_code():
+    # the deciders are symbolic: classify reads the error types and the spec
+    # model only, and the numeric Corollary 4.2 check lives in elasticity
+    tree = ast.parse(inspect.getsource(classify))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert imported == {"__future__", "dataclasses", "math", "typing", "errors", "funcspec"}
+    assert prodgeom.check_corollary42 is elasticity.check_corollary42
+    assert prodgeom.Corollary42Report is elasticity.Corollary42Report
+    assert not {"check_corollary42", "Corollary42Report"} & set(vars(classify))
 
 
 def test_classifier_soundness_randomised():

@@ -343,6 +343,33 @@ def test_verify_rejects_tol_not_positive_and_finite(capsys, tol):
     assert "--tol must be positive and finite" in err
 
 
+# number text that Python's float() or int() reads but the CLI rejects, one
+# row per site: a digit-group underscore (PEP 515) or a non-ASCII digit
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--points", "{points}"], "error: {points}:1: non-numeric coordinate in '1_5,1.0'"),
+    (["eval", "--points", "grid:0_5..2x1..2:2"],
+     "error: grid axis '0_5..2' has non-numeric bounds"),
+    (["eval", "--points", "grid:0.5..2x1..2:\u0661"],
+     "error: grid sample count '\u0661' is not an integer"),
+    (["elasticity", "--points", "{points_ok}", "--pairs", "\u0661,2"],
+     "error: pair '\u0661,2' has non-integer indices"),
+    (["verify", "--tol", "1_0e-9"], "prodgeom verify: error: argument --tol: invalid float value: "
+                                    "'1_0e-9'"),
+    (["verify", "--seed", "4_2"], "prodgeom verify: error: argument --seed: invalid int value: "
+                                  "'4_2'"),
+], ids=["points-cell", "grid-bound", "grid-count", "pairs", "tol", "seed"])
+def test_number_text_that_is_not_plain_ascii_exits_2(capsys, tmp_path, argv, message):
+    points = tmp_path / "pts.csv"
+    points.write_text("1_5,1.0\n")
+    paths = {"points": points, "points_ok": DATA / "pts.csv"}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] != "verify":
+        argv += ["--spec", DATA / "cobb_douglas_crs.json"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == message.format(**paths)
+
+
 def test_verify_seed_changes_samples_not_outcomes():
     passes_42 = [r.passed for r in run_checks(seed=42)]
     passes_7 = [r.passed for r in run_checks(seed=7)]

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -168,3 +169,52 @@ def test_cli_run_ends_in_a_documented_outcome(tmp_path, data):
             json.loads(row["certificate"], parse_constant=_reject)
         else:
             _check_missing_cells(row)
+
+
+# a non-ASCII decimal digit, which float() and int() read as its digit value
+_UNICODE_DIGITS = st.characters(categories=["Nd"]).filter(lambda c: not c.isascii())
+
+
+@st.composite
+def _not_plain_ascii(draw, text):
+    # ``text`` with a digit-group underscore or a non-ASCII digit put in, or
+    # one of its digits turned into a non-ASCII one
+    digits = [k for k, c in enumerate(text) if c.isdigit()]
+    if digits and draw(st.booleans()):
+        k = draw(st.sampled_from(digits))
+        return text[:k] + draw(_UNICODE_DIGITS) + text[k + 1:]
+    k = draw(st.integers(0, len(text)))
+    return text[:k] + draw(st.one_of(st.just("_"), _UNICODE_DIGITS)) + text[k:]
+
+
+_NUMBER_TEXT = st.one_of(st.floats(0.1, 3.0).map(repr), st.integers(1, 9).map(str))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_number_text_that_is_not_plain_ascii_exits_2(tmp_path, data):
+    # a points cell, grid bound or count, or pair index with an underscore or a
+    # non-ASCII digit is rejected, though Python's float() or int() reads it
+    spec = str(Path(__file__).parent / "data" / "cobb_douglas_crs.json")
+    site = data.draw(st.sampled_from(["cell", "bound", "count", "pair"]))
+    text = data.draw(_NUMBER_TEXT.flatmap(_not_plain_ascii))
+    points = tmp_path / "pts.csv"
+    points.write_text("1.0,1.0\n", encoding="utf-8")
+    argv = ["eval", "--spec", spec, "--points", str(points)]
+    if site == "cell":
+        cells = data.draw(st.permutations([text, "1.0"]))
+        points.write_text(f"1.0,1.0\n{','.join(cells)}\n", encoding="utf-8")
+    elif site == "bound":
+        axes = data.draw(st.permutations([f"{text}..2.0", "0.5..2.0"]))
+        argv[-1] = f"grid:{'x'.join(axes)}:2"
+    elif site == "count":
+        argv[-1] = f"grid:0.5..2.0x0.5..2.0:{text}"
+    else:
+        pair = data.draw(st.permutations([text, "2"]))
+        argv = ["elasticity", "--spec", spec, "--points", str(points), "--pairs", ",".join(pair)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code == 2 and out.getvalue() == ""
+    err = err.getvalue()
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

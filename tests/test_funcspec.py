@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,13 @@ def test_parse_undecodable_json_is_parse_error(text):
 def test_parse_unknown_kind():
     with pytest.raises(ParseError, match="kind"):
         parse_spec('{"kind":"mystery"}')
+
+
+@pytest.mark.parametrize("obj", [PowFn(1.0, 0.0, 2.0), Power(2.0), "pow"])
+def test_serialize_rejects_what_is_not_a_spec(obj):
+    # a component, an outer map or any other object has no spec kind to write
+    with pytest.raises(ValidationError, match=re.escape(f"unknown spec kind {obj!r}")):
+        serialize_spec(obj)
 
 
 def test_serialize_field_order():

@@ -196,8 +196,8 @@ def test_gauss_kronecker_monomial():
     assert rec.omega == pytest.approx(math.sqrt(14.0), rel=1e-15)
     assert rec.hessian_det == -24.0
     assert rec.gk_curvature == pytest.approx(-24.0 / 196.0, rel=1e-12)
-    assert rec.n == 2
-    assert rec.gk_curvature == rec.hessian_det / rec.omega ** (rec.n + 2)
+    assert rec.jet.n == 2
+    assert rec.gk_curvature == rec.hessian_det / rec.omega ** (rec.jet.n + 2)
 
 
 def test_gauss_kronecker_sqrt_flat():

@@ -29,6 +29,7 @@ from prodgeom import (
     make_cobb_douglas,
 )
 from prodgeom import jets, verify
+from prodgeom.elasticity import Corollary42Report
 from prodgeom.jets import Jet2N, _factor_jet, _fill, _product_parts
 from test_funcspec import _EDGE_OUTERS, _edge_component
 from test_jets import _FD_COORDS
@@ -179,3 +180,17 @@ def test_determinant_and_fd_checks_run_one_value_pass_per_spec(scalar_value_call
     assert check(seed=42).passed
     assert len(scalar_value_calls) == 200
     assert all(math.isfinite(x) for p in scalar_value_calls for x in p)
+
+
+def test_curvature_allen_equivalence_counts_a_disagreement(monkeypatch):
+    # a report whose two zero tests disagree fails the check, and each one counts
+    calls = []
+
+    def first_disagrees(spec, points, tol):
+        calls.append(spec)
+        return Corollary42Report(gk_all_zero=False, equivalent=len(calls) > 1, max_abs_gk=1.0)
+
+    monkeypatch.setattr(verify, "check_corollary42", first_disagrees)
+    result = verify.check_curvature_allen_equivalence()
+    assert len(calls) == 100 and not result.passed
+    assert result.detail.startswith("1 disagreements over 100 specs")
