@@ -5,9 +5,9 @@ Subcommands: ``eval``, ``curvature``, ``elasticity``, ``classify``,
 descriptor ``grid:<lo>..<hi>x<lo>..<hi>[x...]:<k>`` (k equally spaced samples
 per axis, inclusive endpoints, row-major order). Number text (points cells,
 grid bounds and count, ``--pairs``, ``--tol``, ``--seed``) must be ASCII
-without ``_`` (``_ascii_number``). Rows are emitted in input
-order, CSV or JSONL, with identical numeric values in both encodings; stdout
-is written once, after the last row. Both formats encode a block's floats
+without ``_`` (``_ascii_number``). Rows are emitted in input order, CSV or
+JSONL, with identical numeric values in both encodings; stdout is written
+one block (``BLOCK_ROWS``) at a time. Both formats encode a block's floats
 in one pass (``_writer``), and grid coordinates once per axis value. A CSV
 cell follows ``csv.writer``'s QUOTE_MINIMAL rule (``_csv_cell``); a JSONL
 line fills a template of the header's keys, built once, with the encoded
@@ -18,14 +18,15 @@ is built on the first ``run`` and reused by later ones.
 Exit codes: 0 success, 1 domain error, 2 parse/validation error, 3 numerical
 failure, 4 out of memory. Singular points in a batch never fail the run; they
 are reported in the per-row ``status`` column (``ok``, ``hicks_undefined``,
-``allen_undefined``, ``domain_error``).
+``allen_undefined``, ``domain_error``). A row whose numbers fail reads
+``numerical_error``, every row is still written, and the run then exits 3
+with the first such row's error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import itertools
 import json
 import math
@@ -183,9 +184,9 @@ def _csv_cell(text: str) -> str:
 
 
 def _writer(header: list, fmt: str, out):
-    """A function writing a block of rows to ``out`` as CSV (after a header
-    line, written now) or JSONL: ``write(columns, lead=None)`` for CSV,
-    ``write(columns)`` for JSONL.
+    """A function writing a block of rows to ``out`` as CSV or JSONL, with
+    one ``out.write`` per block, the CSV header line going out with the
+    first block: ``write(columns, lead=None)``.
 
     ``columns`` holds the cells by column: a float array, or a sequence of
     text. Both formats encode a block by one rule: its float columns are
@@ -200,11 +201,15 @@ def _writer(header: list, fmt: str, out):
     template of the header's keys, built once, with the bytes of
     ``json.dumps(row, separators=(",", ":"))``."""
     csv_out = fmt == "csv"
+    # the CSV header line, which goes out with the first block
+    head = [",".join(map(_csv_cell, header)) + "\n"] if csv_out else []
     if csv_out:
         text, special = _csv_cell, {"nan": "", "inf": "inf", "-inf": "-inf"}
     else:
         text = encode_basestring_ascii
         special = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+        template = "{" + ",".join(encode_basestring_ascii(h).replace("%", "%%") + ":%s"
+                                  for h in header) + "}\n"
 
     def cells(columns):  # the encoded cells of each column, in order
         floats = [col for col in columns if isinstance(col, np.ndarray)]
@@ -216,26 +221,20 @@ def _writer(header: list, fmt: str, out):
             floats = iter(encoded)
         return [next(floats) if isinstance(col, np.ndarray) else list(map(text, col))
                 for col in columns]
-    if csv_out:
-        out.write(",".join(map(_csv_cell, header)) + "\n")
 
-        def write(columns, lead=None):
-            lines = map(",".join, zip(*cells(columns)))
-            if lead is not None:
-                lines = map(",".join, zip(lead, lines))
-            out.writelines([line + "\n" for line in lines])
-        return write
-    template = "{" + ",".join(encode_basestring_ascii(h).replace("%", "%%") + ":%s"
-                              for h in header) + "}\n"
-
-    def write(columns):
-        out.writelines(map(template.__mod__, zip(*cells(columns))))
+    def write(columns, lead=None):
+        rows = zip(*cells(columns))
+        if lead is not None:
+            rows = zip(lead, map(",".join, rows))
+        lines = [",".join(row) + "\n" for row in rows] if csv_out else map(template.__mod__, rows)
+        out.write("".join([*head, *lines]))
+        head.clear()
     return write
 
 
 #: Rows per block of ``eval``, ``curvature`` and ``elasticity``: the block
-#: kernel's columns stay small, and each block is encoded to text before the
-#: next one is computed.
+#: kernel's columns stay small, and each block is written to stdout before
+#: the next one is computed, so output memory does not grow with the rows.
 BLOCK_ROWS = 2048
 
 
@@ -251,15 +250,16 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
     call (``eval --fd-check``, whose errors come from ``jet_multivariate``)
     or one value pass (plain ``eval``, ``funcspec._value_pass``, whose
     errors come from ``evaluate``). nan is the one mark of a missing cell
-    (``_writer``): an undefined Hicks or Allen pair is nan, and a row whose
-    error is a DomainError gets nan cells and status ``domain_error``. The
-    rows stop at any other error. The fd_gap column compares the
-    finite-difference oracle with the exact columns at the rows before that
-    error, other than ``domain_error`` rows (``jets._fd_gaps``); the first
-    row, in input order, whose measure or oracle fails decides the error.
-    Coordinates lead each row as float columns, or for a CSV grid as text
-    joined from each axis value's text. Stdout is written once, after the
-    last block.
+    (``_writer``): an undefined Hicks or Allen pair is nan. The fd_gap
+    column compares the finite-difference oracle with the exact columns at
+    the rows without an error (``jets._fd_gaps``), and a row whose oracle
+    fails takes its NumericalError. Every float cell of a row with an error
+    is nan, and its status is ``domain_error`` for a DomainError and
+    ``numerical_error`` for any other. Coordinates lead each row as float
+    columns, or for a CSV grid as text joined from each axis value's text.
+    Each block is written to ``out`` before the next one is formed; after
+    the last, the first error other than a DomainError, in input order, is
+    raised.
     """
     columns = []
     if args.command == "curvature":
@@ -302,35 +302,35 @@ def _run_points(args, spec: FunctionSpec, count: int, rows, texts, out) -> int:
     header.append("status")
     grid_text = (map(",".join, itertools.product(*texts))
                  if texts is not None and args.format == "csv" else None)
-    text = io.StringIO()
-    write = _writer(header, args.format, text)
+    write = _writer(header, args.format, out)
+    first = None  # the first row error other than a DomainError, in input order
     with np.errstate(all="ignore"):  # a non-finite result raises NumericalError instead
         for start in range(0, count, BLOCK_ROWS):
             block = rows(start, min(start + BLOCK_ROWS, count))
             cells, status, errors, gradient, hessian = measure(block)
-            failed = [i for i, error in enumerate(errors) if error is not None]
-            # the rows up to the first error other than DomainError
-            end = next((i for i in failed if not isinstance(errors[i], DomainError)), len(block))
-            domain = [i for i in failed if i < end]
-            if domain:  # an error-free block skips numpy's index setup
-                for col in cells:
-                    col[domain] = math.nan
-                for i in domain:
-                    status[i] = "domain_error"
-            if args.fd_check:
-                checked = np.delete(np.arange(end), domain)
+            if args.fd_check:  # a row whose oracle fails takes its error
+                errors = np.array(errors, dtype=object)
+                checked = np.flatnonzero([error is None for error in errors])
                 gaps = np.full(len(block), math.nan)
                 if checked.size:
-                    gaps[checked] = _fd_gaps(spec, block[checked], gradient[checked],
-                                             hessian[checked])
+                    gaps[checked], errors[checked] = _fd_gaps(spec, block[checked],
+                                                              gradient[checked], hessian[checked])
                 cells.append(gaps)
-            if end < len(block):  # once the rows before it have had their fd_gap
-                raise errors[end]
+            failed = [i for i, error in enumerate(errors) if error is not None]
+            if failed:  # an error-free block skips numpy's index setup
+                for col in cells:
+                    col[failed] = math.nan
+                for i in failed:
+                    domain = isinstance(errors[i], DomainError)
+                    status[i] = "domain_error" if domain else "numerical_error"
+                    if first is None and not domain:
+                        first = errors[i]
             if grid_text is None:
                 write([*block.T, *cells, status])
             else:
                 write([*cells, status], itertools.islice(grid_text, len(block)))
-    out.write(text.getvalue())
+    if first is not None:
+        raise first
     return 0
 
 
@@ -403,7 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Entry point returning the exit code; an error prints one stderr line."""
+    """Entry point returning the exit code. An error prints one stderr line,
+    ``error: ...``, except an argument error (exit 2), for which argparse
+    prints its usage text and then ``prodgeom[ <command>]: error: ...``."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))

@@ -451,8 +451,9 @@ def _point_rows(spec: FunctionSpec, points) -> np.ndarray:
 
 def _per_point(fn, spec: FunctionSpec, points, rows) -> tuple:
     """The redo of flagged rows used by the block kernels
-    (``gauss_kronecker_batch``, ``elasticity_report_batch``) and by the CLI's
-    ``eval``: ``fn(spec, points[i])`` at each row i where the boolean array
+    (``gauss_kronecker_batch``, ``elasticity_report_batch``), by the CLI's
+    ``eval`` and by its finite-difference oracle (``jets._fd_gaps``):
+    ``fn(spec, points[i])`` at each row i where the boolean array
     ``rows`` holds, in input order, as ({i: its result}, errors), errors[i]
     the ProdgeomError it raised without its frames (None elsewhere)."""
     done, errors = {}, [None] * len(rows)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .funcspec import (_LINEAR_OUTER, Acms, ComponentFn, FunctionSpec, Homothetical, _column_pow,
-                       _coords, _core_value, _map_rows, _point, _term_column, _term_core,
-                       _value_pass, _values, evaluate)
+                       _coords, _core_value, _map_rows, _per_point, _point, _term_column,
+                       _term_core, _value_pass, _values, evaluate)
 
 
 @dataclass(frozen=True)
@@ -354,19 +354,22 @@ def norm_rel_gaps(approx: Jet2N, exact: Jet2N) -> tuple:
 
 
 def _fd_gaps(spec: FunctionSpec, points: np.ndarray, gradient: np.ndarray,
-             hessian: np.ndarray) -> np.ndarray:
+             hessian: np.ndarray) -> tuple:
     """``max(norm_rel_gaps(fd_jet(lambda q: evaluate(spec, q), p), exact))``
     at every row p of a (k, n) point array, whose exact jets have the
     gradients (k, n) and Hessians (k, n, n) given, bit for bit, from
-    ``_fd_columns``. A row they flag goes through ``fd_jet`` itself, in row
-    order, so the first such row raises its NumericalError.
+    ``_fd_columns``, as (gaps (k,), errors). A row they flag goes through
+    ``fd_jet`` itself (``funcspec._per_point``): where that returns, the row
+    has its gap; where it raises, errors[i] is its NumericalError (None
+    elsewhere) and gaps[i] is not a gap.
     """
     _, fd_gradient, fd_hessian, failed = _fd_columns(spec, points)
     with np.errstate(all="ignore"):
         g = _rel_gap(fd_gradient, gradient, axis=1)
         h = _rel_gap(fd_hessian, hessian, axis=(1, 2))
     gaps = np.where(h > g, h, g)  # max(g, h), which keeps g when either is nan
-    for i in np.flatnonzero(failed).tolist():
-        approx = fd_jet(lambda q: evaluate(spec, q), points[i])
+    done, errors = _per_point(lambda spec, p: fd_jet(lambda q: evaluate(spec, q), p),
+                              spec, points, failed)
+    for i, approx in done.items():
         gaps[i] = max(norm_rel_gaps(approx, Jet2N(approx.value, gradient[i], hessian[i])))
-    return gaps
+    return gaps, errors

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -233,15 +234,45 @@ def test_singular_rows_do_not_fail_run(capsys):
     assert rows[0].split(",")[3] == ""
 
 
+def _check_numerical_error_rows(capsys, tmp_path, argv, fmt, out, points, failing):
+    """``out``, the stdout of ``argv`` over ``points`` as ``fmt``, has one row
+    per point. The rows at the indices in ``failing`` read numerical_error
+    after their coordinates, with every other cell missing; every other row
+    has the bytes that a run over the points without the failing ones gives it."""
+    lines = out.splitlines()
+    if fmt == "csv":
+        header, lines = lines[0], lines[1:]
+        rows = [dict(zip(header.split(","), row)) for row in csv.reader(lines)]
+    else:
+        rows = [json.loads(line) for line in lines]
+    assert len(rows) == len(points)
+    for k in failing:
+        row = rows[k]
+        coords = [row.pop(f"x{i + 1}") for i in range(len(points[k]))]
+        assert coords == ([repr(x) for x in points[k]] if fmt == "csv" else list(points[k]))
+        assert row.pop("status") == "numerical_error"
+        assert set(row.values()) == {"" if fmt == "csv" else None}
+    kept = [p for k, p in enumerate(points) if k not in failing]
+    if kept:
+        path = tmp_path / "kept.csv"
+        path.write_text("".join(",".join(map(repr, p)) + "\n" for p in kept))
+        code, reference, err = _run(capsys, *argv, "--points", path, "--format", fmt)
+        assert (code, err) == (0, "")
+        reference = reference.splitlines()
+        if fmt == "csv":
+            assert reference.pop(0) == header
+        assert [line for k, line in enumerate(lines) if k not in failing] == reference
+
+
 def test_curvature_overflow_exits_3(capsys, tmp_path):
     # x1^0.3 x2^0.7: f'' of the first factor, 1e-300^-1.7, overflows
     points = tmp_path / "tiny.csv"
     points.write_text("1e-300,1.0\n")
-    code, out, err = _run(capsys, "curvature", "--spec", DATA / "cobb_douglas_crs.json",
-                          "--points", points)
+    argv = ("curvature", "--spec", DATA / "cobb_douglas_crs.json")
+    code, out, err = _run(capsys, *argv, "--points", points)
     assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and "overflowed" in err
+    assert err.startswith("error: ") and "overflowed" in err and err.count("\n") == 1
+    _check_numerical_error_rows(capsys, tmp_path, argv, "csv", out, [(1e-300, 1.0)], [0])
 
 
 def _reject_constant(constant):
@@ -344,7 +375,9 @@ def test_verify_rejects_tol_not_positive_and_finite(capsys, tol):
 
 
 # number text that Python's float() or int() reads but the CLI rejects, one
-# row per site: a digit-group underscore (PEP 515) or a non-ASCII digit
+# row per site: a digit-group underscore (PEP 515) or a non-ASCII digit; then
+# two argument errors of other kinds. An argument error's last stderr line
+# follows argparse's usage text and names the parser that failed
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--points", "{points}"], "error: {points}:1: non-numeric coordinate in '1_5,1.0'"),
     (["eval", "--points", "grid:0_5..2x1..2:2"],
@@ -357,7 +390,11 @@ def test_verify_rejects_tol_not_positive_and_finite(capsys, tol):
                                     "'1_0e-9'"),
     (["verify", "--seed", "4_2"], "prodgeom verify: error: argument --seed: invalid int value: "
                                   "'4_2'"),
-], ids=["points-cell", "grid-bound", "grid-count", "pairs", "tol", "seed"])
+    (["verify", "--seed", "x"], "prodgeom verify: error: argument --seed: invalid int value: 'x'"),
+    (["eval", "--points", "{points_ok}", "--bogus"],
+     "prodgeom: error: unrecognized arguments: --bogus"),
+], ids=["points-cell", "grid-bound", "grid-count", "pairs", "tol", "seed", "seed-not-a-number",
+        "unknown-flag"])
 def test_number_text_that_is_not_plain_ascii_exits_2(capsys, tmp_path, argv, message):
     points = tmp_path / "pts.csv"
     points.write_text("1_5,1.0\n")
@@ -367,6 +404,7 @@ def test_number_text_that_is_not_plain_ascii_exits_2(capsys, tmp_path, argv, mes
         argv += ["--spec", DATA / "cobb_douglas_crs.json"]
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
+    assert err.startswith("usage: prodgeom") == message.startswith("prodgeom")
     assert err.splitlines()[-1] == message.format(**paths)
 
 
@@ -421,8 +459,10 @@ def test_eval_non_finite_value_exits_3(capsys, tmp_path):
     for fmt in ("csv", "jsonl"):
         code, out, err = _run(capsys, "eval", "--spec", spec, "--points", "grid:1..1x1..1:1",
                               "--format", fmt)
-        assert code == 3 and out == ""
-        assert err.startswith("error: ") and "non-finite" in err
+        assert code == 3
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+        _check_numerical_error_rows(capsys, tmp_path, ("eval", "--spec", spec), fmt, out,
+                                    [(1.0, 1.0)], [0])
 
 
 _XY = ('{"kind":"homothetical","components":[{"type":"pow","gamma":1,"beta":0,"alpha":1},'
@@ -469,11 +509,13 @@ def test_extreme_point_exits_3(capsys, tmp_path, command, spec_text, point):
     spec.write_text(spec_text)
     points = tmp_path / "pts.csv"
     points.write_text(point + "\n")
+    argv = (*command.split(), "--spec", spec)
     for fmt in ("csv", "jsonl"):
-        code, out, err = _run(capsys, *command.split(), "--spec", spec, "--points", points,
-                              "--format", fmt)
-        assert (code, out) == (3, "")
+        code, out, err = _run(capsys, *argv, "--points", points, "--format", fmt)
+        assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+        _check_numerical_error_rows(capsys, tmp_path, argv, fmt, out,
+                                    [tuple(map(float, point.split(",")))], [0])
 
 
 def test_zero_gradient_interior_point_keeps_value(capsys, tmp_path):
@@ -741,11 +783,13 @@ def test_curvature_error_past_first_block_exits_3(capsys, tmp_path):
     points_path.write_text("".join(f"{x1!r},{x2!r}\n" for x1, x2 in points))
     with pytest.raises(prodgeom.NumericalError) as first:
         gauss_kronecker(spec, points[BLOCK_ROWS + 10])
-    for extra in ([], ["--fd-check"], ["--format", "jsonl"]):
-        code, out, err = _run(capsys, "curvature", "--spec", spec_path, "--points", points_path,
-                              *extra)
-        assert (code, out) == (3, "")
+    for extra, fmt in (([], "csv"), (["--fd-check"], "csv"), ([], "jsonl")):
+        argv = ("curvature", "--spec", spec_path, *extra)
+        code, out, err = _run(capsys, *argv, "--points", points_path, "--format", fmt)
+        assert code == 3
         assert err == f"error: {first.value}\n"
+        _check_numerical_error_rows(capsys, tmp_path, argv, fmt, out, points,
+                                    [BLOCK_ROWS + 10, BLOCK_ROWS + 20])
 
 
 def _fd_gap_reference(spec, points, out: str, fmt: str) -> str:
@@ -801,7 +845,7 @@ def test_fd_check_blocks_match_per_row_reference(capsys, monkeypatch, tmp_path, 
 def test_fd_check_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, command,
                                                  fd_first):
     # the first failing row decides the error, whether its oracle or its
-    # own measure fails
+    # own measure fails, and both rows read numerical_error
     monkeypatch.setattr(cli, "BLOCK_ROWS", _SMALL_BLOCK)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(_BLOCK_SPECS["homothetical"])
@@ -819,11 +863,13 @@ def test_fd_check_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, 
             fd_jet(lambda q: prodgeom.evaluate(spec, q), near_edge)
         else:
             prodgeom.evaluate(spec, overflow)
+    argv = (command, "--spec", spec_path, "--fd-check")
     for fmt in ("csv", "jsonl"):
-        code, out, err = _run(capsys, command, "--spec", spec_path, "--points", points_path,
-                              "--format", fmt, "--fd-check")
-        assert (code, out) == (3, "")
+        code, out, err = _run(capsys, *argv, "--points", points_path, "--format", fmt)
+        assert code == 3
         assert err == f"error: {first.value}\n"
+        _check_numerical_error_rows(capsys, tmp_path, argv, fmt, out, points,
+                                    [_SMALL_BLOCK + 10, _SMALL_BLOCK + 20])
 
 
 def test_jsonl_writer_bytes_equal_json_dumps():
@@ -1014,7 +1060,8 @@ def test_grid_prints_the_bytes_of_its_points_file(capsys, monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("command", ["eval", "curvature", "elasticity"])
 def test_grid_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, command):
-    # (x1 - 1)^2 overflows at the fourth row, x1 = 5e199, in the second block
+    # (x1 - 1)^2 overflows from the fourth row on, x1 = 5e199 and 1e200, in
+    # the second and third blocks
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(_BLOCK_SPECS["homothetical"])
@@ -1024,10 +1071,12 @@ def test_grid_error_past_first_block_exits_3(capsys, monkeypatch, tmp_path, comm
     path.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
     for fmt in ("csv", "jsonl"):
         for extra in ([], ["--fd-check"]):
-            args = (command, "--spec", spec_path, "--format", fmt, *extra)
-            code, out, err = _run(capsys, *args, "--points", grid)
-            assert (code, out) == (3, "") and "overflowed" in err
-            assert (code, out, err) == _run(capsys, *args, "--points", path)
+            argv = (command, "--spec", spec_path, *extra)
+            code, out, err = _run(capsys, *argv, "--points", grid, "--format", fmt)
+            assert code == 3 and "overflowed" in err and err.count("\n") == 1
+            assert (code, out, err) == _run(capsys, *argv, "--points", path, "--format", fmt)
+            _check_numerical_error_rows(capsys, tmp_path, argv, fmt, out, points,
+                                        [k for k, p in enumerate(points) if p[0] > 1.0])
 
 
 @pytest.mark.parametrize("golden, argv", [pytest.param(golden, argv, id=golden)
@@ -1173,3 +1222,31 @@ def test_grid_points_memory_does_not_grow_with_the_rows():
     small, large = peak(300), peak(600)
     assert small < 512_000
     assert large - small < 200 * 2 * (600 - 300)
+
+
+def test_output_memory_does_not_grow_with_the_rows():
+    # each block is written before the next one is formed, so the traced peak
+    # of a curvature run grows with a block, not with its output: :200 has
+    # 30,000 rows more than :100, which print 3.4 MB more text
+    class Sink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    def peak(k):
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = run(["curvature", "--spec", str(DATA / "cobb_douglas_crs.json"),
+                            "--points", f"grid:0.5..2.0x0.5..2.0:{k}"])
+            return code, tracemalloc.get_traced_memory()[1], sink.chars
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # the parser, the spec's caches and numpy's first calls
+    (code_small, small, chars_small), (code_large, large, chars_large) = peak(100), peak(200)
+    assert code_small == code_large == 0
+    assert chars_large - chars_small > 3_000_000
+    assert large - small < (chars_large - chars_small) / 10

@@ -538,12 +538,13 @@ def _fd_stencil_written_out(f, pt) -> list:
 
 def test_fd_gaps_keeps_the_result_of_a_flagged_row(monkeypatch):
     # a row the FD columns flag goes through fd_jet, and where that returns,
-    # its gap is written back: flagging every row (nan, as a failed stencil
-    # leaves it) changes no bit
+    # its gap is written back and its error is None: flagging every row (nan,
+    # as a failed stencil leaves it) changes no bit
     spec = _fd_spec(random.Random(2), "composite", 3)
     points = np.array(points_loguniform(3, 6, 4))
     _, gradient, hessian, _, _ = _jet_columns(spec, points)
-    expected = _fd_gaps(spec, points, gradient, hessian)
+    expected, errors = _fd_gaps(spec, points, gradient, hessian)
+    assert errors == [None] * len(points)
     columns = jets._fd_columns
 
     def flag_every_row(spec, x):
@@ -552,8 +553,9 @@ def test_fd_gaps_keeps_the_result_of_a_flagged_row(monkeypatch):
                 np.ones(len(x), dtype=bool))
 
     monkeypatch.setattr(jets, "_fd_columns", flag_every_row)
-    got = _fd_gaps(spec, points, gradient, hessian)
+    got, errors = _fd_gaps(spec, points, gradient, hessian)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+    assert errors == [None] * len(points)
 
 
 @pytest.mark.parametrize("n", [1, 5, 10])
