@@ -190,10 +190,12 @@ def _writer(header: list, fmt: str, out):
 
     ``columns`` holds the cells by column: a float array, or a sequence of
     text. Both formats encode a block by one rule: its float columns are
-    stacked, ``repr`` runs over one ``tolist()``, and the non-finite cells of
-    one ``isfinite`` scan are then fixed per format (a nan is a missing
-    cell, empty in CSV and ``null`` in JSONL; ±inf keeps its repr in CSV and
-    is ``Infinity``/``-Infinity`` in JSONL); text goes through ``_csv_cell``
+    stacked, ``repr`` runs over one ``tolist()``, and each column that one
+    ``isfinite`` scan finds holding a non-finite cell is then re-mapped per
+    format, cell by repr, since no finite repr reads ``nan``, ``inf`` or
+    ``-inf`` (a nan is a missing cell, empty in CSV and ``null`` in JSONL;
+    ±inf keeps its repr in CSV and is ``Infinity``/``-Infinity`` in JSONL);
+    text goes through ``_csv_cell``
     in CSV and ``encode_basestring_ascii`` in JSONL. ``lead`` holds each
     CSV row's leading text, already encoded (a grid's coordinates). A CSV
     line joins its cells with commas, the bytes of
@@ -206,8 +208,7 @@ def _writer(header: list, fmt: str, out):
     if csv_out:
         text, special = _csv_cell, {"nan": "", "inf": "inf", "-inf": "-inf"}
     else:
-        text = encode_basestring_ascii
-        special = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+        text, special = encode_basestring_ascii, {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
         template = "{" + ",".join(encode_basestring_ascii(h).replace("%", "%%") + ":%s"
                                   for h in header) + "}\n"
 
@@ -216,8 +217,8 @@ def _writer(header: list, fmt: str, out):
         if floats:
             stacked = np.stack(floats)
             encoded = [list(map(repr, col)) for col in stacked.tolist()]
-            for k, i in np.argwhere(~np.isfinite(stacked)).tolist():
-                encoded[k][i] = special[encoded[k][i]]
+            for k in np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist():
+                encoded[k] = [special.get(c, c) for c in encoded[k]]
             floats = iter(encoded)
         return [next(floats) if isinstance(col, np.ndarray) else list(map(text, col))
                 for col in columns]

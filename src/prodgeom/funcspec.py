@@ -557,7 +557,7 @@ def _axis_groups(points: np.ndarray) -> list:
     groups = []
     for k in range(points.shape[1]):
         distinct = ranked[first[:, k], k]
-        groups.append((distinct.view(np.float64), np.searchsorted(distinct, bits[:, k])))
+        groups.append((distinct.view(np.float64), distinct.searchsorted(bits[:, k])))
     return groups
 
 

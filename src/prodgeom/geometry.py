@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, SpecError, ValidationError
 from .funcspec import (FunctionSpec, Homothetical, _column_pow, _per_point, _point, _point_rows,
                        _values)
-from .jets import Jet2N, _factor_jet, _jet_columns, jet_multivariate
+from .jets import Jet1, Jet2N, _factor_jet, _jet_columns, jet_multivariate
 from .sampling import points_loguniform
 
 
@@ -147,9 +147,10 @@ def hessian_det_direct(spec: FunctionSpec, point: Sequence[float]) -> float:
     return det
 
 
-def _closed_form(jets, pw=pow):
+def _closed_form(jets, pw=pow, squares=None):
     """The closed form of ``hessian_det_closed`` on the factors' 1-D jets:
-    floats, or columns with ``pw`` applying ``**`` row by row. A zero factor
+    floats, or columns with ``pw`` applying ``**`` row by row, where
+    ``squares[i - 1]`` may give each (f_i'/f_i)^2 for i >= 1. A zero factor
     value (n > 1) raises ZeroDivisionError on floats and gives nan on columns."""
     n = len(jets)
     if n == 1:
@@ -169,7 +170,7 @@ def _closed_form(jets, pw=pow):
         for k in range(1, n):
             if k != i:
                 partial *= r[k]
-        acc += pw(jets[i].d1 / jets[i].value, 2) * partial
+        acc += (pw(jets[i].d1 / jets[i].value, 2) if squares is None else squares[i - 1]) * partial
     return pw(f, n) * (term1 + r[0] * acc)
 
 
@@ -261,7 +262,9 @@ def gauss_kronecker(spec: FunctionSpec, point: Sequence[float]) -> CurvatureReco
 
 
 def _squared_norms(gradient: np.ndarray) -> np.ndarray:
-    # g . g of every row of an (m, n) array, with the bits of float(np.dot(g, g))
+    # g . g of every row of an (m, n) array, with the bits of float(np.dot(g, g));
+    # matmul's bits depend on the memory layout, so it runs on a C-ordered array
+    gradient = np.ascontiguousarray(gradient)
     return np.matmul(gradient[:, None, :], gradient[:, :, None])[:, 0, 0]
 
 
@@ -292,7 +295,8 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
     once on the stacked Hessians (``plu_dets``). Transcendentals stay on
     Python floats: each axis's terms and component derivatives once per
     distinct coordinate of the block (a grid block repeats each value over
-    many rows), the rest row by row. A row the columns cannot reproduce exactly (a
+    many rows), the closed form's squares (f_i'/f_i)^2 once per distinct
+    coordinate too, the rest row by row. A row the columns cannot reproduce exactly (a
     guard fails, a power overflows, a result is not finite) is set to nan
     and goes back through ``gauss_kronecker`` itself, in input order, which
     gives its result or its error.
@@ -304,7 +308,10 @@ def gauss_kronecker_batch(spec: FunctionSpec, points) -> CurvatureBlock:
         if factors is None:
             det = plu_dets(hessian)
         else:
-            det = _closed_form(factors, _column_pow)
+            # the squares once per distinct coordinate, whose rows share their bits
+            squares = [_column_pow(f.d1 / f.value, 2)[index] for f, index in factors[1:]]
+            det = _closed_form([Jet1(f.value[index], f.d1[index], f.d2[index])
+                                for f, index in factors], _column_pow, squares)
             lu = ~np.isfinite(det)
             if lu.any():
                 det[lu] = plu_dets(hessian[lu])

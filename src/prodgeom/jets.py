@@ -3,9 +3,13 @@
 A 1-D jet is (value, f', f'') of a component at a point; multivariate jets
 are assembled exactly from them by the product and chain rules, and
 ``fd_jet`` is the independent central-difference oracle. The assembly and
-the stencil are each written once for one point's floats and for numpy
-columns over many points (``_jet_columns``, ``_fd_columns``), with the same
-64-bit operations in the same order, so both give the same bits.
+the stencil are each written for one point's floats and for numpy columns
+over many points (``_jet_columns``, ``_fd_columns``), with the same 64-bit
+operations in the same order, so both give the same bits. On floats the
+Hessian is filled entry by entry; on columns one Hessian column at a time
+(``_fill``), each rule call taking every entry above the diagonal at once
+and the product rule's partial products coming from shared prefixes, so a
+block makes O(n^2) numpy calls, not one per entry and factor.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import mul
+from operator import imul, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,11 +77,20 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
 
 
 def _fill(n, shape, rules):
-    """The (n, n) + ``shape`` Hessian with entry rules ``(diag, off)``: entry
-    (i, i) is ``diag(i)``, and for i < j ``off(i, j)``, computed once (i
-    ascending, then j) and stored at (i, j) and (j, i), so symmetry is exact."""
+    """The (n, n) + ``shape`` Hessian with entry rules ``(diag, off)``, each
+    entry computed once, so that symmetry is exact. On floats (``shape`` ())
+    the entries go one by one: entry (i, i) is ``diag(i)``, and for i
+    ascending, then j > i, ``off(i, j)`` is stored at (i, j) and (j, i). On
+    (m,) columns ``diag(slice(n))`` gives the whole (n, m) diagonal, and the
+    rest goes one Hessian column j >= 1 at a time: ``off(slice(j), j)`` gives
+    the (j, m) entries i < j, stored above the diagonal and mirrored below it."""
     diag, off = rules
     hess = np.zeros((n, n) + shape)
+    if shape:
+        hess.reshape((n * n,) + shape)[::n + 1] = diag(slice(n))
+        for j in range(1, n):
+            hess[:j, j] = hess[j, :j] = off(slice(j), j)
+        return hess
     for i in range(n):
         hess[i, i] = diag(i)
         for j in range(i + 1, n):
@@ -86,14 +99,35 @@ def _fill(n, shape, rules):
 
 
 def _product_parts(jets, vals):
-    """Gradient (a list) and Hessian entry rules (for ``_fill``) of the
-    product of the factor jets, whose values are ``vals``: floats, or (m,)
-    columns over m points, whose entries are then (m,) columns.
+    """Gradient and Hessian entry rules (for ``_fill``) of the product of the
+    factor jets, whose values are ``vals``: floats, entry by entry, or (m,)
+    columns over m points, one Hessian column at a time, with the gradient
+    as an (n, m) array and ``diag`` taking index vectors too.
 
     Every product of the other values runs from 1.0 in index order, from
-    shared prefixes; ``off(i, j)`` keeps the product skipping i up to j for
-    the next j in ``_fill``'s order, so O(n) products stay live. ``mul``
-    returns a new column, so no shared product is ever written into."""
+    shared prefixes. On floats ``off(i, j)`` keeps the product skipping i up
+    to j for the next j in ``_fill``'s order, so O(n) products stay live. On
+    columns the (n, m) array ``run`` starts as the prefixes, row i the
+    product of vals[:i]; ``skip``, a copy, takes vals[k] into every row
+    i < k for k ascending, giving the products skipping i. ``off(slice(j),
+    j)``, called for j ascending as ``_fill`` does, finds in ``run``'s rows
+    i < j the products skipping i of vals[:j]: a copy of them takes
+    vals[j + 1:] in place, giving the tails that multiply d1_i * d1_j, and
+    then the rows take vals[j]. So a block makes O(n^2) column calls, its
+    working memory stays O(n m) and no factor column is written into."""
+    if isinstance(vals[0], np.ndarray):
+        d1, d2 = np.array([jet.d1 for jet in jets]), np.array([jet.d2 for jet in jets])
+        run = np.array(list(accumulate(vals[:-1], mul, initial=np.ones(vals[0].shape))))
+        skip = run.copy()
+        for k in range(1, len(vals)):
+            skip[:k] *= vals[k]
+
+        def off(i, j):  # i is slice(j)
+            out = d1[i] * jets[j].d1
+            out *= reduce(imul, vals[j + 1:], run[i].copy())
+            run[i] *= vals[j]
+            return out
+        return d1 * skip, (lambda i: d2[i] * skip[i], off)
     prefix = list(accumulate(vals[:-1], mul, initial=1.0))  # prefix[i]: of vals[:i]
     skip = [reduce(mul, vals[i + 1:], p) for i, p in enumerate(prefix)]
     run = [None, None, None]  # (i, j, the product skipping i of vals[:j])
@@ -105,8 +139,7 @@ def _product_parts(jets, vals):
         run[:] = i, j, reduce(mul, vals[rj:j], p)
         return jets[i].d1 * jets[j].d1 * reduce(mul, vals[j + 1:], run[2])
 
-    du = [jet.d1 * p for jet, p in zip(jets, skip)]
-    return du, (lambda i: jets[i].d2 * skip[i], off)
+    return [jet.d1 * p for jet, p in zip(jets, skip)], (lambda i: jets[i].d2 * skip[i], off)
 
 
 def _acms_parts(spec: Acms, pt, s, pw=pow):
@@ -121,7 +154,9 @@ def _acms_parts(spec: Acms, pt, s, pw=pow):
     c1 = spec.gamma * q * pw(s, q - 1.0)
     coeff = q * (q - 1.0)
     c2 = spec.gamma * coeff * pw(s, q - 2.0) if coeff != 0.0 else 0.0
-    dg = [c1 * d for d in ds]
+    if isinstance(s, np.ndarray):  # columns, as (n, m) arrays for the column rules
+        ds, d2s = np.array(ds), np.array(d2s)
+    dg = c1 * ds if isinstance(s, np.ndarray) else [c1 * d for d in ds]
     return dg, (lambda i: c2 * ds[i] * ds[i] + c1 * d2s[i],
                 lambda i, j: c2 * ds[i] * ds[j])
 
@@ -130,7 +165,7 @@ def _chain(f1, f2, du, rules):
     """Gradient and Hessian rules of F(u(x)) from those of u (composed, not
     filled) and F'(u) = f1, F''(u) = f2 (floats or columns, as in ``_product_parts``)."""
     diag, off = rules
-    grad = [f1 * du[i] for i in range(len(du))]
+    grad = f1 * du if isinstance(du, np.ndarray) else [f1 * d for d in du]
     return grad, (lambda i: f2 * du[i] * du[i] + f1 * diag(i),
                   lambda i, j: f2 * du[i] * du[j] + f1 * off(i, j))
 
@@ -171,18 +206,21 @@ def jet_multivariate(spec: FunctionSpec, point: Sequence[float]) -> Jet2N:
 def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     """The jets of a spec at the rows of an (m, n) point array, as columns.
 
-    Returns ``(value, gradient, hessian, factors, ok)``, each with one entry
-    per row: value (m,), gradient (m, n), Hessian (m, n, n), for homothetical
-    specs the factors' 1-D jets with (m,) columns as slots (None otherwise),
-    and ``ok`` (m,). Where ``ok`` holds, a row has the bits of
-    ``jet_multivariate`` at its point; elsewhere that call raises.
+    Returns ``(value, gradient, hessian, factors, ok)``: value (m,), gradient
+    (m, n), Hessian (m, n, n) and ``ok`` (m,), each with one entry per row,
+    and for homothetical specs ``factors`` (None otherwise), one pair per
+    axis: the factor's 1-D jet over the axis's distinct coordinates, with
+    columns as slots, and the (m,) index of each row's coordinate among
+    them. Where ``ok`` holds, a row has the bits of ``jet_multivariate`` at
+    its point, factor jets included; elsewhere that call raises.
 
     The value pass (``funcspec._value_pass``) runs first. Each component's
     ``derivs`` runs once per distinct coordinate of its axis and the outer
     map's row by row (a linear map's constants once), all on Python floats.
     A row whose value or term is not finite gets nan inputs first (a power
     of a negative base would be complex), so it stays flagged. Only + - * /
-    run on whole columns, in the order of the scalar assembly, which is shared.
+    run on whole columns, in the order of the scalar assembly, whose chain and
+    CES rules they share.
     """
     groups, distinct, terms, core, u, value = _value_pass(spec, points)
     failed = ~np.isfinite(value)
@@ -191,25 +229,23 @@ def _jet_columns(spec: FunctionSpec, points: np.ndarray):
     def derivs(fn, *cols):  # the (f', f'') columns, two empty ones for no rows
         return _map_rows(fn, *cols, failed=(math.nan, math.nan)).reshape(-1, 2).T
 
-    factors = None
-    ok = ~failed
+    factors, ok = None, ~failed
     if isinstance(spec, Acms):
         pt = list(np.where(failed[:, None], math.nan, points).T)
         grad, rules = _acms_parts(spec, pt, core, _column_pow)
     else:
-        factors = []
-        for c, v, (coords, index), t in zip(spec.components, terms, groups, distinct):
-            d1, d2 = derivs(c.derivs, np.where(np.isfinite(t), coords, math.nan), t)[:, index]
-            factors.append(Jet1(v, d1, d2))
-            ok &= np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2)
-        grad, rules = _product_parts(factors, terms)
+        factors = [(Jet1(t, *derivs(c.derivs, np.where(np.isfinite(t), coords, math.nan), t)), index)
+                   for c, (coords, index), t in zip(spec.components, groups, distinct)]
+        rows = [Jet1(v, f.d1[index], f.d2[index]) for v, (f, index) in zip(terms, factors)]
+        ok &= np.isfinite([(f.value, f.d1, f.d2) for f in rows]).all(axis=(0, 1))
+        grad, rules = _product_parts(rows, terms)
     if not isinstance(spec, Homothetical):
         factors = None
         outer = spec.outer
         outer_derivs = ([np.full(u.shape, d) for d in outer.derivs(math.nan)]
                         if isinstance(outer, _LINEAR_OUTER) else derivs(outer.derivs, u))
         grad, rules = _chain(*outer_derivs, grad, rules)
-    gradient = np.stack(grad, axis=1)
+    gradient = grad.T.copy()
     hessian = _fill(spec.n, value.shape, rules).transpose(2, 0, 1)
     ok &= np.isfinite(gradient).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))
     return value, gradient, hessian, factors, ok

@@ -569,7 +569,7 @@ def _assert_jet_columns_match(spec, points):
         assert _bits([value[i], *gradient[i], *np.ravel(hessian[i])]) == \
             _bits([jet.value, *jet.gradient, *np.ravel(jet.hessian)])
         assert (factors is None) == (jet.factors is None)
-        assert [_bits([f.value[i], f.d1[i], f.d2[i]]) for f in factors or ()] == \
+        assert [_bits([f.value[k[i]], f.d1[k[i]], f.d2[k[i]]]) for f, k in factors or ()] == \
             [_bits([f.value, f.d1, f.d2]) for f in jet.factors or ()]
 
 

@@ -568,7 +568,7 @@ def _assert_batch_matches_scalar(spec, points):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
-       n=st.integers(1, 10), m=st.integers(1, 30))
+       n=st.integers(1, 12), m=st.integers(1, 30))
 def test_batch_bitwise_equals_gauss_kronecker(seed, kind, n, m):
     rng = random.Random(seed)
     spec = _random_spec(rng, kind, n)
@@ -587,7 +587,7 @@ _REPEAT_COORDS = (0.0, -0.0, 5e-324, 1.0, -1.0, math.e, 0.5, 2.0, 1e-160, 1e150,
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(("homothetical", "composite", "acms")),
-       n=st.integers(1, 6), m=st.integers(2, 40))
+       n=st.integers(1, 12), m=st.integers(2, 40))
 def test_batch_on_repeated_coordinates_bitwise_equals_gauss_kronecker(seed, kind, n, m):
     # coordinates from a small pool, so that the jets' axes repeat them
     rng = random.Random(seed)
@@ -596,6 +596,18 @@ def test_batch_on_repeated_coordinates_bitwise_equals_gauss_kronecker(seed, kind
     points = [[rng.choice(pool) if rng.random() < 0.8 else rng.uniform(0.3, 3.0)
                for _ in range(n)] for _ in range(m)]
     _assert_batch_matches_scalar(spec, points)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_squared_norms_do_not_depend_on_the_gradient_layout(n):
+    # matmul's bits depend on the memory layout (an F-ordered (m, n) array
+    # differs from a C-ordered one at n >= 4), so every row must have the
+    # bits of float(np.dot(g, g)) whichever layout the gradient comes in
+    rng = np.random.default_rng(n)
+    gradient = rng.uniform(-3.0, 3.0, (2048, n))
+    expected = [float(np.dot(g, g)).hex() for g in gradient]
+    for layout in (gradient, np.asfortranarray(gradient)):
+        assert [float(v).hex() for v in geometry._squared_norms(layout)] == expected
 
 
 @pytest.mark.parametrize("spec, points", [

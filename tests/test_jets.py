@@ -208,8 +208,9 @@ def test_jet_columns_full_length_when_every_row_is_flagged(spec, points):
     assert gradient.shape == (m, n) and hessian.shape == (m, n, n)
     assert np.isnan(value).all() and np.isnan(gradient).all() and np.isnan(hessian).all()
     assert not ok.any()
-    for jet in factors or ():
-        assert jet.value.shape == jet.d1.shape == jet.d2.shape == (m,)
+    for jet, index in factors or ():
+        assert jet.value.shape == jet.d1.shape == jet.d2.shape == (index.max() + 1,)
+        assert index.shape == (m,)
     for point in points:
         with pytest.raises(DomainError):
             jet_multivariate(spec, point)
@@ -274,13 +275,23 @@ def test_hessian_symmetry_exact():
     make_acms(1.0, (1.0, 2.0, 0.5), 0.5, 1.0),
 ], ids=["homothetical", "composite", "acms"])
 def test_one_hessian_fill_per_jet(monkeypatch, spec):
-    fills = []
+    # one fill per jet; on columns the off rule runs once per Hessian column
+    # j >= 1 with every i < j at once (n - 1 calls), on floats once per entry
+    fills, offs = [], []
     fill = jets._fill
-    monkeypatch.setattr(jets, "_fill", lambda n, shape, rules: fills.append((n, shape))
-                        or fill(n, shape, rules))
+
+    def counted(n, shape, rules):
+        diag, off = rules
+        fills.append((n, shape))
+        return fill(n, shape, (diag, lambda i, j: offs.append((i, j)) or off(i, j)))
+
+    monkeypatch.setattr(jets, "_fill", counted)
     jet_multivariate(spec, (1.0, 1.5, 2.0))
+    assert offs == [(0, 1), (0, 2), (1, 2)]
+    offs.clear()
     _jet_columns(spec, np.array([(1.0, 1.5, 2.0), (0.5, 1.0, 3.0)]))
     assert fills == [(3, ()), (3, (2,))]
+    assert offs == [(slice(1), 1), (slice(2), 2)]
 
 
 def _prod_except(vals, skip):
@@ -308,10 +319,13 @@ def _hexes(x):
 @given(data=st.data(), n=st.integers(1, 12), m=st.one_of(st.none(), st.integers(0, 4)))
 def test_product_parts_bitwise_equal_prod_except(data, n, m):
     # the gradient and every Hessian entry rule of _product_parts have the
-    # bits of the reference product skipping one or two indices, on floats
-    # (m None) and on (m,) columns, whether the pairs come in _fill's order or
-    # in any other; no factor column is written into. The callers run it
-    # under np.errstate, as here
+    # bits of the reference product skipping one or two indices: on floats
+    # (m None), pair by pair, whether the pairs come in _fill's order or in
+    # any other; on (m,) columns, the whole diagonal at once and then one
+    # Hessian column j at a time with every i < j as the index vector
+    # slice(j), in _fill's order. No factor column is written into, though
+    # the column route forms its products in place. The callers run it under
+    # np.errstate, as here
     def draw():
         if m is None:
             return data.draw(_product_float)
@@ -321,15 +335,26 @@ def test_product_parts_bitwise_equal_prod_except(data, n, m):
     vals = [f.value for f in factors]
     before = [_hexes(x) for f in factors for x in (f.value, f.d1, f.d2)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def expected(i, j):
+        return factors[i].d1 * factors[j].d1 * _prod_except(vals, (i, j))
+
     with np.errstate(all="ignore"):
         du, (diag, off) = jets._product_parts(factors, vals)
         for i in range(n):
             assert _hexes(du[i]) == _hexes(factors[i].d1 * _prod_except(vals, (i,)))
             assert _hexes(diag(i)) == _hexes(factors[i].d2 * _prod_except(vals, (i,)))
-        for order in (pairs, data.draw(st.permutations(pairs), label="pair order")):
-            for i, j in order:
-                expected = factors[i].d1 * factors[j].d1 * _prod_except(vals, (i, j))
-                assert _hexes(off(i, j)) == _hexes(expected), (i, j)
+        if m is not None:
+            assert _hexes(diag(slice(n))) == _hexes([diag(i) for i in range(n)])
+            for j in range(1, n):
+                column = off(slice(j), j)
+                assert column.shape == (j, m)
+                for i in range(j):
+                    assert _hexes(column[i]) == _hexes(expected(i, j)), (i, j)
+        else:
+            for order in (pairs, data.draw(st.permutations(pairs), label="pair order")):
+                for i, j in order:
+                    assert _hexes(off(i, j)) == _hexes(expected(i, j)), (i, j)
     assert [_hexes(x) for f in factors for x in (f.value, f.d1, f.d2)] == before
 
 
