@@ -5,10 +5,11 @@ are assembled exactly from them by the product and chain rules, and
 ``fd_jet`` is the independent central-difference oracle. The assembly and
 the stencil are each written for one point's floats and for numpy columns
 over many points (``_jet_columns``, ``_fd_columns``), with the same 64-bit
-operations in the same order, so both give the same bits. On floats the
-Hessian is filled entry by entry; on columns one Hessian column at a time
-(``_fill``), each rule call taking every entry above the diagonal at once
-and the product rule's partial products coming from shared prefixes, so a
+operations in the same order, so both give the same bits. Floats and
+columns fill the Hessian in one order (``_fill``): the diagonal, then one
+Hessian column at a time, on floats entry by entry and on columns with
+every entry above the diagonal in one rule call. The product rule is one
+body for both, its partial products coming from shared prefixes, so a
 block makes O(n^2) numpy calls, not one per entry and factor.
 """
 
@@ -78,68 +79,58 @@ def jet1d(c: ComponentFn, x: float) -> Jet1:
 
 def _fill(n, shape, rules):
     """The (n, n) + ``shape`` Hessian with entry rules ``(diag, off)``, each
-    entry computed once, so that symmetry is exact. On floats (``shape`` ())
-    the entries go one by one: entry (i, i) is ``diag(i)``, and for i
-    ascending, then j > i, ``off(i, j)`` is stored at (i, j) and (j, i). On
-    (m,) columns ``diag(slice(n))`` gives the whole (n, m) diagonal, and the
-    rest goes one Hessian column j >= 1 at a time: ``off(slice(j), j)`` gives
-    the (j, m) entries i < j, stored above the diagonal and mirrored below it."""
+    entry computed once, so that symmetry is exact. The diagonal comes first:
+    ``diag(i)`` for each i on floats (``shape`` ()), ``diag(slice(n))`` at
+    once on (m,) columns. Then the Hessian columns j = 1..n-1 in turn, each
+    with its entries i < j, stored above the diagonal and mirrored below it:
+    ``off(i, j)`` for each i on floats, ``off(slice(j), j)``, a (j, m) array,
+    on columns. Floats and columns share this one order."""
     diag, off = rules
     hess = np.zeros((n, n) + shape)
     if shape:
         hess.reshape((n * n,) + shape)[::n + 1] = diag(slice(n))
-        for j in range(1, n):
-            hess[:j, j] = hess[j, :j] = off(slice(j), j)
-        return hess
-    for i in range(n):
-        hess[i, i] = diag(i)
-        for j in range(i + 1, n):
+    else:
+        for i in range(n):
+            hess[i, i] = diag(i)
+    for j in range(1, n):
+        for i in [slice(j)] if shape else range(j):
             hess[i, j] = hess[j, i] = off(i, j)
     return hess
 
 
 def _product_parts(jets, vals):
     """Gradient and Hessian entry rules (for ``_fill``) of the product of the
-    factor jets, whose values are ``vals``: floats, entry by entry, or (m,)
-    columns over m points, one Hessian column at a time, with the gradient
-    as an (n, m) array and ``diag`` taking index vectors too.
+    factor jets, whose values are ``vals``: H_ii = f_i'' times the product
+    skipping i, H_ij = f_i' f_j' times the product skipping i and j. One body
+    serves floats and (m,) columns over m points; on columns the values are
+    stacked as (n, m) arrays, the gradient is one, and the rules index its
+    rows with slice(j) where floats use an int i.
 
     Every product of the other values runs from 1.0 in index order, from
-    shared prefixes. On floats ``off(i, j)`` keeps the product skipping i up
-    to j for the next j in ``_fill``'s order, so O(n) products stay live. On
-    columns the (n, m) array ``run`` starts as the prefixes, row i the
-    product of vals[:i]; ``skip``, a copy, takes vals[k] into every row
-    i < k for k ascending, giving the products skipping i. ``off(slice(j),
-    j)``, called for j ascending as ``_fill`` does, finds in ``run``'s rows
-    i < j the products skipping i of vals[:j]: a copy of them takes
-    vals[j + 1:] in place, giving the tails that multiply d1_i * d1_j, and
-    then the rows take vals[j]. So a block makes O(n^2) column calls, its
-    working memory stays O(n m) and no factor column is written into."""
-    if isinstance(vals[0], np.ndarray):
-        d1, d2 = np.array([jet.d1 for jet in jets]), np.array([jet.d2 for jet in jets])
-        run = np.array(list(accumulate(vals[:-1], mul, initial=np.ones(vals[0].shape))))
-        skip = run.copy()
-        for k in range(1, len(vals)):
-            skip[:k] *= vals[k]
-
-        def off(i, j):  # i is slice(j)
-            out = d1[i] * jets[j].d1
-            out *= reduce(imul, vals[j + 1:], run[i].copy())
-            run[i] *= vals[j]
-            return out
-        return d1 * skip, (lambda i: d2[i] * skip[i], off)
-    prefix = list(accumulate(vals[:-1], mul, initial=1.0))  # prefix[i]: of vals[:i]
-    skip = [reduce(mul, vals[i + 1:], p) for i, p in enumerate(prefix)]
-    run = [None, None, None]  # (i, j, the product skipping i of vals[:j])
+    shared prefixes: ``run`` starts as the prefixes, run[i] the product of
+    vals[:i], and ``skip``, a copy, takes vals[k] into every row i < k for
+    k ascending, giving the products skipping i. ``off(i, j)``, called in
+    ``_fill``'s order, finds in run[i] the product skipping i of vals[:j]:
+    a new product of it and vals[j + 1] takes vals[j + 2:] in place, giving
+    the tail that multiplies f_i' f_j', and then run[i] takes vals[j]. So a
+    block makes O(n^2) column calls, its working memory stays O(n m) and no
+    factor column is written into."""
+    n, columns = len(vals), isinstance(vals[0], np.ndarray)
+    stack, one = (np.array, np.ones(vals[0].shape)) if columns else (list, 1.0)
+    d1, d2 = stack([jet.d1 for jet in jets]), stack([jet.d2 for jet in jets])
+    run = stack(list(accumulate(vals[:-1], mul, initial=one)))
+    skip = stack(run)
+    for k in range(1, n):
+        for i in [slice(k)] if columns else range(k):
+            skip[i] *= vals[k]
 
     def off(i, j):
-        ri, rj, p = run
-        if ri != i or rj > j:
-            rj, p = i + 1, prefix[i]
-        run[:] = i, j, reduce(mul, vals[rj:j], p)
-        return jets[i].d1 * jets[j].d1 * reduce(mul, vals[j + 1:], run[2])
+        out = d1[i] * jets[j].d1
+        out *= reduce(imul, vals[j + 2:], run[i] * vals[j + 1]) if j + 1 < n else run[i]
+        run[i] *= vals[j]
+        return out
 
-    return [jet.d1 * p for jet, p in zip(jets, skip)], (lambda i: jets[i].d2 * skip[i], off)
+    return d1 * skip if columns else list(map(mul, d1, skip)), (lambda i: d2[i] * skip[i], off)
 
 
 def _acms_parts(spec: Acms, pt, s, pw=pow):

@@ -269,14 +269,20 @@ def test_hessian_symmetry_exact():
         assert (h == h.T).all()
 
 
-@pytest.mark.parametrize("spec", [
-    make_cobb_douglas(1.0, (0.3, 0.7, 0.5)),
-    Composite(Power(2.0), (PowFn(1.0, 0.0, 0.5), ExpFn(1.0, 0.3), PowFn(1.0, 0.0, 2.0))),
-    make_acms(1.0, (1.0, 2.0, 0.5), 0.5, 1.0),
-], ids=["homothetical", "composite", "acms"])
-def test_one_hessian_fill_per_jet(monkeypatch, spec):
-    # one fill per jet; on columns the off rule runs once per Hessian column
-    # j >= 1 with every i < j at once (n - 1 calls), on floats once per entry
+@pytest.mark.parametrize("spec, point, float_offs", [
+    (make_cobb_douglas(1.0, (0.3, 0.7, 0.5)), (1.0, 1.5, 2.0), [(0, 1), (0, 2), (1, 2)]),
+    (Composite(Power(2.0), (PowFn(1.0, 0.0, 0.5), ExpFn(1.0, 0.3), PowFn(1.0, 0.0, 2.0))),
+     (1.0, 1.5, 2.0), [(0, 1), (0, 2), (1, 2)]),
+    (make_acms(1.0, (1.0, 2.0, 0.5), 0.5, 1.0), (1.0, 1.5, 2.0), [(0, 1), (0, 2), (1, 2)]),
+    # at n = 4 column order is not row order: (1, 2) comes before (0, 3)
+    (Composite(Log(), (PowFn(1.0, 0.0, 0.5), ExpFn(1.0, 0.3), PowFn(2.0, 1.0, 2.0),
+                       LogPowFn(1.0, 0.5, 1.5))),
+     (1.0, 1.5, 2.0, 0.5), [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]),
+], ids=["homothetical", "composite", "acms", "composite-n4"])
+def test_one_hessian_fill_per_jet(monkeypatch, spec, point, float_offs):
+    # one fill per jet, in one order: Hessian columns j = 1..n-1 in turn,
+    # each with its rows i < j; on columns the off rule runs once per Hessian
+    # column with every i < j at once (n - 1 calls), on floats once per entry
     fills, offs = [], []
     fill = jets._fill
 
@@ -286,12 +292,13 @@ def test_one_hessian_fill_per_jet(monkeypatch, spec):
         return fill(n, shape, (diag, lambda i, j: offs.append((i, j)) or off(i, j)))
 
     monkeypatch.setattr(jets, "_fill", counted)
-    jet_multivariate(spec, (1.0, 1.5, 2.0))
-    assert offs == [(0, 1), (0, 2), (1, 2)]
+    jet_multivariate(spec, point)
+    assert offs == float_offs
     offs.clear()
-    _jet_columns(spec, np.array([(1.0, 1.5, 2.0), (0.5, 1.0, 3.0)]))
-    assert fills == [(3, ()), (3, (2,))]
-    assert offs == [(slice(1), 1), (slice(2), 2)]
+    n = spec.n
+    _jet_columns(spec, np.array([point, [2.0 * x for x in point]]))
+    assert fills == [(n, ()), (n, (2,))]
+    assert offs == [(slice(j), j) for j in range(1, n)]
 
 
 def _prod_except(vals, skip):
@@ -319,11 +326,11 @@ def _hexes(x):
 @given(data=st.data(), n=st.integers(1, 12), m=st.one_of(st.none(), st.integers(0, 4)))
 def test_product_parts_bitwise_equal_prod_except(data, n, m):
     # the gradient and every Hessian entry rule of _product_parts have the
-    # bits of the reference product skipping one or two indices: on floats
-    # (m None), pair by pair, whether the pairs come in _fill's order or in
-    # any other; on (m,) columns, the whole diagonal at once and then one
-    # Hessian column j at a time with every i < j as the index vector
-    # slice(j), in _fill's order. No factor column is written into, though
+    # bits of the reference product skipping one or two indices, with the
+    # off rule called in _fill's order, Hessian column j = 1..n-1 in turn:
+    # on floats (m None) one entry (i, j) at a time for i < j; on (m,)
+    # columns the whole diagonal at once and then every i < j of a column as
+    # the index vector slice(j). No factor column is written into, though
     # the column route forms its products in place. The callers run it under
     # np.errstate, as here
     def draw():
@@ -334,7 +341,6 @@ def test_product_parts_bitwise_equal_prod_except(data, n, m):
     factors = [jets.Jet1(draw(), draw(), draw()) for _ in range(n)]
     vals = [f.value for f in factors]
     before = [_hexes(x) for f in factors for x in (f.value, f.d1, f.d2)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def expected(i, j):
         return factors[i].d1 * factors[j].d1 * _prod_except(vals, (i, j))
@@ -346,15 +352,11 @@ def test_product_parts_bitwise_equal_prod_except(data, n, m):
             assert _hexes(diag(i)) == _hexes(factors[i].d2 * _prod_except(vals, (i,)))
         if m is not None:
             assert _hexes(diag(slice(n))) == _hexes([diag(i) for i in range(n)])
-            for j in range(1, n):
-                column = off(slice(j), j)
-                assert column.shape == (j, m)
-                for i in range(j):
-                    assert _hexes(column[i]) == _hexes(expected(i, j)), (i, j)
-        else:
-            for order in (pairs, data.draw(st.permutations(pairs), label="pair order")):
-                for i, j in order:
-                    assert _hexes(off(i, j)) == _hexes(expected(i, j)), (i, j)
+        for j in range(1, n):
+            column = [off(i, j) for i in range(j)] if m is None else off(slice(j), j)
+            assert np.shape(column) == ((j,) if m is None else (j, m))
+            for i in range(j):
+                assert _hexes(column[i]) == _hexes(expected(i, j)), (i, j)
     assert [_hexes(x) for f in factors for x in (f.value, f.d1, f.d2)] == before
 
 
